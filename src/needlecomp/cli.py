@@ -47,6 +47,7 @@ _SECTION_KEYS = {
             "epsilons"},
     "output": {"format", "path"},
 }
+_SECTIONS = ("geometry",) + tuple(_SECTION_KEYS)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in ("geometry",) + tuple(_SECTION_KEYS):
+            if name not in _SECTIONS:
                 raise ConfigError(f"unknown section '{name}'", line=lineno)
             if name in sections:
                 raise ConfigError(f"duplicate section '{name}'", line=lineno)
@@ -128,6 +129,8 @@ def _apply_overrides(sections, overrides: Sequence[str]):
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         target, _, value = item.partition("=")
         section, _, key = target.strip().partition(".")
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section '{section}'")
         sections.setdefault(section, {})[key.strip()] = (value.strip(), 0)
     return sections
 
@@ -296,6 +299,9 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
     tolerance = _as_float(tol_raw, "tolerance") if tol_raw else None
     grid_raw = run_view.take("grid_size")
     grid_size = _as_int(grid_raw, "grid_size") if grid_raw else 24
+    if grid_size < 1:
+        raise ConfigError(f"grid_size must be >= 1, got {grid_size}",
+                          line=grid_raw[1], key="grid_size")
     H0_raw = run_view.take("H0")
     H0 = _as_float(H0_raw, "H0") if H0_raw else None
     eps_raw = run_view.take("epsilons")

@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 from .errors import (CurvatureError, DegenerateSurfaceError, DomainError,
                      ParameterError)
-from .model1d import (CurvatureDimension, pi_kappa, sin_kappa, cos_kappa,
-                      unit_sphere_volume)
+from .model1d import (CurvatureDimension, JacobianParams, cos_kappa, jacobian,
+                      pi_kappa, sin_kappa, unit_sphere_volume)
 from .needle import DensityProfile, Needle, needle_mass, one_sided_log_derivative
 from .numerics import extrapolate_to_zero, integrate
+
+# Interior points at which a needle density is compared with h(0) J_H.
+PROFILE_MATCH_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,21 @@ class NeedleDecomposition:
     H_plus: tuple[float, ...]
     H_minus: tuple[float, ...]
     H: tuple[float, ...]
+
+    @cached_property
+    def profile_deviation(self) -> tuple[float, ...]:
+        """Per needle, max |h(r)/h(0) - J_H(r)| / max(J_H(r), 1e-12) over
+        PROFILE_MATCH_POINTS interior points; computed on first use."""
+        deviations = []
+        for needle, H in zip(self.needles, self.H):
+            params, p = JacobianParams(H, self.cd), needle.profile
+            h0, worst = p.fn(0.0), 0.0
+            for i in range(PROFILE_MATCH_POINTS):
+                r = p.a + (p.b - p.a) * (i + 1.0) / (PROFILE_MATCH_POINTS + 1.0)
+                bound = jacobian(params, r)
+                worst = max(worst, abs(p.fn(r) / h0 - bound) / max(bound, 1e-12))
+            deviations.append(worst)
+        return tuple(deviations)
 
 
 @dataclass(frozen=True)

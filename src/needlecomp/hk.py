@@ -19,7 +19,6 @@ from .geometry import NeedleDecomposition, inner_mass, tube_volume
 from .model1d import (JacobianParams, jacobian, jacobian_support, kappa_eff,
                       model_density_normalizer, model_profile,
                       unit_sphere_volume)
-from .needle import Needle
 from .numerics import INEQ_SLACK, integrate
 
 DEFAULT_EQUALITY_TOL = 1e-8
@@ -93,20 +92,6 @@ def _jacobian_integral(params: JacobianParams, lo: float, hi: float) -> float:
     return integrate(lambda r: jacobian(params, r), a, b)
 
 
-def _profile_match(needle: Needle, params: JacobianParams, tol: float,
-                   grid_size: int = 200) -> bool:
-    """Does h(r)/h(0) equal J(r) on the needle interval, within tol relative?"""
-    p = needle.profile
-    h0 = p.fn(0.0)
-    for i in range(grid_size):
-        r = p.a + (p.b - p.a) * (i + 1.0) / (grid_size + 1.0)
-        ratio = p.fn(r) / h0
-        bound = jacobian(params, r)
-        if abs(ratio - bound) > tol * max(bound, 1e-12):
-            return False
-    return True
-
-
 def _guard_inequality(statement: str, lhs: float, rhs: float) -> None:
     if lhs > rhs + INEQ_SLACK * abs(rhs):
         raise InequalityViolation(
@@ -114,15 +99,25 @@ def _guard_inequality(statement: str, lhs: float, rhs: float) -> None:
             "this indicates a software defect")
 
 
-def _build_report(statement: str, lhs: float, rhs: float,
-                  per_needle: tuple[PerNeedle, ...], tol: float,
-                  t: Optional[float] = None) -> HKReport:
+def _build_report(statement: str, lhs: float, per_needle: tuple[PerNeedle, ...],
+                  tol: float, t: Optional[float] = None) -> HKReport:
+    rhs = sum(entry.rhs_contribution for entry in per_needle)
     _guard_inequality(statement, lhs, rhs)
     gap = rhs - lhs
     relative_gap = gap / max(abs(rhs), _TINY)
     return HKReport(statement=statement, lhs=lhs, rhs=rhs, gap=gap,
                     relative_gap=relative_gap, equality=relative_gap < tol,
                     per_needle=per_needle, t=t)
+
+
+def _jacobian_shares(dec: NeedleDecomposition, Hs: tuple[float, ...], lo: float,
+                     hi: float, tol: float) -> tuple[PerNeedle, ...]:
+    """Per needle, its surface weight times the integral of J_{Hs[i]} over [lo, hi]."""
+    return tuple(
+        PerNeedle(i, Hs[i], (needle.weight * needle.profile.fn(0.0)
+                             * _jacobian_integral(JacobianParams(Hs[i], dec.cd), lo, hi)),
+                  dec.profile_deviation[i] <= tol)
+        for i, needle in enumerate(dec.needles))
 
 
 def _require_finite(values, what: str) -> None:
@@ -139,16 +134,8 @@ def hk_outer(dec: NeedleDecomposition, t: float,
     _require_finite(dec.H_plus, "outer mean curvature")
     tol = equality_tolerance(tolerance)
     lhs = tube_volume(dec, t, "outer")
-    per_needle = []
-    rhs = 0.0
-    for i, needle in enumerate(dec.needles):
-        params = JacobianParams(dec.H_plus[i], dec.cd)
-        contribution = (needle.weight * needle.profile.fn(0.0)
-                        * _jacobian_integral(params, 0.0, t))
-        rhs += contribution
-        match = _profile_match(needle, JacobianParams(dec.H[i], dec.cd), tol)
-        per_needle.append(PerNeedle(i, dec.H_plus[i], contribution, match))
-    return _build_report("hk-outer", lhs, rhs, tuple(per_needle), tol, t=t)
+    return _build_report("hk-outer", lhs, _jacobian_shares(dec, dec.H_plus, 0.0, t, tol),
+                         tol, t=t)
 
 
 def hk_full(dec: NeedleDecomposition,
@@ -158,18 +145,9 @@ def hk_full(dec: NeedleDecomposition,
     _require_finite(dec.H_plus, "outer mean curvature")
     _require_finite(dec.H_minus, "inner mean curvature")
     tol = equality_tolerance(tolerance)
-    lhs = dec.total_mass
     D = dec.diameter
-    per_needle = []
-    rhs = 0.0
-    for i, needle in enumerate(dec.needles):
-        params = JacobianParams(dec.H[i], dec.cd)
-        contribution = (needle.weight * needle.profile.fn(0.0)
-                        * _jacobian_integral(params, -D, D))
-        rhs += contribution
-        match = _profile_match(needle, params, tol)
-        per_needle.append(PerNeedle(i, dec.H[i], contribution, match))
-    return _build_report("hk-full", lhs, rhs, tuple(per_needle), tol)
+    return _build_report("hk-full", dec.total_mass,
+                         _jacobian_shares(dec, dec.H, -D, D, tol), tol)
 
 
 def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
@@ -191,10 +169,9 @@ def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
 
     def needles_report(statement: str, shares) -> HKReport:
         per_needle = tuple(
-            PerNeedle(i, dec.H[i], share,
-                      _profile_match(dec.needles[i], JacobianParams(dec.H[i], cd), tol))
+            PerNeedle(i, dec.H[i], share, dec.profile_deviation[i] <= tol)
             for i, share in enumerate(shares))
-        return _build_report(statement, lhs, sum(shares), per_needle, tol)
+        return _build_report(statement, lhs, per_needle, tol)
 
     # Sign and dominance preconditions tolerate float noise around equality
     # (cot of a numerically represented half-diameter is ~1e-16, not 0).
@@ -244,7 +221,10 @@ def levy_gromov_check(dec: NeedleDecomposition,
         raise ParameterError(f"isoperimetric comparison requires K > 0, got K={dec.cd.K}")
     tol = equality_tolerance(tolerance)
     content = dec.surface_total / dec.total_mass
-    fraction = inner_mass(dec) / dec.total_mass
+    # The profile is symmetric: take the smaller side's fraction, both sides
+    # integrated, since a fraction near 1 loses its digits in 1 - v.
+    smaller = min(inner_mass(dec), tube_volume(dec, dec.diameter, "outer"))
+    fraction = smaller / dec.total_mass
     profile_value = model_profile(dec.cd, min(max(fraction, 0.0), 1.0))
     gap = content - profile_value
     scale = max(abs(content), abs(profile_value), _TINY)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .numerics import bisect_increasing, integrate
 
 
 @dataclass(frozen=True)
@@ -185,35 +184,39 @@ def _require_positive_curvature(cd: CurvatureDimension) -> float:
     return cd.K / (cd.N - 1.0)
 
 
+def _half_beta(N: float) -> float:
+    """B(N/2, 1/2), the integral of sin^{N-1} over [0, pi]; log-gamma past
+    the range where Gamma(N/2) is finite."""
+    a = 0.5 * N
+    if a < 170.0:
+        return math.sqrt(math.pi) * math.gamma(a) / math.gamma(a + 0.5)
+    return math.sqrt(math.pi) * math.exp(math.lgamma(a) - math.lgamma(a + 0.5))
+
+
 def model_density_normalizer(cd: CurvatureDimension) -> float:
-    """Total mass of sin_{K/(N-1)}^{N-1} over [0, pi_{K/(N-1)}] (K > 0)."""
+    """Total mass of sin_{K/(N-1)}^{N-1} over [0, pi_{K/(N-1)}] (K > 0):
+    kappa^{-N/2} B(N/2, 1/2) with kappa = K/(N-1)."""
     kap = _require_positive_curvature(cd)
-    top = pi_kappa(kap)
-    expo = cd.N - 1.0
-    return integrate(lambda r: max(sin_kappa(kap, r), 0.0) ** expo, 0.0, top)
+    return kap ** (-0.5 * cd.N) * _half_beta(cd.N)
 
 
 def model_profile(cd: CurvatureDimension, v: float) -> float:
     """Isoperimetric profile of the 1D model space with density
-    sin_{K/(N-1)}^{N-1} on [0, pi_{K/(N-1)}], evaluated at volume fraction v.
+    sin_kappa^{N-1} on [0, pi_kappa], kappa = K/(N-1), at volume fraction v.
 
-    Computed as f' composed with f^{-1} where f is the normalized cumulative
-    mass; f^{-1} is found by bisection (f' vanishes at the endpoints, so
-    derivative-based root finding is avoided).  Concave in v, symmetric about
-    v = 1/2 and zero at v in {0, 1}.
+    Closed form (DLMF 8.17): sqrt(kappa) x^{(N-1)/2} / B(N/2, 1/2) with
+    x = I^{-1}(2 min(v, 1 - v); N/2, 1/2), I the regularized incomplete beta.
+    Concave in v, symmetric about v = 1/2 and zero at v in {0, 1}.
     """
     kap = _require_positive_curvature(cd)
     if not 0.0 <= v <= 1.0:
         raise ParameterError(f"volume fraction v must lie in [0, 1], got {v}")
     if v == 0.0 or v == 1.0:
         return 0.0
-    top = pi_kappa(kap)
-    expo = cd.N - 1.0
-    density = lambda r: max(sin_kappa(kap, r), 0.0) ** expo
-    c = integrate(density, 0.0, top)
-    cumulative = lambda t: integrate(density, 0.0, t) / c
-    t = bisect_increasing(cumulative, 0.0, top, v, bracket_width=1e-12)
-    return density(t) / c
+    from scipy.special import betaincinv
+
+    x = float(betaincinv(0.5 * cd.N, 0.5, 2.0 * min(v, 1.0 - v)))
+    return math.sqrt(kap) * x ** (0.5 * (cd.N - 1.0)) / _half_beta(cd.N)
 
 
 def model_rhs_constant_H(p: JacobianParams) -> float:

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: quadrature, one-sided derivatives, root bracketing."""
+"""Shared numerical kernels: quadrature, one-sided derivatives, extrapolation."""
 
 from __future__ import annotations
 
@@ -65,19 +65,6 @@ def one_sided_derivative(fn: Callable[[float], float], r: float, side: str,
         for i in range(n - 1, j - 1, -1):
             table[i] = (factor * table[i] - table[i - 1]) / (factor - 1.0)
     return table[n - 1]
-
-
-def bisect_increasing(fn: Callable[[float], float], lo: float, hi: float,
-                      target: float, bracket_width: float = 1e-12) -> float:
-    """Solve fn(x) = target for non-decreasing fn on [lo, hi] by bisection."""
-    a, b = lo, hi
-    while b - a > bracket_width:
-        mid = 0.5 * (a + b)
-        if fn(mid) < target:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 def extrapolate_to_zero(xs: Sequence[float], ys: Sequence[float]) -> float:

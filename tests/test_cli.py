@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ r0 = 1.5707963267948966
 [run]
 checks = hk-full, rigidity
 """
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TRUNCATED_CFG = """\
 # half point of a truncated model interval
@@ -250,6 +253,37 @@ def test_main_run_parse_error_exit_code(tmp_path, capsys):
     cfg.write_text(SPHERE_CFG.replace("radius", "raduis"))
     assert main(["run", str(cfg)]) == 2
     assert "raduis" in capsys.readouterr().out
+
+
+def test_main_rejects_nonpositive_grid_size(capsys):
+    # a grid of 0 points once made ratio and sturm pass with lhs=-inf
+    assert main(["run", str(CONFIGS / "sphere_equator.cfg"),
+                 "--set", "run.checks=ratio,sturm", "--set", "run.grid_size=0"]) == 2
+    out = capsys.readouterr().out
+    assert "ConfigError" in out and "grid_size" in out
+    assert "PASS" not in out
+
+
+def test_main_rejects_unknown_override_section(capsys):
+    assert main(["run", str(CONFIGS / "sphere_equator.cfg"), "--set", "foo.bar=1"]) == 2
+    out = capsys.readouterr().out
+    assert "ConfigError: unknown section 'foo'" in out
+    with pytest.raises(ConfigError) as in_file:
+        parse_config(SPHERE_CFG + "\n[foo]\nbar = 1\n")
+    with pytest.raises(ConfigError) as in_override:
+        parse_config(SPHERE_CFG, overrides=["foo.bar=1"])
+    assert in_override.value.reason == in_file.value.reason
+
+
+def test_main_levy_gromov_near_antipode(capsys):
+    # the inner fraction is 1 - 2.5e-13 here, and the float 1 - v keeps only
+    # a few digits of the outer share
+    assert main(["run", str(CONFIGS / "sphere_equator.cfg"),
+                 "--set", "surface.r0=3.1415916535897933",
+                 "--set", "run.checks=levy-gromov"]) == 0
+    out = capsys.readouterr().out
+    assert "check levy-gromov: PASS" in out
+    assert "equality=true" in out
 
 
 def test_main_jacobian_subcommand(capsys):

@@ -3,11 +3,12 @@ import math
 
 import pytest
 
-from needlecomp import (CurvatureDimension, EuclideanBall, GeodesicSphere,
-                        InequalityViolation, LevelPoint, ParameterError,
-                        RoundSphere, SphericalSuspension, closed_form_bounds,
-                        decompose, equality_detect, equality_tolerance,
-                        hk_full, hk_outer, levy_gromov_check, model_interval)
+from needlecomp import (CurvatureDimension, DEFAULT_EQUALITY_TOL, EuclideanBall,
+                        GeodesicSphere, InequalityViolation, JacobianParams,
+                        LevelPoint, ParameterError, RoundSphere,
+                        SphericalSuspension, closed_form_bounds, decompose,
+                        equality_detect, equality_tolerance, hk_full, hk_outer,
+                        jacobian, levy_gromov_check, model_interval)
 
 SPHERE = RoundSphere(2, 1.0)
 BALL = EuclideanBall(3, 1.0)
@@ -184,6 +185,61 @@ def test_corollary_diameter_branch_on_negative_curvature_surface():
     assert diam.lhs <= diam.rhs
 
 
+# ----------------------------------------------------------- profile match
+
+def reference_profile_match(needle, params, tol, grid_size=200):
+    """The per-call 200-point comparison of h(r)/h(0) with J_H(r) that the
+    cached per-decomposition deviation replaces."""
+    p = needle.profile
+    h0 = p.fn(0.0)
+    for i in range(grid_size):
+        r = p.a + (p.b - p.a) * (i + 1.0) / (grid_size + 1.0)
+        ratio = p.fn(r) / h0
+        bound = jacobian(params, r)
+        if abs(ratio - bound) > tol * max(bound, 1e-12):
+            return False
+    return True
+
+
+def test_profile_match_flags_equal_reference():
+    cases = [decompose(SPHERE, GeodesicSphere(math.pi / 4)),
+             decompose(BALL, GeodesicSphere(0.5)),
+             interval_dec(length=math.pi - 0.1)]
+    for dec in cases:
+        deviation = dec.profile_deviation[0]
+        assert deviation > 0.0
+        for tol in (DEFAULT_EQUALITY_TOL, 0.5 * deviation, 2.0 * deviation):
+            expected = [reference_profile_match(needle, JacobianParams(H, dec.cd), tol)
+                        for needle, H in zip(dec.needles, dec.H)]
+            assert expected == [tol > deviation]
+            reports = [hk_outer(dec, 0.5 * dec.needles[0].profile.b, tolerance=tol),
+                       hk_full(dec, tolerance=tol)]
+            reports += closed_form_bounds(dec, H0=max(dec.H) + 1.0, tolerance=tol)
+            for report in reports:
+                assert [e.profile_match for e in report.per_needle] == expected, \
+                    (report.statement, tol)
+            if dec.cd.K > 0.0:
+                verdict = equality_detect(dec, tolerance=tol)
+                assert list(verdict.per_needle_match) == expected, tol
+
+
+def test_profile_deviation_is_per_decomposition():
+    dec = decompose(SPHERE, GeodesicSphere(1.0))
+    assert dec.profile_deviation is dec.profile_deviation
+    assert hk_full(dec).per_needle[0].profile_match
+    # a wrong H makes J vanish before the needle ends: near r = -1 for a
+    # larger H, near its far end for a smaller one
+    for bump in (0.5, -0.5):
+        shifted = dataclasses.replace(dec, H=(dec.H[0] + bump,))
+        deviation = shifted.profile_deviation[0]
+        assert deviation > 0.1
+        for tol in (DEFAULT_EQUALITY_TOL, 0.5 * deviation, 2.0 * deviation):
+            expected = reference_profile_match(
+                shifted.needles[0], JacobianParams(shifted.H[0], dec.cd), tol)
+            assert hk_outer(shifted, 0.5, tolerance=tol).per_needle[0].profile_match \
+                == expected == (tol > deviation)
+
+
 # -------------------------------------------------------------- levy-gromov
 
 def test_levy_gromov_equator():
@@ -206,6 +262,14 @@ def test_levy_gromov_interval_half():
     assert report.content == pytest.approx(0.5, rel=1e-10)
     assert report.profile_value == pytest.approx(0.5, abs=1e-9)
     assert report.equality
+
+
+def test_levy_gromov_large_sphere_terminates(run_isolated):
+    out = run_isolated(
+        "from needlecomp import GeodesicSphere, RoundSphere, decompose, levy_gromov_check\n"
+        "report = levy_gromov_check(decompose(RoundSphere(3, 1e4), GeodesicSphere(1e4)))\n"
+        "print(report.passed, report.equality)")
+    assert out.split() == ["True", "True"]
 
 
 def test_levy_gromov_requires_positive_curvature():

@@ -1,9 +1,12 @@
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate as sciint
+from scipy.special import betaincinv
 
 from needlecomp import (CurvatureDimension, JacobianParams, ParameterError,
                         jacobian, jacobian_support, kappa_eff,
@@ -286,6 +289,80 @@ def test_model_rhs_matches_direct_quadrature():
 def test_model_density_normalizer_n2():
     assert model_density_normalizer(CurvatureDimension(1.0, 2.0)) == \
         pytest.approx(2.0, rel=1e-10)
+
+
+# Oracle: the model space's definition evaluated by mpmath quadrature at 45
+# digits, independent of the incomplete-beta closed forms under test.
+ORACLE_DPS = 45
+ORACLE_N = (1.001, 1.5, 2.0, 3.0, 4.5, 7.3, 20.0, 60.0)
+ORACLE_K = (1e-3, 1.0, 1e3)
+ORACLE_V = (1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12)
+
+
+def _sin_power_mass(m, theta):
+    return mp.quad(lambda s: mp.sin(s) ** m, [0, theta])
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_unit_profile(N: float, v: float):
+    """Profile at fraction v of the model with kappa = 1: sin^{N-1}(theta) / T
+    where the mass of [0, theta] is min(v, 1 - v) T, T the total mass.  theta
+    is found by Newton's method on the quadrature, started from a float guess."""
+    with mp.workdps(ORACLE_DPS):
+        m = mp.mpf(N) - 1
+        total = _sin_power_mass(m, mp.pi)
+        w = min(mp.mpf(v), 1 - mp.mpf(v))
+        theta = mp.asin(mp.sqrt(betaincinv(0.5 * N, 0.5, 2.0 * float(w))))
+        for _ in range(30):
+            step = (_sin_power_mass(m, theta) - w * total) / mp.sin(theta) ** m
+            theta -= step
+            if abs(step) < mp.mpf(10) ** -30 * theta:
+                return mp.sin(theta) ** m / total
+    raise AssertionError(f"oracle root did not converge at N={N}, v={v}")
+
+
+@pytest.mark.parametrize("N", ORACLE_N)
+def test_model_profile_matches_mpmath_oracle(N):
+    for K in ORACLE_K:
+        cd = CurvatureDimension(K, N)
+        with mp.workdps(ORACLE_DPS):
+            scale = mp.sqrt(mp.mpf(K) / (mp.mpf(N) - 1))
+            for v in ORACLE_V:
+                expected = scale * _oracle_unit_profile(N, v)
+                got = model_profile(cd, v)
+                assert abs(got / expected - 1) <= 1e-11, (K, N, v, got, expected)
+
+
+@pytest.mark.parametrize("N", ORACLE_N)
+def test_model_density_normalizer_matches_mpmath_oracle(N):
+    for K in ORACLE_K:
+        with mp.workdps(ORACLE_DPS):
+            rt = mp.sqrt(mp.mpf(K) / (mp.mpf(N) - 1))
+            expected = mp.quad(lambda r: (mp.sin(rt * r) / rt) ** (mp.mpf(N) - 1),
+                               [0, mp.pi / rt])
+            got = model_density_normalizer(CurvatureDimension(K, N))
+            assert abs(got / expected - 1) <= 1e-11, (K, N, got, expected)
+
+
+def test_closed_forms_past_gamma_overflow():
+    # Gamma(N/2) overflows a float for N > 343; B(N/2, 1/2) is still finite
+    N = 400.0
+    cd = CurvatureDimension(N - 1.0, N)  # kappa = 1
+    with mp.workdps(ORACLE_DPS):
+        total = _sin_power_mass(mp.mpf(N) - 1, mp.pi)
+        assert abs(model_density_normalizer(cd) / total - 1) <= 1e-11
+        for v in (1e-6, 0.5):
+            expected = _oracle_unit_profile(N, v)
+            assert abs(model_profile(cd, v) / expected - 1) <= 1e-11
+
+
+def test_model_profile_terminates_at_tiny_curvature(run_isolated):
+    # a bisection with an absolute bracket width never terminated here
+    out = run_isolated("from needlecomp import CurvatureDimension, model_profile\n"
+                       "print(repr(model_profile(CurvatureDimension(2e-8, 3.0), 0.3)))")
+    with mp.workdps(ORACLE_DPS):
+        expected = mp.sqrt(mp.mpf(2e-8) / 2) * _oracle_unit_profile(3.0, 0.3)
+        assert abs(float(out) / expected - 1) <= 1e-11
 
 
 def test_unit_sphere_volume():
