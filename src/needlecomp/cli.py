@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,8 +23,8 @@ from .geometry import (EuclideanBall, GeodesicSphere, GeometrySpec, LevelPoint,
                        NeedleDecomposition, RoundSphere, SphericalSuspension,
                        SurfaceSpec, constant_interval, decompose,
                        minkowski_content_from_dec, model_interval)
-from .hk import (closed_form_bounds, equality_detect, hk_full, hk_outer,
-                 levy_gromov_check)
+from .hk import (closed_form_bounds, equality_detect, equality_tolerance, hk_full,
+                 hk_outer, levy_gromov_check)
 from .model1d import CurvatureDimension, JacobianParams, jacobian, model_profile, pi_kappa
 from .needle import check_cd_density, density_ratio_check, sturm_bound_check
 from .numerics import INEQ_SLACK
@@ -297,6 +297,9 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
                               line=expect_raw[1], key="expect")
     tol_raw = run_view.take("tolerance")
     tolerance = _as_float(tol_raw, "tolerance") if tol_raw else None
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ConfigError(f"tolerance must be finite and positive, got {tolerance}",
+                          line=tol_raw[1], key="tolerance")
     grid_raw = run_view.take("grid_size")
     grid_size = _as_int(grid_raw, "grid_size") if grid_raw else 24
     if grid_size < 1:
@@ -342,6 +345,14 @@ def _hk_rows(report, dec: NeedleDecomposition) -> list[Row]:
     return rows
 
 
+def _expectation_misses(expect: Optional[str], report) -> list[str]:
+    if expect == "rigid" and not report.rigid:
+        return [f"expected rigid but conditions failed: {report.failed_conditions}"]
+    if expect == "not-rigid" and report.rigid:
+        return ["expected not-rigid but rigidity was detected"]
+    return []
+
+
 def _run_check(name: str, config: ExperimentConfig,
                dec: NeedleDecomposition) -> CheckOutcome:
     out = CheckOutcome(name=name)
@@ -370,13 +381,8 @@ def _run_check(name: str, config: ExperimentConfig,
         report = equality_detect(dec, tolerance=tol)
         out.rows.append(Row(statement="rigidity", kind="summary", gap=report.gap,
                             relative_gap=report.relative_gap, equality=report.rigid))
-        if config.expect == "rigid" and not report.rigid:
-            out.passed = False
-            out.messages.append(
-                f"expected rigid but conditions failed: {report.failed_conditions}")
-        if config.expect == "not-rigid" and report.rigid:
-            out.passed = False
-            out.messages.append("expected not-rigid but rigidity was detected")
+        out.messages.extend(_expectation_misses(config.expect, report))
+        out.passed = not out.messages
     elif name == "minkowski":
         content = minkowski_content_from_dec(dec, config.epsilons)
         deviation = abs(content - dec.surface_total) / dec.surface_total
@@ -450,9 +456,24 @@ def run(config: ExperimentConfig) -> int:
             failed = CheckOutcome(name=name, passed=False,
                                   messages=[f"{type(exc).__name__}: {exc}"])
             outcomes.append(failed)
+    if config.expect is not None and "rigidity" not in config.checks:
+        # The expectation holds whether or not the rigidity rows were asked
+        # for; only a miss shows, as a failed "expect" check.
+        try:
+            misses = _expectation_misses(config.expect,
+                                         equality_detect(dec, tolerance=config.tolerance))
+        except NeedlecompError as exc:
+            misses = [f"{type(exc).__name__}: {exc}"]
+        if misses:
+            outcomes.append(CheckOutcome(name="expect", passed=False, messages=misses))
 
     rows = [row for outcome in outcomes for row in outcome.rows]
-    emit(rows, config.output_format, config.output_path, outcomes=outcomes)
+    try:
+        emit(rows, config.output_format, config.output_path, outcomes=outcomes)
+    except OSError as exc:
+        print(f"FAIL check=output reason=cannot write {config.output_path}: "
+              f"{exc.strerror or exc}")
+        return 2
 
     failures = [(o.name, msg) for o in outcomes if not o.passed
                 for msg in (o.messages or ["failed"])]
@@ -575,6 +596,7 @@ def _cmd_run(args) -> int:
         overrides.append(f"output.path={args.path}")
     try:
         config = parse_config(text, overrides=overrides)
+        config = replace(config, tolerance=equality_tolerance(config.tolerance))
         return run(config)
     except NeedlecompError as exc:
         print(f"FAIL check=config reason={type(exc).__name__}: {exc}")

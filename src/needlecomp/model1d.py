@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterError
 
 
@@ -82,12 +84,16 @@ def pi_kappa(kappa: float) -> float:
     return math.pi / math.sqrt(kappa)
 
 
-def sigma_kappa(kappa: float, t: float, theta: float) -> float:
+def sigma_kappa(kappa: float, t, theta):
     """Distortion coefficient at curvature level kappa:
     sin_kappa(t * theta) / sin_kappa(theta) for theta in [0, pi_kappa), else inf.
 
     sigma(t, 0) = t by the limit convention; for kappa = 0 the ratio is t exactly.
+    t and theta may be ndarrays, broadcast together; the result is then an
+    ndarray holding the same expression elementwise.
     """
+    if isinstance(t, np.ndarray) or isinstance(theta, np.ndarray):
+        return _sigma_kappa_array(kappa, t, theta)
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"interpolation parameter t must lie in [0, 1], got {t}")
     if theta < 0.0:
@@ -97,6 +103,31 @@ def sigma_kappa(kappa: float, t: float, theta: float) -> float:
     if theta >= pi_kappa(kappa):
         return math.inf
     return sin_kappa(kappa, t * theta) / sin_kappa(kappa, theta)
+
+
+def _sigma_kappa_array(kappa: float, t, theta) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    bad_t = ~((0.0 <= t) & (t <= 1.0))
+    if bad_t.any():
+        raise ParameterError(f"interpolation parameter t must lie in [0, 1], "
+                             f"got {t[bad_t][0]}")
+    if (theta < 0.0).any():
+        raise ParameterError(f"separation theta must be >= 0, got {theta[theta < 0.0][0]}")
+    if kappa == 0.0:
+        return np.broadcast_to(t, np.broadcast_shapes(t.shape, theta.shape)).copy()
+    sin = np.sin if kappa > 0.0 else np.sinh
+    rt = math.sqrt(abs(kappa))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        whole = sin(rt * theta)
+        if kappa < 0.0 and (np.isinf(whole) & np.isfinite(theta)).any():
+            raise OverflowError("math range error")  # as math.sinh raises
+        ratio = np.asarray((sin(rt * (t * theta)) / rt) / (whole / rt))
+    zero = theta == 0.0
+    beyond = theta >= pi_kappa(kappa)
+    if zero.any() or beyond.any():
+        ratio = np.where(zero, t, np.where(beyond, math.inf, ratio))
+    return ratio
 
 
 def sigma(cd: CurvatureDimension, t: float, theta: float) -> float:

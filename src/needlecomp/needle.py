@@ -48,8 +48,10 @@ class DensityProfile:
             raise ParameterError(f"invalid interval [{self.a}, {self.b}]")
         if self.grid_size < 2:
             raise ParameterError(f"grid_size must be >= 2, got {self.grid_size}")
-        grid = np.linspace(self.a, self.b, self.grid_size)
-        samples = np.array([self.fn(float(r)) for r in grid])
+        self._set_samples([self.fn(float(r)) for r in self.grid()])
+
+    def _set_samples(self, values: list) -> None:
+        samples = np.array(values)
         interior = samples[1:-1]
         if not (np.isfinite(samples).all() and (interior > 0.0).all()
                 and samples[0] >= 0.0 and samples[-1] >= 0.0):
@@ -65,14 +67,24 @@ class DensityProfile:
         return np.linspace(self.a, self.b, self.grid_size)
 
     def power(self, exponent: float) -> "DensityProfile":
-        """The profile raised pointwise to a positive power, derivative chained."""
+        """The profile raised pointwise to a positive power, derivative chained.
+
+        The new samples are the parent's raised to the power (the same floats
+        as evaluating the new fn on the grid), validated as in construction.
+        """
         fn = self.fn
         deriv = self.deriv
         new_deriv = None
         if deriv is not None:
             new_deriv = lambda r: exponent * fn(r) ** (exponent - 1.0) * deriv(r)
-        return DensityProfile(self.a, self.b, lambda r: fn(r) ** exponent,
-                              deriv=new_deriv, grid_size=self.grid_size)
+        # Not DensityProfile(...): __post_init__ would call fn on the grid again.
+        out = object.__new__(DensityProfile)
+        for name, value in (("a", self.a), ("b", self.b),
+                            ("fn", lambda r: fn(r) ** exponent), ("deriv", new_deriv),
+                            ("grid_size", self.grid_size)):
+            object.__setattr__(out, name, value)
+        out._set_samples([s ** exponent for s in self.samples.tolist()])
+        return out
 
 
 @dataclass(frozen=True)
@@ -147,7 +159,9 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     concavity inequality at level K/(N-1) over all grid triples (r0, r1, t).
 
     Violations are measured relative to the left side; the check passes when
-    the worst one does not exceed the inequality slack.
+    the worst one does not exceed the inequality slack.  The witness is the
+    first triple in (r0, r1, t) grid order reaching the worst violation; NaN
+    violations never count.  Triples sharing r0 are evaluated as one array.
     """
     if grid_size < 3:
         raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
@@ -156,31 +170,46 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     kap = cd.K / (cd.N - 1.0)
     expo = 1.0 / (cd.N - 1.0)
     a, b = profile.a, profile.b
-    rs = [a + (b - a) * (i + 1.0) / (grid_size + 1.0) for i in range(grid_size)]
-    ts = [(j + 1.0) / (grid_size + 1.0) for j in range(grid_size)]
+    steps = np.arange(grid_size) + 1.0
+    rs = a + (b - a) * steps / (grid_size + 1.0)
+    ts = steps / (grid_size + 1.0)
+    # Row i holds the triples (rs[i], rs[j], t) for j > i and t in ts; its
+    # separations form a column, so each row is a (G - 1 - i, G) block.
+    thetas = [(rs[i + 1:] - rs[i])[:, None] for i in range(grid_size - 1)]
 
-    u = lambda r: profile.fn(r) ** expo
+    # u = fn^expo at each distinct grid point and midpoint r0 + t theta, one
+    # fn call each; the rows then look their values up by binary search.
+    points = np.empty(grid_size + grid_size * grid_size * (grid_size - 1) // 2)
+    points[:grid_size] = rs
+    offset = grid_size
+    for i, theta in enumerate(thetas):
+        mids = rs[i] + ts * theta
+        points[offset:offset + mids.size] = mids.ravel()
+        offset += mids.size
+    points.sort()
+    points = points[np.append(True, points[1:] != points[:-1])]
+    fn = profile.fn
+    values = np.array([fn(x) ** expo for x in points.tolist()], dtype=float)
+    u = lambda r: values[np.searchsorted(points, r)]
+    u_rs = u(rs)
+
     worst = -math.inf
     witness = None
-    for i in range(len(rs)):
-        r0 = rs[i]
-        u0 = u(r0)
-        for j in range(i + 1, len(rs)):
-            r1 = rs[j]
-            u1 = u(r1)
-            theta = r1 - r0
-            for t in ts:
-                s_lo = sigma_kappa(kap, 1.0 - t, theta)
-                s_hi = sigma_kappa(kap, t, theta)
-                lhs = u(r0 + t * theta)
-                if math.isinf(s_lo) or math.isinf(s_hi):
-                    rhs = math.inf
-                else:
-                    rhs = s_lo * u0 + s_hi * u1
-                violation = (rhs - lhs) / max(abs(lhs), _TINY)
-                if violation > worst:
-                    worst = violation
-                    witness = (r0, r1, t)
+    for i, theta in enumerate(thetas):
+        s_lo = sigma_kappa(kap, 1.0 - ts, theta)
+        s_hi = sigma_kappa(kap, ts, theta)
+        lhs = u(rs[i] + ts * theta)
+        with np.errstate(invalid="ignore", over="ignore"):
+            rhs = np.where(np.isinf(s_lo) | np.isinf(s_hi), math.inf,
+                           s_lo * u_rs[i] + s_hi * u_rs[i + 1:, None])
+            violation = (rhs - lhs) / np.maximum(np.abs(lhs), _TINY)
+        # NaN never counts as worse; argmax takes the first (j, t) in loop order.
+        violation[np.isnan(violation)] = -math.inf
+        k = int(np.argmax(violation))
+        if violation.flat[k] > worst:
+            worst = float(violation.flat[k])
+            j, m = divmod(k, grid_size)
+            witness = (float(rs[i]), float(rs[i + 1 + j]), float(ts[m]))
     return CdDensityReport(passed=worst <= INEQ_SLACK, worst_violation=worst,
                            witness=witness)
 

@@ -312,3 +312,55 @@ def test_env_tolerance_reaches_equality_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NEEDLECOMP_TOL", "1e-12")
     assert main(["run", str(cfg)]) == 0
     assert "equality=false" in capsys.readouterr().out
+
+
+def test_main_output_in_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    assert main(["run", str(CONFIGS / "euclidean_ball.cfg"), "--format", "csv",
+                 "--path", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert f"FAIL check=output reason=cannot write {target}" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_expect_without_rigidity_check_is_enforced(capsys):
+    # expect = not-rigid in the file; the run lists hk-full only
+    cfg = str(CONFIGS / "truncated_interval.cfg")
+    assert main(["run", cfg, "--set", "run.checks=hk-full",
+                 "--set", "run.expect=rigid"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL check=expect reason=expected rigid but conditions failed" in out
+    assert "check hk-full: PASS" in out
+
+    assert main(["run", cfg, "--set", "run.checks=hk-full"]) == 0
+    assert "expect" not in capsys.readouterr().out
+
+
+def test_expect_without_rigidity_check_leaves_output_alone(capsys):
+    # the equator is rigid, so expect = rigid holds and prints nothing
+    cfg = str(CONFIGS / "sphere_equator.cfg")
+    assert main(["run", cfg, "--set", "run.checks=hk-full", "--format", "csv"]) == 0
+    with_expect = capsys.readouterr().out
+    assert main(["run", cfg, "--set", "run.checks=hk-full,rigidity",
+                 "--format", "csv"]) == 0
+    assert with_expect.splitlines() == capsys.readouterr().out.splitlines()[:-1]
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "0", "inf", "-inf", "nan"])
+def test_parse_rejects_invalid_tolerance(value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(SPHERE_CFG, overrides=[f"run.tolerance={value}"])
+    assert err.value.key == "tolerance"
+
+
+def test_main_invalid_tolerance_is_a_config_error(capsys, monkeypatch):
+    cfg = str(CONFIGS / "sphere_equator.cfg")
+    assert main(["run", cfg, "--set", "run.tolerance=-1"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL check=config" in out and "tolerance" in out
+    monkeypatch.setenv("NEEDLECOMP_TOL", "abc")
+    assert main(["run", cfg]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL check=config") and "NEEDLECOMP_TOL" in out
+    assert "check hk-full" not in out

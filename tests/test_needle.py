@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from needlecomp import (CurvatureDimension, CurvatureError, DensityProfile,
-                        DomainError, JacobianParams, Needle, ParameterError,
-                        check_cd_density, density_ratio_check, jacobian,
-                        laplacian_regular_part, needle_mass,
-                        one_sided_log_derivative, sturm_bound_check)
+from needlecomp import (CdDensityReport, CurvatureDimension, CurvatureError,
+                        DensityProfile, DomainError, EuclideanBall, GeodesicSphere,
+                        JacobianParams, LevelPoint, Needle, ParameterError,
+                        RoundSphere, SphericalSuspension, check_cd_density,
+                        decompose, density_ratio_check, jacobian,
+                        laplacian_regular_part, model_interval, needle_mass,
+                        one_sided_log_derivative, sigma_kappa, sturm_bound_check)
+from needlecomp.numerics import INEQ_SLACK
 
 
 def sin_profile(grid_size=1024):
@@ -41,6 +44,22 @@ def test_profile_power_chains_derivative():
     q = p.power(1.0 / 3.0)
     assert q.fn(1.0) == pytest.approx(2.0, rel=1e-14)
     assert q.deriv(1.0) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_profile_power_samples_equal_reevaluation():
+    p = DensityProfile(0.0, math.pi, lambda r: 2.0 * math.sin(r) ** 3, grid_size=257)
+    for exponent in (0.5, 1.0 / 3.0, 2.0):
+        q = p.power(exponent)
+        assert q.samples.tolist() == [q.fn(float(r)) for r in q.grid()]
+        assert not q.samples.flags.writeable
+        assert (q.a, q.b, q.grid_size) == (p.a, p.b, p.grid_size)
+
+
+def test_profile_power_validates_its_samples():
+    # positive samples whose square underflows to 0 in the interior
+    p = DensityProfile(0.0, 1.0, lambda r: 1e-200)
+    with pytest.raises(ParameterError):
+        p.power(2.0)
 
 
 def test_needle_requires_base_in_interval():
@@ -127,6 +146,129 @@ def test_cd_density_constant_positive_curvature_fails():
     assert report.worst_violation > 1e-3
     r0, r1, t = report.witness
     assert 0.0 < r0 < r1 < math.pi / 2 and 0.0 < t < 1.0
+
+
+def _reference_cd_density(profile, cd, grid_size):
+    """The triple loop, one scalar distortion coefficient per call."""
+    kap = cd.K / (cd.N - 1.0)
+    expo = 1.0 / (cd.N - 1.0)
+    a, b = profile.a, profile.b
+    rs = [a + (b - a) * (i + 1.0) / (grid_size + 1.0) for i in range(grid_size)]
+    ts = [(j + 1.0) / (grid_size + 1.0) for j in range(grid_size)]
+
+    u = lambda r: profile.fn(r) ** expo
+    worst = -math.inf
+    witness = None
+    for i in range(len(rs)):
+        r0 = rs[i]
+        u0 = u(r0)
+        for j in range(i + 1, len(rs)):
+            r1 = rs[j]
+            u1 = u(r1)
+            theta = r1 - r0
+            for t in ts:
+                s_lo = sigma_kappa(kap, 1.0 - t, theta)
+                s_hi = sigma_kappa(kap, t, theta)
+                lhs = u(r0 + t * theta)
+                if math.isinf(s_lo) or math.isinf(s_hi):
+                    rhs = math.inf
+                else:
+                    rhs = s_lo * u0 + s_hi * u1
+                violation = (rhs - lhs) / max(abs(lhs), 1e-300)
+                if violation > worst:
+                    worst = violation
+                    witness = (r0, r1, t)
+    return CdDensityReport(passed=worst <= INEQ_SLACK, worst_violation=worst,
+                           witness=witness)
+
+
+# One needle per geometry kind, with the surface off-centre.
+_KIND_NEEDLES = {
+    "round-sphere": (RoundSphere(3, 1.3), GeodesicSphere(0.7)),
+    "euclidean-ball": (EuclideanBall(3, 1.7), GeodesicSphere(0.6)),
+    "spherical-suspension": (SphericalSuspension(CurvatureDimension(0.8, 4.5), 1.2),
+                             GeodesicSphere(1.9)),
+    "weighted-interval": (model_interval(CurvatureDimension(1.1, 2.5), length=2.0),
+                          LevelPoint(0.7)),
+}
+
+
+def _kind_needle(kind):
+    dec = decompose(*_KIND_NEEDLES[kind])
+    return dec.needles[0].profile, dec.cd
+
+
+def _assert_same_report(got, want):
+    assert type(got.worst_violation) is float
+    assert all(type(x) is float for x in got.witness or ())
+    # NaN-free and equal bit for bit; inf == inf covers violated 2K bounds
+    assert (got.worst_violation, got.witness, got.passed) == \
+        (want.worst_violation, want.witness, want.passed)
+
+
+@pytest.mark.parametrize("grid", (3, 10, 24, 48))
+@pytest.mark.parametrize("bound", ("true", "violated"))
+@pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES))
+def test_cd_density_matches_triple_loop(kind, bound, grid):
+    profile, cd = _kind_needle(kind)
+    if bound == "violated":
+        cd = CurvatureDimension(2.0 * cd.K if cd.K > 0.0 else 1.0, cd.N)
+    got = check_cd_density(profile, cd, grid)
+    _assert_same_report(got, _reference_cd_density(profile, cd, grid))
+    assert got.passed == (bound == "true")
+
+
+@pytest.mark.parametrize("grid", (3, 24))
+@pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES))
+def test_cd_density_negative_curvature_matches_triple_loop(kind, grid):
+    # np.sinh and math.sinh may differ in the last bit
+    profile, cd = _kind_needle(kind)
+    for K in (-1.0, -7.5):
+        cd_neg = CurvatureDimension(K, cd.N)
+        got = check_cd_density(profile, cd_neg, grid)
+        want = _reference_cd_density(profile, cd_neg, grid)
+        assert got.passed == want.passed
+        assert abs(got.worst_violation - want.worst_violation) <= \
+            1e-12 * max(1.0, abs(want.worst_violation))
+
+
+def test_cd_density_overflow_raises_as_the_triple_loop():
+    # sinh(sqrt(-kappa) theta) overflows a float for the wider separations
+    p = DensityProfile(0.0, 10.0, lambda r: 1.0 + r)
+    cd = CurvatureDimension(-1e4, 2.0)
+    with pytest.raises(OverflowError):
+        _reference_cd_density(p, cd, 12)
+    with pytest.raises(OverflowError):
+        check_cd_density(p, cd, 12)
+
+
+def test_cd_density_beyond_model_diameter_is_infinite():
+    # separations past pi_kappa = pi get an infinite right side
+    p = DensityProfile(0.0, 10.0, lambda r: 1.0 + 0.1 * r)
+    cd = CurvatureDimension(1.0, 2.0)
+    got = check_cd_density(p, cd, grid_size=12)
+    _assert_same_report(got, _reference_cd_density(p, cd, 12))
+    assert got.worst_violation == math.inf and not got.passed
+
+
+def test_cd_density_skips_nan_midpoints():
+    # the 2-point validation grid sees only the endpoints
+    fn = lambda r: math.nan if 0.3 < r < 0.6 else math.exp(-r * r)
+    p = DensityProfile(0.0, 1.0, fn, grid_size=2)
+    for K in (0.0, 1.0, 4.0):
+        cd = CurvatureDimension(K, 3.0)
+        got = check_cd_density(p, cd, grid_size=16)
+        _assert_same_report(got, _reference_cd_density(p, cd, 16))
+        assert math.isfinite(got.worst_violation)
+
+
+def test_cd_density_all_nan_grid():
+    p = DensityProfile(0.0, 1.0, lambda r: 1.0 if r in (0.0, 1.0) else math.nan,
+                       grid_size=2)
+    report = check_cd_density(p, CurvatureDimension(1.0, 2.0), grid_size=8)
+    assert report.worst_violation == -math.inf
+    assert report.witness is None
+    assert report.passed
 
 
 def test_cd_density_rejects_tiny_grid():
