@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .errors import ConfigError, NeedlecompError
+from .errors import ConfigError, NeedlecompError, ParameterError
 from .geometry import (EuclideanBall, GeodesicSphere, GeometrySpec, LevelPoint,
                        NeedleDecomposition, RoundSphere, SphericalSuspension,
                        SurfaceSpec, constant_interval, decompose,
@@ -48,6 +48,9 @@ _SECTION_KEYS = {
     "output": {"format", "path"},
 }
 _SECTIONS = ("geometry",) + tuple(_SECTION_KEYS)
+# A configuration value and where it was given: a line number of the file,
+# or a '--set #k' label for the k-th override.
+_Value = tuple[str, int | str]
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,8 @@ class CheckOutcome:
 
 # ----------------------------------------------------------------- parsing
 
-def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+def _tokenize(text: str) -> dict[str, dict[str, _Value]]:
+    sections: dict[str, dict[str, _Value]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -124,30 +127,32 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 
 
 def _apply_overrides(sections, overrides: Sequence[str]):
-    for item in overrides:
+    """Apply section.key=value overrides; each value records its position,
+    such as '--set #2', where a file value records its line number."""
+    for position, item in enumerate(overrides, start=1):
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         target, _, value = item.partition("=")
         section, _, key = target.strip().partition(".")
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section '{section}'")
-        sections.setdefault(section, {})[key.strip()] = (value.strip(), 0)
+        sections.setdefault(section, {})[key.strip()] = (value.strip(), f"--set #{position}")
     return sections
 
 
 class _SectionView:
     """Tracks key consumption so leftovers become hard errors."""
 
-    def __init__(self, name: str, data: dict[str, tuple[str, int]]):
+    def __init__(self, name: str, data: dict[str, _Value]):
         self.name = name
         self.data = dict(data)
         self.seen: set[str] = set()
 
-    def take(self, key: str) -> Optional[tuple[str, int]]:
+    def take(self, key: str) -> Optional[_Value]:
         self.seen.add(key)
         return self.data.get(key)
 
-    def require(self, key: str) -> tuple[str, int]:
+    def require(self, key: str) -> _Value:
         got = self.take(key)
         if got is None:
             raise ConfigError(f"missing required key in [{self.name}]", key=key)
@@ -159,7 +164,7 @@ class _SectionView:
                 raise ConfigError(f"unknown key in [{self.name}]", line=lineno, key=key)
 
 
-def _as_float(raw: tuple[str, int], key: str) -> float:
+def _as_float(raw: _Value, key: str) -> float:
     value, lineno = raw
     try:
         out = float(value)
@@ -170,7 +175,7 @@ def _as_float(raw: tuple[str, int], key: str) -> float:
     return out
 
 
-def _as_int(raw: tuple[str, int], key: str) -> int:
+def _as_int(raw: _Value, key: str) -> int:
     value, lineno = raw
     try:
         return int(value)
@@ -178,7 +183,7 @@ def _as_int(raw: tuple[str, int], key: str) -> int:
         raise ConfigError(f"expected an integer, got {value!r}", line=lineno, key=key)
 
 
-def _as_float_list(raw: tuple[str, int], key: str) -> tuple[float, ...]:
+def _as_float_list(raw: _Value, key: str) -> tuple[float, ...]:
     value, lineno = raw
     items = [piece.strip() for piece in value.split(",") if piece.strip()]
     out = []
@@ -448,7 +453,8 @@ def run(config: ExperimentConfig) -> int:
         dec = decompose(config.geometry, config.surface)
     except NeedlecompError as exc:
         print(f"FAIL check=decompose reason={type(exc).__name__}: {exc}")
-        return 1
+        # parameters the model cannot represent are a configuration error
+        return 2 if isinstance(exc, ParameterError) else 1
     for name in config.checks:
         try:
             outcomes.append(_run_check(name, config, dec))

@@ -28,13 +28,15 @@ class InequalityViolation(NeedlecompError, RuntimeError):
 class ConfigError(NeedlecompError, ValueError):
     """Configuration text failed to parse or validate."""
 
-    def __init__(self, reason: str, line: int | None = None, key: str | None = None):
+    def __init__(self, reason: str, line: int | str | None = None, key: str | None = None):
+        """line is a line number of the file, or a label such as '--set #2'
+        for a value given on the command line."""
         self.reason = reason
         self.line = line
         self.key = key
         parts = []
         if line is not None:
-            parts.append(f"line {line}")
+            parts.append(f"line {line}" if isinstance(line, int) else line)
         if key is not None:
             parts.append(f"key '{key}'")
         prefix = ", ".join(parts)

@@ -272,24 +272,29 @@ def decompose(geom: GeometrySpec, surf: SurfaceSpec,
     The single congruence class is the radial density re-based at r0 and
     normalized; its weight is the total mass.  Raises DegenerateSurfaceError
     when r0 sits at the boundary of the radial range (needle base at an
-    interval endpoint) and CurvatureError when the base curvature is infinite.
+    interval endpoint), CurvatureError when the base curvature is infinite,
+    and ParameterError when the radial density overflows a float.
     """
     model = _radial_model(geom)
     if model.cd.N <= 1.0:
         raise ParameterError(f"needle calculus requires N > 1, got N={model.cd.N}")
     r0 = _surface_offset(geom, surf, model)
 
-    total = integrate(model.density, 0.0, model.length)
     density = model.density
     density_deriv = model.density_deriv
-    fn = lambda r: density(r0 + r) / total
-    deriv = None
-    if density_deriv is not None:
-        deriv = lambda r: density_deriv(r0 + r) / total
-    profile = DensityProfile(-r0, model.length - r0, fn, deriv=deriv,
-                             grid_size=grid_size)
-    needle = Needle(profile=profile, weight=total)
-    curvature = _needle_curvature(needle)
+    try:
+        total = integrate(density, 0.0, model.length)
+        fn = lambda r: density(r0 + r) / total
+        deriv = None
+        if density_deriv is not None:
+            deriv = lambda r: density_deriv(r0 + r) / total
+        profile = DensityProfile(-r0, model.length - r0, fn, deriv=deriv,
+                                 grid_size=grid_size)
+        needle = Needle(profile=profile, weight=total)
+        curvature = _needle_curvature(needle)
+    except OverflowError:
+        raise ParameterError(f"the radial density of {model.kind} overflows a float "
+                             "at these parameters") from None
     surface_total = needle.weight * profile.fn(0.0)
     return NeedleDecomposition(
         needles=(needle,),

@@ -13,6 +13,7 @@ coefficient definitions require it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,11 +71,21 @@ def trig_kappa(kappa: float, r: float) -> tuple[float, float]:
 
 
 def sin_kappa(kappa: float, r: float) -> float:
-    return trig_kappa(kappa, r)[0]
+    if kappa > 0.0:
+        rt = math.sqrt(kappa)
+        return math.sin(rt * r) / rt
+    if kappa < 0.0:
+        rt = math.sqrt(-kappa)
+        return math.sinh(rt * r) / rt
+    return r
 
 
 def cos_kappa(kappa: float, r: float) -> float:
-    return trig_kappa(kappa, r)[1]
+    if kappa > 0.0:
+        return math.cos(math.sqrt(kappa) * r)
+    if kappa < 0.0:
+        return math.cosh(math.sqrt(-kappa) * r)
+    return 1.0
 
 
 def pi_kappa(kappa: float) -> float:
@@ -173,11 +184,26 @@ def _jacobian_base(p: JacobianParams, r: float) -> float:
 def jacobian(p: JacobianParams, r: float) -> float:
     """Volume distortion profile J_{H,K,N}(r), the positive part of the base
     raised to the power N-1.  J(0) = 1; J is non-negative everywhere.
+
+    The same floats as _jacobian_base, computed in one frame: the quadrature
+    of J calls this hundreds of thousands of times.
     """
-    base = _jacobian_base(p, r)
+    K, N = p.cd.K, p.cd.N
+    if N <= 1.0:
+        raise ParameterError(f"the distortion profile requires N > 1, got N={N}")
+    kappa = K / (N - 1.0)
+    if kappa > 0.0:
+        rt = math.sqrt(kappa)
+        sn, cs = math.sin(rt * r) / rt, math.cos(rt * r)
+    elif kappa < 0.0:
+        rt = math.sqrt(-kappa)
+        sn, cs = math.sinh(rt * r) / rt, math.cosh(rt * r)
+    else:
+        sn, cs = r, 1.0
+    base = cs + p.H / (N - 1.0) * sn
     if base <= 0.0:
         return 0.0
-    return base ** (p.N - 1.0)
+    return base ** (N - 1.0)
 
 
 def jacobian_support(p: JacobianParams) -> tuple[float, float]:
@@ -224,6 +250,113 @@ def _half_beta(N: float) -> float:
     return math.sqrt(math.pi) * math.exp(math.lgamma(a) - math.lgamma(a + 0.5))
 
 
+# Lentz's continued fraction: convergence test, floor for vanishing
+# denominators, and a term bound that also guarantees termination.
+_CF_EPS = sys.float_info.epsilon
+_CF_TINY = sys.float_info.min / sys.float_info.epsilon
+_CF_MAX_TERMS = 100_000
+_NEWTON_MAX_STEPS = 200
+
+
+def _check_beta_shape(a: float, b: float) -> None:
+    if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
+        raise ParameterError(f"beta shape parameters must be finite and positive, "
+                             f"got a={a}, b={b}")
+
+
+def _log_beta(a: float, b: float) -> float:
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def _beta_fraction(a: float, b: float, x: float, log_beta: float) -> float:
+    """I_x(a, b) as x^a (1-x)^b / (a B(a, b)) times the continued fraction
+    of DLMF 8.17.22, evaluated by the modified Lentz method; it converges
+    fast for x below (a + 1) / (a + b + 2)."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _CF_TINY:
+        d = _CF_TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _CF_MAX_TERMS + 1):
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _CF_TINY:
+                d = _CF_TINY
+            c = 1.0 + aa / c
+            if abs(c) < _CF_TINY:
+                c = _CF_TINY
+            d = 1.0 / d
+            step = d * c
+            h *= step
+        if abs(step - 1.0) <= _CF_EPS:
+            break
+    return math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta) / a * h
+
+
+def regularized_beta(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0 and x in
+    [0, 1]: the continued fraction on the side of the symmetry
+    I_x(a, b) = 1 - I_{1-x}(b, a) where it converges fast."""
+    _check_beta_shape(a, b)
+    if not 0.0 <= x <= 1.0:
+        raise ParameterError(f"argument x must lie in [0, 1], got {x}")
+    if x == 0.0 or x == 1.0:
+        return x
+    return _regularized_beta(a, b, x, _log_beta(a, b))
+
+
+def _regularized_beta(a: float, b: float, x: float, log_beta: float) -> float:
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _beta_fraction(b, a, 1.0 - x, log_beta)
+    return _beta_fraction(a, b, x, log_beta)
+
+
+def inverse_regularized_beta(a: float, b: float, y: float) -> float:
+    """The x in [0, 1] with I_x(a, b) = y: Newton steps on the closed-form
+    derivative x^{a-1} (1-x)^{b-1} / B(a, b), kept inside a bracket that
+    shrinks with every evaluation, so that it always terminates."""
+    _check_beta_shape(a, b)
+    if not 0.0 <= y <= 1.0:
+        raise ParameterError(f"probability y must lie in [0, 1], got {y}")
+    if y == 0.0 or y == 1.0:
+        return y
+    log_beta = _log_beta(a, b)
+    # start from the leading term of the tail that y falls in
+    t = math.exp(a * math.log(a / (a + b))) / a
+    u = math.exp(b * math.log(b / (a + b))) / b
+    w = t + u
+    if y < t / w:
+        x = (a * w * y) ** (1.0 / a)
+    else:
+        x = 1.0 - (b * w * (1.0 - y)) ** (1.0 / b)
+    # the guess may round to 0 or 1; the root then lies within a float of it
+    x = min(max(x, sys.float_info.min), 1.0 - 0.5 * _CF_EPS)
+    lo, hi = 0.0, 1.0
+    for _ in range(_NEWTON_MAX_STEPS):
+        err = _regularized_beta(a, b, x, log_beta) - y
+        if err == 0.0:
+            return x
+        if err < 0.0:
+            lo = x
+        else:
+            hi = x
+        # err / density, with the exponent capped where the density vanishes
+        log_inverse_density = log_beta - (a - 1.0) * math.log(x) - (b - 1.0) * math.log1p(-x)
+        nxt = x - err * math.exp(min(log_inverse_density, 700.0))
+        if abs(nxt - x) <= 2.0 * _CF_EPS * x:
+            return nxt
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return x  # the bracket holds two adjacent floats
+        x = nxt
+    return x
+
+
 def model_density_normalizer(cd: CurvatureDimension) -> float:
     """Total mass of sin_{K/(N-1)}^{N-1} over [0, pi_{K/(N-1)}] (K > 0):
     kappa^{-N/2} B(N/2, 1/2) with kappa = K/(N-1)."""
@@ -236,7 +369,8 @@ def model_profile(cd: CurvatureDimension, v: float) -> float:
     sin_kappa^{N-1} on [0, pi_kappa], kappa = K/(N-1), at volume fraction v.
 
     Closed form (DLMF 8.17): sqrt(kappa) x^{(N-1)/2} / B(N/2, 1/2) with
-    x = I^{-1}(2 min(v, 1 - v); N/2, 1/2), I the regularized incomplete beta.
+    x = I^{-1}(2 min(v, 1 - v); N/2, 1/2), I the regularized incomplete beta
+    (inverse_regularized_beta).
     Concave in v, symmetric about v = 1/2 and zero at v in {0, 1}.
     """
     kap = _require_positive_curvature(cd)
@@ -244,9 +378,7 @@ def model_profile(cd: CurvatureDimension, v: float) -> float:
         raise ParameterError(f"volume fraction v must lie in [0, 1], got {v}")
     if v == 0.0 or v == 1.0:
         return 0.0
-    from scipy.special import betaincinv
-
-    x = float(betaincinv(0.5 * cd.N, 0.5, 2.0 * min(v, 1.0 - v)))
+    x = inverse_regularized_beta(0.5 * cd.N, 0.5, 2.0 * min(v, 1.0 - v))
     return math.sqrt(kap) * x ** (0.5 * (cd.N - 1.0)) / _half_beta(cd.N)
 
 

@@ -364,3 +364,60 @@ def test_main_invalid_tolerance_is_a_config_error(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.startswith("FAIL check=config") and "NEEDLECOMP_TOL" in out
     assert "check hk-full" not in out
+
+
+def test_no_path_imports_scipy(run_isolated):
+    # every shipped config, profile and jacobian run on the pure-Python
+    # quadrature and incomplete beta; scipy stays a test-only oracle
+    out = run_isolated(f"""
+import contextlib, io
+from pathlib import Path
+from needlecomp.cli import main
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for cfg in sorted(Path({str(CONFIGS)!r}).glob("*.cfg")):
+        codes.append(main(["run", str(cfg), "--path", "-"]))
+    codes.append(main(["profile", "--K", "1", "--N", "3", "--v", "0.3"]))
+    codes.append(main(["jacobian", "--H", "1", "--K", "1", "--N", "3", "--r", "0.5"]))
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+""")
+    assert out.strip() == "[0, 0, 0, 0, 0, 0] []"
+
+
+SUSPENSION_OVERFLOW_CFG = """\
+[geometry]
+kind = spherical-suspension
+K = 1e-3
+N = 400
+base_volume = 1
+
+[surface]
+r0 = 1000
+
+[run]
+checks = hk-full
+"""
+
+
+def test_density_overflow_is_a_typed_error(tmp_path, capsys):
+    # sin_kappa reaches about 632 here, and 632^399 overflows a float
+    path = tmp_path / "overflow.cfg"
+    path.write_text(SUSPENSION_OVERFLOW_CFG)
+    assert main(["run", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL check=decompose reason=ParameterError: ")
+    assert "overflows" in out and "Traceback" not in out
+
+
+def test_failing_override_is_reported_by_position(capsys):
+    assert main(["run", str(CONFIGS / "sphere_equator.cfg"),
+                 "--set", "run.checks=ratio", "--set", "run.grid_size=0"]) == 2
+    out = capsys.readouterr().out
+    assert "ConfigError: --set #2, key 'grid_size': grid_size must be >= 1" in out
+    assert "line 0" not in out
+    with pytest.raises(ConfigError) as info:
+        parse_config(SPHERE_CFG, overrides=["run.grid_size=0"])
+    assert info.value.line == "--set #1"
+    with pytest.raises(ConfigError) as info:
+        parse_config(SPHERE_CFG, overrides=["surface.r0=1", "geometry.raduis=2"])
+    assert str(info.value).startswith("--set #2, key 'raduis'")
