@@ -402,7 +402,11 @@ def _run_check(name: str, config: ExperimentConfig,
                 f"{dec.surface_total!r} by {deviation:.3e}")
     elif name == "cd-density":
         for i, needle in enumerate(dec.needles):
-            report = check_cd_density(needle.profile, dec.cd, config.grid_size)
+            try:
+                report = check_cd_density(needle.profile, dec.cd, config.grid_size)
+            except OverflowError:  # sinh of a strongly negative K
+                raise ParameterError("the distortion coefficients of the density check "
+                                     "overflow a float at these parameters") from None
             out.rows.append(Row(statement="cd-density", kind="needle",
                                 lhs=report.worst_violation, rhs=INEQ_SLACK,
                                 equality=report.passed, H_plus=dec.H_plus[i],

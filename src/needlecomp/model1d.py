@@ -16,8 +16,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError
 
 
@@ -103,7 +101,9 @@ def sigma_kappa(kappa: float, t, theta):
     t and theta may be ndarrays, broadcast together; the result is then an
     ndarray holding the same expression elementwise.
     """
-    if isinstance(t, np.ndarray) or isinstance(theta, np.ndarray):
+    # No ndarray exists before numpy is imported, and only arrays need it.
+    np = sys.modules.get("numpy")
+    if np is not None and (isinstance(t, np.ndarray) or isinstance(theta, np.ndarray)):
         return _sigma_kappa_array(kappa, t, theta)
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"interpolation parameter t must lie in [0, 1], got {t}")
@@ -116,7 +116,8 @@ def sigma_kappa(kappa: float, t, theta):
     return sin_kappa(kappa, t * theta) / sin_kappa(kappa, theta)
 
 
-def _sigma_kappa_array(kappa: float, t, theta) -> np.ndarray:
+def _sigma_kappa_array(kappa: float, t, theta):
+    import numpy as np
     t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
     bad_t = ~((0.0 <= t) & (t <= 1.0))

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
-
-import numpy as np
 
 from .errors import CurvatureError, DomainError, ParameterError
 from .model1d import CurvatureDimension, JacobianParams, cos_kappa, jacobian, sigma_kappa, sin_kappa
@@ -27,13 +26,23 @@ FD_DIVERGE_THRESHOLD = 1e8
 _TINY = 1e-300
 
 
+def _linspace(a: float, b: float, n: int) -> list:
+    """np.linspace(a, b, n) as a list of floats, bit for bit (n >= 2)."""
+    step = (b - a) / (n - 1)
+    if step == 0.0:  # a subnormal width: numpy then divides before it scales
+        return [i / (n - 1) * (b - a) + a for i in range(n - 1)] + [b]
+    return [i * step + a for i in range(n - 1)] + [b]
+
+
 @dataclass(frozen=True)
 class DensityProfile:
-    """Positive density on [a, b], as a callable plus a cached uniform grid.
+    """Positive density on [a, b], as a callable plus its values on a uniform grid.
 
     fn must be positive on the open interval and extend continuously to the
     closed one (the endpoint values may vanish).  deriv, when given, is the
     closed-form derivative of fn and is preferred over finite differences.
+    Construction evaluates fn on grid() and validates the values in pure
+    Python; samples builds a read-only array of them on first access.
     """
 
     a: float
@@ -41,29 +50,35 @@ class DensityProfile:
     fn: Callable[[float], float]
     deriv: Optional[Callable[[float], float]] = None
     grid_size: int = 1024
-    samples: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
             raise ParameterError(f"invalid interval [{self.a}, {self.b}]")
         if self.grid_size < 2:
             raise ParameterError(f"grid_size must be >= 2, got {self.grid_size}")
-        self._set_samples([self.fn(float(r)) for r in self.grid()])
+        self._set_values(tuple(map(self.fn, _linspace(self.a, self.b, self.grid_size))))
 
-    def _set_samples(self, values: list) -> None:
-        samples = np.array(values)
-        interior = samples[1:-1]
-        if not (np.isfinite(samples).all() and (interior > 0.0).all()
-                and samples[0] >= 0.0 and samples[-1] >= 0.0):
+    def _set_values(self, values: tuple) -> None:
+        if not (all(map(math.isfinite, values)) and min(values[1:-1], default=1.0) > 0.0
+                and values[0] >= 0.0 and values[-1] >= 0.0):
             raise ParameterError("density must be positive on the open interval "
                                  "and finite, non-negative at the endpoints")
+        object.__setattr__(self, "_values", values)
+
+    @cached_property
+    def samples(self):
+        """fn on grid(), as a read-only ndarray."""
+        import numpy as np
+        samples = np.array(self._values)
         samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+        return samples
 
     def __call__(self, r: float) -> float:
         return self.fn(r)
 
-    def grid(self) -> np.ndarray:
+    def grid(self):
+        import numpy as np
         return np.linspace(self.a, self.b, self.grid_size)
 
     def power(self, exponent: float) -> "DensityProfile":
@@ -83,7 +98,7 @@ class DensityProfile:
                             ("fn", lambda r: fn(r) ** exponent), ("deriv", new_deriv),
                             ("grid_size", self.grid_size)):
             object.__setattr__(out, name, value)
-        out._set_samples([s ** exponent for s in self.samples.tolist()])
+        out._set_values(tuple(s ** exponent for s in self._values))
         return out
 
 
@@ -167,6 +182,7 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
         raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
     if cd.N <= 1.0:
         raise ParameterError(f"density check requires N > 1, got N={cd.N}")
+    import numpy as np
     kap = cd.K / (cd.N - 1.0)
     expo = 1.0 / (cd.N - 1.0)
     a, b = profile.a, profile.b

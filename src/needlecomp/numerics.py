@@ -15,7 +15,8 @@ import sys
 from typing import Callable, Sequence
 
 # Quadrature targets; equality tests downstream run at 1e-8, leaving headroom.
-QUAD_ABS_TOL = 1e-12
+# Only the relative target governs: a fixed absolute one stops at once on a tiny mass.
+QUAD_ABS_TOL = 0.0
 QUAD_REL_TOL = 1e-10
 QUAD_LIMIT = 200
 

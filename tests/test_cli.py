@@ -384,6 +384,33 @@ print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scip
     assert out.strip() == "[0, 0, 0, 0, 0, 0] []"
 
 
+def test_numpy_is_loaded_only_by_cd_density(run_isolated):
+    # numpy serves the array paths only: the cd-density check, profile samples
+    # and grid(), and array sigma_kappa; euclidean_ball.cfg runs cd-density
+    out = run_isolated(f"""
+import contextlib, io
+from pathlib import Path
+import needlecomp
+from needlecomp.cli import main
+loaded = ["numpy" in sys.modules]
+configs = Path({str(CONFIGS)!r})
+calls = [["version"],
+         ["profile", "--K", "1", "--N", "3", "--v", "0.3"],
+         ["jacobian", "--H", "1", "--K", "1", "--N", "3", "--r", "0.5"]]
+calls += [["run", str(configs / name), "--path", "-"]
+          for name in ("sphere_equator.cfg", "suspension.cfg", "truncated_interval.cfg",
+                       "euclidean_ball.cfg")]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for args in calls:
+        codes.append(main(args))
+        loaded.append("numpy" in sys.modules)
+print(codes, loaded)
+""")
+    assert out.strip() == ("[0, 0, 0, 0, 0, 0, 0] "
+                           "[False, False, False, False, False, False, False, True]")
+
+
 SUSPENSION_OVERFLOW_CFG = """\
 [geometry]
 kind = spherical-suspension
@@ -421,3 +448,38 @@ def test_failing_override_is_reported_by_position(capsys):
     with pytest.raises(ConfigError) as info:
         parse_config(SPHERE_CFG, overrides=["surface.r0=1", "geometry.raduis=2"])
     assert str(info.value).startswith("--set #2, key 'raduis'")
+
+
+CD_OVERFLOW_CFG = """\
+[geometry]
+kind = weighted-interval
+density = constant
+length = 10
+K = -10000
+N = 2
+
+[surface]
+r0 = 5
+
+[run]
+checks = cd-density
+"""
+
+
+def test_cd_density_overflow_is_a_typed_error(tmp_path, capsys):
+    # sinh(sqrt(1e4) theta) overflows a float once theta passes about 7.1
+    path = tmp_path / "cd_overflow.cfg"
+    path.write_text(CD_OVERFLOW_CFG)
+    assert main(["run", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL check=cd-density reason=ParameterError: " in out
+    assert "overflow" in out and "Traceback" not in out
+
+
+def test_equator_of_the_100_sphere_is_rigid(capsys):
+    # the total mass (about 6e-39) was once integrated to an absolute 1e-12,
+    # so that the quadrature stopped at once, 1.2e-8 off
+    assert main(["run", str(CONFIGS / "sphere_equator.cfg"),
+                 "--set", "geometry.n=100", "--path", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "check rigidity: PASS" in out and "FAIL" not in out

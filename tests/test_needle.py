@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needlecomp import (CdDensityReport, CurvatureDimension, CurvatureError,
                         DensityProfile, DomainError, EuclideanBall, GeodesicSphere,
@@ -60,6 +62,89 @@ def test_profile_power_validates_its_samples():
     p = DensityProfile(0.0, 1.0, lambda r: 1e-200)
     with pytest.raises(ParameterError):
         p.power(2.0)
+
+
+def _grid_seen_by_fn(a, b, n):
+    """The points a construction evaluates fn at, in order."""
+    seen = []
+    DensityProfile(a, b, lambda r: seen.append(r) or 1.0, grid_size=n)
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1024])
+@pytest.mark.parametrize("a, b", [(0.0, math.pi), (-7.5, -0.25), (-3.0, 11.0),
+                                  (1e-300, 3e-300), (0.0, 5e-324), (0.0, 1e-320),
+                                  (1.0, 1.0 + 2.0 ** -40), (-1e300, 1e300), (1e15, 1e300)])
+def test_profile_grid_is_numpy_linspace(a, b, n):
+    seen = _grid_seen_by_fn(a, b, n)
+    assert seen == np.linspace(a, b, n).tolist()
+    assert all(type(r) is float for r in seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(-1e6, 1e6), width=st.floats(1e-300, 1e6),
+       n=st.integers(2, 300))
+def test_profile_grid_is_numpy_linspace_on_random_intervals(a, width, n):
+    b = a + width
+    if b > a:
+        assert _grid_seen_by_fn(a, b, n) == np.linspace(a, b, n).tolist()
+
+
+def _numpy_verdict(values):
+    """The construction-time validation as it was done on an ndarray."""
+    samples = np.array(values)
+    interior = samples[1:-1]
+    return bool(np.isfinite(samples).all() and (interior > 0.0).all()
+                and samples[0] >= 0.0 and samples[-1] >= 0.0)
+
+
+def _constructs(make):
+    try:
+        make()
+    except ParameterError:
+        return False
+    return True
+
+
+def _at(x, value, otherwise=1.0):
+    return lambda r: value if r == x else otherwise
+
+
+GRID = np.linspace(0.0, 1.0, 64).tolist()
+VALIDATION_CASES = {
+    "positive": (lambda r: 1.0 + r, 64),
+    "nan inside": (_at(GRID[10], math.nan), 64),
+    "nan at an end": (_at(0.0, math.nan), 64),
+    "inf inside": (_at(GRID[10], math.inf), 64),
+    "-inf inside": (_at(GRID[10], -math.inf), 64),
+    "inf at an end": (_at(1.0, math.inf), 64),
+    "zero inside": (_at(GRID[10], 0.0), 64),
+    "zero at both ends": (lambda r: r * (1.0 - r), 64),
+    "negative end": (_at(0.0, -1e-300), 64),
+    "negative inside": (lambda r: r - 0.5, 64),
+    "no interior": (lambda r: 1.0, 2),
+    "no interior, zero ends": (lambda r: 0.0, 2),
+    "no interior, negative end": (_at(1.0, -1.0), 2),
+    "no interior, nan end": (_at(1.0, math.nan), 2),
+    "int values": (lambda r: 3, 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATION_CASES))
+def test_profile_validation_matches_numpy(name):
+    fn, n = VALIDATION_CASES[name]
+    values = [fn(r) for r in np.linspace(0.0, 1.0, n).tolist()]
+    assert _constructs(lambda: DensityProfile(0.0, 1.0, fn, grid_size=n)) == \
+        _numpy_verdict(values)
+
+
+@pytest.mark.parametrize("value, exponent", [(1e-200, 2.0), (1e-200, 1.5), (1e-100, 2.0),
+                                             (1e-300, 0.5), (5e-324, 0.999)])
+def test_profile_power_validation_matches_numpy(value, exponent):
+    # a power that underflows to 0 in the interior is rejected
+    p = DensityProfile(0.0, 1.0, lambda r: value)
+    powered = [s ** exponent for s in p.samples.tolist()]
+    assert _constructs(lambda: p.power(exponent)) == _numpy_verdict(powered)
 
 
 def test_needle_requires_base_in_interval():

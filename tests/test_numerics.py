@@ -9,12 +9,13 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sciint
 
-from needlecomp import numerics
+from needlecomp import GeodesicSphere, RoundSphere, decompose, numerics
 from needlecomp.cli import parse_config, run
 from needlecomp.numerics import (QUAD_ABS_TOL, QUAD_LIMIT, QUAD_REL_TOL, dqagse,
                                  integrate)
@@ -77,6 +78,20 @@ def test_limit_is_reached_and_reported():
 def test_integrate_is_zero_on_empty_interval():
     assert integrate(math.exp, 1.0, 1.0) == 0.0
     assert integrate(math.exp, 2.0, 1.0) == 0.0
+
+
+def test_zero_integrand_stops_after_one_rule():
+    # with no absolute target, a zero integral still ends on its first estimate
+    assert dqagse(*HARD["zero"], QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_LIMIT) == (0.0, 0.0, 21, 0)
+
+
+def test_tiny_total_mass_meets_the_relative_target():
+    # the 100-sphere's density is omega_99 sin^99, and its mass about 6e-39:
+    # far below any fixed absolute target, so only the relative one may govern
+    dec = decompose(RoundSphere(n=100, radius=1.0), GeodesicSphere(math.pi / 2))
+    with mp.workdps(40):
+        exact = 2 * mp.pi ** mp.mpf(50.5) / mp.gamma(mp.mpf(50.5))
+        assert abs(dec.total_mass - exact) <= 1e-10 * exact
 
 
 def _shipped_integrals(monkeypatch, path, overrides=()):
