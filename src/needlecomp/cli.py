@@ -21,11 +21,11 @@ from . import __version__
 from .errors import ConfigError, NeedlecompError, ParameterError
 from .geometry import (EuclideanBall, GeodesicSphere, GeometrySpec, LevelPoint,
                        NeedleDecomposition, RoundSphere, SphericalSuspension,
-                       SurfaceSpec, constant_interval, decompose,
+                       SurfaceSpec, _radial_model, constant_interval, decompose,
                        minkowski_content_from_dec, model_interval)
 from .hk import (closed_form_bounds, equality_detect, equality_tolerance, hk_full,
                  hk_outer, levy_gromov_check)
-from .model1d import CurvatureDimension, JacobianParams, jacobian, model_profile, pi_kappa
+from .model1d import CurvatureDimension, JacobianParams, jacobian, model_profile
 from .needle import check_cd_density, density_ratio_check, sturm_bound_check
 from .numerics import INEQ_SLACK
 
@@ -236,16 +236,6 @@ def _build_geometry(view: _SectionView) -> GeometrySpec:
         raise ConfigError(str(exc), line=lineno)
 
 
-def _radial_length(geom: GeometrySpec) -> float:
-    if isinstance(geom, RoundSphere):
-        return math.pi * geom.radius
-    if isinstance(geom, EuclideanBall):
-        return geom.R
-    if isinstance(geom, SphericalSuspension):
-        return pi_kappa(geom.cd.K / (geom.cd.N - 1.0))
-    return geom.length
-
-
 def parse_config(text: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
     """Parse and validate one experiment configuration document.
 
@@ -263,7 +253,7 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
     surf_view.reject_unknown(_SECTION_KEYS["surface"])
     r0_raw = surf_view.require("r0")
     r0 = _as_float(r0_raw, "r0")
-    length = _radial_length(geometry)
+    length = _radial_model(geometry).length
     if not 0.0 < r0 < length:
         where = "pole" if isinstance(geometry, (RoundSphere, SphericalSuspension)) \
             else "boundary"

@@ -17,8 +17,8 @@ from typing import Callable, Optional, Union
 
 from .errors import (CurvatureError, DegenerateSurfaceError, DomainError,
                      ParameterError)
-from .model1d import (CurvatureDimension, JacobianParams, cos_kappa, jacobian,
-                      pi_kappa, sin_kappa, unit_sphere_volume)
+from .model1d import (CurvatureDimension, JacobianParams, jacobian, pi_kappa,
+                      unit_sphere_volume)
 from .needle import DensityProfile, Needle, needle_mass, one_sided_log_derivative
 from .numerics import extrapolate_to_zero, integrate
 
@@ -159,6 +159,7 @@ class _RadialModel:
     density_deriv: Optional[Callable[[float], float]]
     cd: CurvatureDimension
     diameter: float
+    mode: Optional[float]  # where the density peaks, as DensityProfile.mode
 
 
 def model_interval(cd: CurvatureDimension, length: Optional[float] = None,
@@ -174,9 +175,11 @@ def model_interval(cd: CurvatureDimension, length: Optional[float] = None,
     if not 0.0 < length <= full:
         raise ParameterError(f"length must lie in (0, {full}], got {length}")
     expo = cd.N - 1.0
-    fn = lambda r: max(sin_kappa(kap, r), 0.0) ** expo
-    deriv = lambda r: expo * max(sin_kappa(kap, r), 0.0) ** (expo - 1.0) * cos_kappa(kap, r)
-    profile = DensityProfile(0.0, length, fn, deriv=deriv, grid_size=grid_size)
+    rt = math.sqrt(kap)  # sin_kappa(kap, r) is math.sin(rt * r) / rt
+    fn = lambda r: max(math.sin(rt * r) / rt, 0.0) ** expo
+    deriv = lambda r: expo * max(math.sin(rt * r) / rt, 0.0) ** (expo - 1.0) * math.cos(rt * r)
+    profile = DensityProfile(0.0, length, fn, deriv=deriv, grid_size=grid_size,
+                             mode=min(length, 0.5 * full))
     return WeightedInterval(length=length, density=profile, cd=cd)
 
 
@@ -184,42 +187,47 @@ def constant_interval(length: float, cd: CurvatureDimension,
                       grid_size: int = 1024) -> WeightedInterval:
     """Interval [0, length] with unit density."""
     profile = DensityProfile(0.0, length, lambda r: 1.0, deriv=lambda r: 0.0,
-                             grid_size=grid_size)
+                             grid_size=grid_size, mode=0.0)
     return WeightedInterval(length=length, density=profile, cd=cd)
 
 
 def _radial_model(geom: GeometrySpec) -> _RadialModel:
-    if isinstance(geom, WeightedInterval):
-        return _RadialModel("weighted-interval", geom.length, geom.density.fn,
-                            geom.density.deriv, geom.cd, geom.length)
-    if isinstance(geom, RoundSphere):
-        n, radius = geom.n, geom.radius
-        scale = unit_sphere_volume(n - 1) * radius ** (n - 1)
-        density = lambda s: scale * max(math.sin(s / radius), 0.0) ** (n - 1)
-        deriv = lambda s: (scale * (n - 1) * max(math.sin(s / radius), 0.0) ** (n - 2)
-                           * math.cos(s / radius) / radius)
-        return _RadialModel("round-sphere", math.pi * radius, density, deriv,
-                            geom.cd, math.pi * radius)
-    if isinstance(geom, EuclideanBall):
-        n, R = geom.n, geom.R
-        scale = unit_sphere_volume(n - 1)
-        density = lambda s: scale * s ** (n - 1)
-        if n == 1:
-            deriv = lambda s: 0.0
-        else:
-            deriv = lambda s: scale * (n - 1) * s ** (n - 2)
-        return _RadialModel("euclidean-ball", R, density, deriv, geom.cd, 2.0 * R)
-    if isinstance(geom, SphericalSuspension):
-        cd = geom.cd
-        kap = cd.K / (cd.N - 1.0)
-        top = pi_kappa(kap)
-        expo = cd.N - 1.0
-        vol = geom.base_volume
-        density = lambda s: vol * max(sin_kappa(kap, s), 0.0) ** expo
-        deriv = lambda s: (vol * expo * max(sin_kappa(kap, s), 0.0) ** (expo - 1.0)
-                           * cos_kappa(kap, s))
-        return _RadialModel("spherical-suspension", top, density, deriv, cd, top)
-    raise ParameterError(f"unsupported geometry {geom!r}")
+    try:
+        if isinstance(geom, WeightedInterval):
+            return _RadialModel("weighted-interval", geom.length, geom.density.fn,
+                                geom.density.deriv, geom.cd, geom.length, geom.density.mode)
+        if isinstance(geom, RoundSphere):
+            n, radius = geom.n, geom.radius
+            scale = unit_sphere_volume(n - 1) * radius ** (n - 1)
+            density = lambda s: scale * max(math.sin(s / radius), 0.0) ** (n - 1)
+            deriv = lambda s: (scale * (n - 1) * max(math.sin(s / radius), 0.0) ** (n - 2)
+                               * math.cos(s / radius) / radius)
+            return _RadialModel("round-sphere", math.pi * radius, density, deriv,
+                                geom.cd, math.pi * radius, 0.5 * math.pi * radius)
+        if isinstance(geom, EuclideanBall):
+            n, R = geom.n, geom.R
+            scale = unit_sphere_volume(n - 1)
+            density = lambda s: scale * s ** (n - 1)
+            if n == 1:
+                deriv = lambda s: 0.0
+            else:
+                deriv = lambda s: scale * (n - 1) * s ** (n - 2)
+            return _RadialModel("euclidean-ball", R, density, deriv, geom.cd, 2.0 * R, R)
+        if isinstance(geom, SphericalSuspension):
+            cd = geom.cd
+            kap = cd.K / (cd.N - 1.0)
+            top = pi_kappa(kap)
+            expo = cd.N - 1.0
+            vol = geom.base_volume
+            rt = math.sqrt(kap)  # sin_kappa(kap, s) is math.sin(rt * s) / rt
+            density = lambda s: vol * max(math.sin(rt * s) / rt, 0.0) ** expo
+            deriv = lambda s: (vol * expo * max(math.sin(rt * s) / rt, 0.0) ** (expo - 1.0)
+                               * math.cos(rt * s))
+            return _RadialModel("spherical-suspension", top, density, deriv, cd, top, 0.5 * top)
+        raise ParameterError(f"unsupported geometry {geom!r}")
+    except OverflowError:
+        raise ParameterError(f"the radial density of {type(geom).__name__} overflows "
+                             "a float at these parameters") from None
 
 
 def _surface_offset(geom: GeometrySpec, surf: SurfaceSpec, model: _RadialModel) -> float:
@@ -273,7 +281,7 @@ def decompose(geom: GeometrySpec, surf: SurfaceSpec,
     normalized; its weight is the total mass.  Raises DegenerateSurfaceError
     when r0 sits at the boundary of the radial range (needle base at an
     interval endpoint), CurvatureError when the base curvature is infinite,
-    and ParameterError when the radial density overflows a float.
+    and ParameterError when the density overflows or its mass underflows a float.
     """
     model = _radial_model(geom)
     if model.cd.N <= 1.0:
@@ -284,12 +292,15 @@ def decompose(geom: GeometrySpec, surf: SurfaceSpec,
     density_deriv = model.density_deriv
     try:
         total = integrate(density, 0.0, model.length)
+        if total == 0.0:
+            raise ParameterError(f"the total mass of {model.kind} underflows to 0")
         fn = lambda r: density(r0 + r) / total
         deriv = None
         if density_deriv is not None:
             deriv = lambda r: density_deriv(r0 + r) / total
         profile = DensityProfile(-r0, model.length - r0, fn, deriv=deriv,
-                                 grid_size=grid_size)
+                                 grid_size=grid_size,
+                                 mode=None if model.mode is None else model.mode - r0)
         needle = Needle(profile=profile, weight=total)
         curvature = _needle_curvature(needle)
     except OverflowError:

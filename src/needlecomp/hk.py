@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .errors import CurvatureError, InequalityViolation, ParameterError
@@ -89,7 +90,7 @@ def _jacobian_integral(params: JacobianParams, lo: float, hi: float) -> float:
     a, b = max(lo, sup_lo), min(hi, sup_hi)
     if not b > a:
         return 0.0
-    return integrate(lambda r: jacobian(params, r), a, b)
+    return integrate(partial(jacobian, params), a, b)
 
 
 def _guard_inequality(statement: str, lhs: float, rhs: float) -> None:

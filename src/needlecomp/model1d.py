@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParameterError
 
@@ -43,6 +44,15 @@ class JacobianParams:
     def __post_init__(self):
         if not math.isfinite(self.H):
             raise ParameterError(f"mean curvature H must be finite, got {self.H}")
+
+    @cached_property
+    def _consts(self) -> tuple[float, float, float, float]:
+        """(kappa, sqrt|kappa|, H/(N-1), N-1) with kappa = K/(N-1), for jacobian."""
+        m = self.cd.N - 1.0
+        if m <= 0.0:
+            raise ParameterError(f"the distortion profile requires N > 1, got N={self.cd.N}")
+        kappa = self.cd.K / m
+        return kappa, math.sqrt(abs(kappa)), self.H / m, m
 
     @property
     def K(self) -> float:
@@ -186,25 +196,20 @@ def jacobian(p: JacobianParams, r: float) -> float:
     """Volume distortion profile J_{H,K,N}(r), the positive part of the base
     raised to the power N-1.  J(0) = 1; J is non-negative everywhere.
 
-    The same floats as _jacobian_base, computed in one frame: the quadrature
-    of J calls this hundreds of thousands of times.
+    The same floats as _jacobian_base, computed in one frame from constants
+    cached on p: the quadrature of J calls this hundreds of thousands of times.
     """
-    K, N = p.cd.K, p.cd.N
-    if N <= 1.0:
-        raise ParameterError(f"the distortion profile requires N > 1, got N={N}")
-    kappa = K / (N - 1.0)
+    kappa, rt, lam, m = p._consts
     if kappa > 0.0:
-        rt = math.sqrt(kappa)
         sn, cs = math.sin(rt * r) / rt, math.cos(rt * r)
     elif kappa < 0.0:
-        rt = math.sqrt(-kappa)
         sn, cs = math.sinh(rt * r) / rt, math.cosh(rt * r)
     else:
         sn, cs = r, 1.0
-    base = cs + p.H / (N - 1.0) * sn
+    base = cs + lam * sn
     if base <= 0.0:
         return 0.0
-    return base ** (N - 1.0)
+    return base ** m
 
 
 def jacobian_support(p: JacobianParams) -> tuple[float, float]:

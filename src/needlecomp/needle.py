@@ -10,6 +10,7 @@ regular part of the signed-distance Laplacian.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -26,12 +27,12 @@ FD_DIVERGE_THRESHOLD = 1e8
 _TINY = 1e-300
 
 
-def _linspace(a: float, b: float, n: int) -> list:
-    """np.linspace(a, b, n) as a list of floats, bit for bit (n >= 2)."""
+def _grid_point(a: float, b: float, n: int) -> Callable[[int], float]:
+    """i -> np.linspace(a, b, n)[i] as a float, bit for bit (n >= 2)."""
     step = (b - a) / (n - 1)
     if step == 0.0:  # a subnormal width: numpy then divides before it scales
-        return [i / (n - 1) * (b - a) + a for i in range(n - 1)] + [b]
-    return [i * step + a for i in range(n - 1)] + [b]
+        return lambda i: i / (n - 1) * (b - a) + a if i < n - 1 else b
+    return lambda i: i * step + a if i < n - 1 else b
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,10 @@ class DensityProfile:
     fn must be positive on the open interval and extend continuously to the
     closed one (the endpoint values may vanish).  deriv, when given, is the
     closed-form derivative of fn and is preferred over finite differences.
-    Construction evaluates fn on grid() and validates the values in pure
-    Python; samples builds a read-only array of them on first access.
+    mode, when given, declares fn non-decreasing on [a, mode] and non-increasing
+    on [mode, b].  Construction validates fn on grid() in pure Python, given a
+    mode only where the grid's extremes can lie (both ends, their interior
+    neighbours, the points around the mode); samples is built on first access.
     """
 
     a: float
@@ -50,27 +53,42 @@ class DensityProfile:
     fn: Callable[[float], float]
     deriv: Optional[Callable[[float], float]] = None
     grid_size: int = 1024
-    _values: tuple = field(init=False, repr=False, compare=False)
+    mode: Optional[float] = None
+    _checked: tuple = field(init=False, repr=False, compare=False)  # fn at the checked points
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
             raise ParameterError(f"invalid interval [{self.a}, {self.b}]")
-        if self.grid_size < 2:
-            raise ParameterError(f"grid_size must be >= 2, got {self.grid_size}")
-        self._set_values(tuple(map(self.fn, _linspace(self.a, self.b, self.grid_size))))
+        n = self.grid_size
+        if n < 2:
+            raise ParameterError(f"grid_size must be >= 2, got {n}")
+        if self.mode is not None and math.isnan(self.mode):
+            raise ParameterError("mode must not be NaN")
+        point = _grid_point(self.a, self.b, n)
+        indices = range(n)
+        if self.mode is not None:
+            # The least interior value sits next to an end and the largest next
+            # to the mode; a point more on each side absorbs rounding in the mode.
+            k = bisect_right(indices, self.mode, key=point)  # grid points <= mode
+            indices = sorted({i for i in (0, 1, k - 2, k - 1, k, k + 1, n - 2, n - 1)
+                              if 0 <= i < n})
+        self._check(tuple(map(self.fn, map(point, indices))))
 
-    def _set_values(self, values: tuple) -> None:
+    def _check(self, values: tuple) -> None:
         if not (all(map(math.isfinite, values)) and min(values[1:-1], default=1.0) > 0.0
                 and values[0] >= 0.0 and values[-1] >= 0.0):
             raise ParameterError("density must be positive on the open interval "
                                  "and finite, non-negative at the endpoints")
-        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_checked", values)
 
     @cached_property
     def samples(self):
         """fn on grid(), as a read-only ndarray."""
         import numpy as np
-        samples = np.array(self._values)
+        n, values = self.grid_size, self._checked
+        if len(values) < n:
+            values = list(map(self.fn, map(_grid_point(self.a, self.b, n), range(n))))
+        samples = np.array(values)
         samples.flags.writeable = False
         return samples
 
@@ -82,10 +100,11 @@ class DensityProfile:
         return np.linspace(self.a, self.b, self.grid_size)
 
     def power(self, exponent: float) -> "DensityProfile":
-        """The profile raised pointwise to a positive power, derivative chained.
+        """The profile raised pointwise to a power, derivative chained.
 
-        The new samples are the parent's raised to the power (the same floats
-        as evaluating the new fn on the grid), validated as in construction.
+        The checked values are the parent's raised to the power (the same
+        floats as evaluating the new fn there), validated as in construction;
+        an overflow is a ParameterError.  A positive power keeps the mode.
         """
         fn = self.fn
         deriv = self.deriv
@@ -96,9 +115,13 @@ class DensityProfile:
         out = object.__new__(DensityProfile)
         for name, value in (("a", self.a), ("b", self.b),
                             ("fn", lambda r: fn(r) ** exponent), ("deriv", new_deriv),
-                            ("grid_size", self.grid_size)):
+                            ("grid_size", self.grid_size),
+                            ("mode", self.mode if exponent > 0.0 else None)):
             object.__setattr__(out, name, value)
-        out._set_values(tuple(s ** exponent for s in self._values))
+        try:  # x ** exponent is monotone: the extremes stay where they were
+            out._check(tuple(s ** exponent for s in self._checked))
+        except OverflowError:  # float ** raises where an array holds inf: reject that
+            out._check((math.inf,))
         return out
 
 

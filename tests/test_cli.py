@@ -483,3 +483,26 @@ def test_equator_of_the_100_sphere_is_rigid(capsys):
                  "--set", "geometry.n=100", "--path", "-"]) == 0
     out = capsys.readouterr().out
     assert "check rigidity: PASS" in out and "FAIL" not in out
+
+
+def test_sturm_power_overflow_is_a_typed_error(capsys):
+    # the density 10 raised to 1/(N-1) = 1000 overflows a float
+    assert main(["run", str(CONFIGS / "truncated_interval.cfg"),
+                 "--set", "geometry.density=constant", "--set", "geometry.length=0.1",
+                 "--set", "geometry.N=1.001", "--set", "surface.r0=0.05",
+                 "--set", "run.checks=sturm", "--path", "-"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL check=sturm reason=ParameterError: density must be positive" in out
+    assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("n, radius, r0, where, what", [
+    (400, 1e4, 100.0, "config", "overflows"),  # Gamma(200) in the sphere's area
+    (210, 0.01, 0.01, "decompose", "underflows"),  # the total mass is below 1e-324
+])
+def test_unrepresentable_sphere_is_a_typed_error(capsys, n, radius, r0, where, what):
+    assert main(["run", str(CONFIGS / "sphere_equator.cfg"), "--set", f"geometry.n={n}",
+                 "--set", f"geometry.radius={radius}", "--set", f"surface.r0={r0}"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL check={where} reason=ParameterError: ")
+    assert what in out and "Traceback" not in out

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from needlecomp import (CurvatureDimension, DegenerateSurfaceError,
                         minkowski_content, minkowski_content_from_dec,
                         model_interval, needle_mass, signed_distance,
                         tube_volume)
+from needlecomp import geometry
+from needlecomp.model1d import cos_kappa, sin_kappa
 
 SPHERE = RoundSphere(2, 1.0)
 BALL = EuclideanBall(3, 1.0)
@@ -262,3 +265,77 @@ def test_constant_interval_geometry():
     assert dec.total_mass == pytest.approx(2.0, rel=1e-12)
     assert dec.surface_total == pytest.approx(1.0, rel=1e-12)
     assert dec.H[0] == 0.0
+
+
+# ---------------------------------------------- registered density shapes
+
+def _density_calls_while_built(geom, surf):
+    """How often decompose's needle profile evaluates its density while it is
+    constructed."""
+    counts = []
+
+    def counting(a, b, fn, **kwargs):
+        calls = [0]
+
+        def counted(r):
+            calls[0] += 1
+            return fn(r)
+        profile = DensityProfile(a, b, counted, **kwargs)
+        counts.append(calls[0])
+        return profile
+
+    with mock.patch.object(geometry, "DensityProfile", counting):
+        decompose(geom, surf)
+    return counts
+
+
+@pytest.mark.parametrize("geom, surf", all_model_pairs()
+                         + [(constant_interval(2.0, CurvatureDimension(0.0, 2.0)),
+                             LevelPoint(0.5))])
+def test_registered_density_is_validated_at_a_few_points(geom, surf):
+    [calls] = _density_calls_while_built(geom, surf)
+    assert 4 <= calls <= 8
+
+
+def test_api_density_is_validated_on_the_whole_grid():
+    profile = DensityProfile(0.0, 2.0, lambda r: 1.0 + r * (2.0 - r))
+    geom = WeightedInterval(2.0, profile, CurvatureDimension(0.0, 2.0))
+    assert profile.mode is None
+    assert _density_calls_while_built(geom, LevelPoint(0.5)) == [1024]
+
+
+@pytest.mark.parametrize("K, N", [(1.0, 2.0), (3.0, 4.5), (0.01, 40.0), (100.0, 40.0),
+                                  (1e4, 1.001)])
+def test_inlined_model_densities_equal_the_sin_kappa_forms(K, N):
+    cd = CurvatureDimension(K, N)
+    kap, expo = K / (N - 1.0), N - 1.0
+    interval = model_interval(cd).density
+    suspension = geometry._radial_model(SphericalSuspension(cd, 2.5))
+    for r in np.linspace(0.0, math.pi / math.sqrt(kap), 257)[1:-1].tolist():
+        s, c = max(sin_kappa(kap, r), 0.0), cos_kappa(kap, r)
+        assert interval.fn(r) == s ** expo
+        assert interval.deriv(r) == expo * s ** (expo - 1.0) * c
+        assert suspension.density(r) == 2.5 * s ** expo
+        assert suspension.density_deriv(r) == 2.5 * expo * s ** (expo - 1.0) * c
+
+
+def test_unrepresentable_radial_models_are_parameter_errors():
+    with pytest.raises(ParameterError, match="overflows"):
+        decompose(RoundSphere(400, 1e4), GeodesicSphere(100.0))  # Gamma(200) overflows
+    with pytest.raises(ParameterError, match="underflows"):
+        decompose(RoundSphere(210, 0.01), GeodesicSphere(0.01))  # the mass is below 1e-324
+
+
+@pytest.mark.parametrize("geom, surf", all_model_pairs()
+                         + [(constant_interval(2.0, CurvatureDimension(0.0, 2.0)),
+                             LevelPoint(0.5))])
+def test_needle_mode_is_where_the_density_peaks(geom, surf):
+    profile = decompose(geom, surf).needles[0].profile
+    grid, values = profile.grid().tolist(), profile.samples.tolist()
+    for i in range(len(grid) - 1):
+        if grid[i + 1] <= profile.mode:
+            assert values[i] <= values[i + 1]
+        if grid[i] >= profile.mode:
+            assert values[i] >= values[i + 1]
+    peak = max(range(len(values)), key=values.__getitem__)
+    assert abs(grid[peak] - profile.mode) <= grid[1] - grid[0]

@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import integrate as sciint
 from scipy.special import betaincinv
 
@@ -194,6 +194,27 @@ def test_jacobian_addition_identity():
             for r in np.linspace(-r0 + 0.05, math.pi - r0 - 0.05, 17):
                 expected = (math.sin(r0 + float(r)) / math.sin(r0)) ** (N - 1.0)
                 assert jacobian(p, float(r)) == pytest.approx(expected, rel=1e-12)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OverflowError:
+        return OverflowError
+
+
+@settings(max_examples=400, deadline=None)
+@given(H=st.floats(-1e3, 1e3), sign=st.sampled_from((-1.0, 0.0, 1.0)),
+       K=st.floats(1e-6, 1e4), N=st.floats(1.0, 400.0, exclude_min=True),
+       r=st.floats(-1e3, 1e3))
+def test_jacobian_is_its_clipped_base_to_the_power(H, sign, K, N, r):
+    # bit for bit, K < 0, K = 0 and K > 0 alike, overflow of sinh or ** included
+    from needlecomp.model1d import _jacobian_base
+    p = jp(H, sign * K, N)
+    base = _outcome(_jacobian_base, p, r)
+    if base is not OverflowError:
+        base = _outcome(lambda: 0.0 if base <= 0.0 else base ** (N - 1.0))
+    assert _outcome(jacobian, p, r) == base
 
 
 def test_jacobian_rejects_low_dimension():

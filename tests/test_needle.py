@@ -1,15 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from needlecomp import (CdDensityReport, CurvatureDimension, CurvatureError,
                         DensityProfile, DomainError, EuclideanBall, GeodesicSphere,
-                        JacobianParams, LevelPoint, Needle, ParameterError,
-                        RoundSphere, SphericalSuspension, check_cd_density,
-                        decompose, density_ratio_check, jacobian,
+                        JacobianParams, LevelPoint, Needle, NeedlecompError,
+                        ParameterError, RoundSphere, SphericalSuspension,
+                        WeightedInterval, check_cd_density, constant_interval,
+                        decompose, density_ratio_check, geometry, jacobian,
                         laplacian_regular_part, model_interval, needle_mass,
                         one_sided_log_derivative, sigma_kappa, sturm_bound_check)
 from needlecomp.numerics import INEQ_SLACK
@@ -145,6 +147,173 @@ def test_profile_power_validation_matches_numpy(value, exponent):
     p = DensityProfile(0.0, 1.0, lambda r: value)
     powered = [s ** exponent for s in p.samples.tolist()]
     assert _constructs(lambda: p.power(exponent)) == _numpy_verdict(powered)
+
+
+def _verdict(make):
+    """None when make() succeeds, else the type of the error it raises."""
+    try:
+        make()
+    except (ParameterError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+    return None
+
+
+def _full_grid_verdict(a, b, fn, n, exponent=None):
+    """The construction verdict (or power(exponent)'s) from every point of
+    np.linspace(a, b, n): the reference that a declared mode must reproduce."""
+    try:
+        values = [fn(r) for r in np.linspace(a, b, n).tolist()]
+    except OverflowError:
+        return OverflowError
+    if exponent is not None:
+        if not _numpy_verdict(values):
+            return None  # the profile itself is rejected; nothing to raise
+        try:
+            values = [v ** exponent for v in values]
+        except OverflowError:
+            return ParameterError
+        except ZeroDivisionError:  # 0.0 to a negative power, as float ** raises it
+            return ZeroDivisionError
+    return None if _numpy_verdict(values) else ParameterError
+
+
+def assert_mode_verdict_is_full_verdict(a, b, fn, mode, n=1024, exponent=None):
+    make = lambda: DensityProfile(a, b, fn, grid_size=n, mode=mode)
+    got = _verdict(make)
+    assert got == _full_grid_verdict(a, b, fn, n)
+    if exponent is not None and got is None:
+        assert _verdict(lambda: make().power(exponent)) == \
+            _full_grid_verdict(a, b, fn, n, exponent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-1e3, 1e3), width=st.floats(1e-6, 1e3), at=st.floats(-0.1, 1.1),
+       steep=st.floats(0.0, 1e4), scale_exp=st.floats(-330.0, 320.0),
+       n=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 17, 1024]),
+       exponent=st.sampled_from([-2.0, -0.5, 1e-3, 0.5, 1.0, 3.0, 250.0]))
+def test_mode_verdict_is_full_grid_verdict(a, width, at, steep, scale_exp, n, exponent):
+    # a Gaussian bump, possibly centred off the interval, that underflows to 0
+    # away from its mode or overflows a float near it
+    b = a + width
+    mode = a + at * width
+    scale = 10.0 ** scale_exp if scale_exp < 308.0 else math.inf
+    fn = lambda r: scale * math.exp(-steep * ((r - mode) / width) ** 2)
+    assert_mode_verdict_is_full_verdict(a, b, fn, mode, n, exponent)
+
+
+@pytest.mark.parametrize("fn, mode", [
+    (lambda r: 1e200 * (1.0 - abs(r - 0.3)), 0.3),  # the power overflows at the peak
+    (lambda r: max(math.sin(math.pi * r), 0.0) ** 200, 0.5),  # interior values underflow
+    (lambda r: 5e-324 if r < 0.7 else 1.0, 1.0),  # a subnormal plateau, power underflows
+    (lambda r: 1e300 * math.exp(800.0 * r) if r < 0.9 else 0.0, 0.9),  # fn overflows
+])
+def test_mode_verdict_on_float_extremes(fn, mode):
+    for n in (2, 3, 1024):
+        for exponent in (0.5, 2.0):
+            assert_mode_verdict_is_full_verdict(0.0, 1.0, fn, mode, n, exponent)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def registered_geometries(draw):
+    """(factory, N) for a geometry of a registered kind, drawn over ranges
+    where its density underflows or overflows."""
+    kind = draw(st.sampled_from(("sphere", "ball", "suspension", "model", "constant")))
+    n = draw(st.integers(1 if kind == "ball" else 2, 400))
+    size = draw(_log_uniform(1e-4, 1e4))  # radius, R, K or length
+    cd = CurvatureDimension(size, 1.0 + draw(_log_uniform(1e-6, 399.0)))
+    base_volume = draw(_log_uniform(1e-200, 1e200))
+    share = draw(st.one_of(st.none(), st.floats(0.01, 1.0)))
+    K = draw(st.sampled_from((-1.0, 0.0, 1.0))) * draw(_log_uniform(1e-4, 1e4))
+    if kind == "sphere":
+        return (lambda: RoundSphere(n, size)), float(n)
+    if kind == "ball":
+        return (lambda: EuclideanBall(n, size)), float(n)
+    if kind == "suspension":
+        return (lambda: SphericalSuspension(cd, base_volume)), cd.N
+    if kind == "model":
+        full = math.pi / math.sqrt(cd.K / (cd.N - 1.0))
+        length = None if share is None else min(share * full, full)
+        return (lambda: model_interval(cd, length)), cd.N
+    return (lambda: constant_interval(size, CurvatureDimension(K, cd.N))), cd.N
+
+
+@settings(max_examples=150, deadline=None)
+@example(geometry_and_N=(lambda: SphericalSuspension(CurvatureDimension(1e-4, 400.0), 1e200),
+                         400.0), where="inside", share=0.5, offset=1e-6)  # ** overflows
+@example(geometry_and_N=(lambda: EuclideanBall(300, 1e4), 300.0),
+         where="near the end", share=0.5, offset=1e-6)  # ** overflows
+@example(geometry_and_N=(lambda: RoundSphere(300, 1.0), 300.0),
+         where="near 0", share=0.5, offset=1e-6)  # the needle underflows near its ends
+@example(geometry_and_N=(lambda: RoundSphere(210, 0.01), 210.0),
+         where="inside", share=0.5, offset=1e-6)  # the total mass underflows to 0
+@example(geometry_and_N=(lambda: model_interval(CurvatureDimension(1.0, 1.000001)), 1.000001),
+         where="inside", share=0.5, offset=1e-6)  # the power 1e6 underflows
+@given(geometry_and_N=registered_geometries(),
+       where=st.sampled_from(("inside", "near 0", "near the end")),
+       share=st.floats(0.001, 0.999), offset=_log_uniform(1e-300, 1e-6))
+def test_registered_densities_get_the_full_grid_verdict(geometry_and_N, where, share,
+                                                        offset):
+    """Every profile that a registered geometry and its decomposition build
+    declares a mode, and that mode's few points give the full grid's verdict,
+    for the profile and for its power 1/(N-1).  So does the radial density
+    before it is normalized, which overflows where the needle does not."""
+    make_geometry, N = geometry_and_N
+    built = []
+
+    def recording(a, b, fn, **kwargs):
+        built.append((a, b, fn, kwargs["mode"]))
+        return DensityProfile(a, b, fn, **kwargs)
+
+    with mock.patch.object(geometry, "DensityProfile", recording):
+        try:
+            geom = make_geometry()
+            model = geometry._radial_model(geom)
+            built.append((0.0, model.length, model.density, model.mode))
+            length = model.length
+            r0 = {"inside": share * length, "near 0": offset,
+                  "near the end": length - offset}[where]
+            decompose(geom, LevelPoint(r0) if isinstance(geom, WeightedInterval)
+                      else GeodesicSphere(r0))
+        except NeedlecompError:
+            pass
+    for a, b, fn, mode in built:
+        assert mode is not None
+        assert_mode_verdict_is_full_verdict(a, b, fn, mode,
+                                            exponent=1.0 / (N - 1.0) if N > 1.0 else None)
+
+
+def test_mode_construction_evaluates_only_near_the_extremes():
+    seen = []
+    p = DensityProfile(-0.3, 1.9, lambda r: seen.append(r) or 1.0 + r * (2.0 - r), mode=1.0)
+    grid = np.linspace(-0.3, 1.9, 1024).tolist()
+    k = max(i for i, r in enumerate(grid) if r <= 1.0)
+    assert seen == [grid[i] for i in (0, 1, k - 1, k, k + 1, k + 2, 1022, 1023)]
+    assert p.samples.tolist() == [p.fn(r) for r in grid]  # built on first access
+    assert p.power(0.5).samples.tolist() == [p.fn(r) ** 0.5 for r in grid]
+
+
+def test_mode_must_not_be_nan():
+    with pytest.raises(ParameterError):
+        DensityProfile(0.0, 1.0, lambda r: 1.0, mode=math.nan)
+
+
+def test_power_keeps_a_positive_mode_and_drops_another():
+    p = DensityProfile(0.0, 1.0, lambda r: 1.0 + r, mode=1.0)
+    assert p.power(0.5).mode == 1.0
+    q = p.power(-1.0)  # a decreasing profile
+    assert q.mode is None
+    assert q.samples.tolist() == [1.0 / (1.0 + r) for r in np.linspace(0.0, 1.0, 1024)]
+
+
+@pytest.mark.parametrize("mode", [None, 0.5])
+def test_power_overflow_is_a_parameter_error(mode):
+    p = DensityProfile(0.0, 1.0, lambda r: 1e200, mode=mode)
+    with pytest.raises(ParameterError, match="finite"):
+        p.power(2.0)
 
 
 def test_needle_requires_base_in_interval():
