@@ -21,7 +21,8 @@ from .hk import (DEFAULT_EQUALITY_TOL, HKReport, LevyGromovReport, PerNeedle,
                  equality_detect, equality_tolerance, hk_full, hk_outer,
                  levy_gromov_check)
 from .model1d import (CurvatureDimension, JacobianParams, cos_kappa, jacobian,
-                      jacobian_support, kappa_eff, model_density_normalizer,
+                      jacobian_integral, jacobian_support, kappa_eff,
+                      model_density_normalizer,
                       model_profile, model_rhs_constant_H, pi_kappa, sigma,
                       sigma_kappa, sin_kappa, tau, trig_kappa,
                       unit_sphere_volume)

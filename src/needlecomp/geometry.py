@@ -178,8 +178,11 @@ def model_interval(cd: CurvatureDimension, length: Optional[float] = None,
     rt = math.sqrt(kap)  # sin_kappa(kap, r) is math.sin(rt * r) / rt
     fn = lambda r: max(math.sin(rt * r) / rt, 0.0) ** expo
     deriv = lambda r: expo * max(math.sin(rt * r) / rt, 0.0) ** (expo - 1.0) * math.cos(rt * r)
-    profile = DensityProfile(0.0, length, fn, deriv=deriv, grid_size=grid_size,
-                             mode=min(length, 0.5 * full))
+    try:
+        profile = DensityProfile(0.0, length, fn, deriv=deriv, grid_size=grid_size,
+                                 mode=min(length, 0.5 * full))
+    except OverflowError:
+        raise ParameterError("the model interval's density overflows a float") from None
     return WeightedInterval(length=length, density=profile, cd=cd)
 
 

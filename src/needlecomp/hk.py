@@ -3,8 +3,10 @@
 Evaluates both sides of the outer and two-sided tube-volume inequalities, the
 closed-form corollary bounds, the isoperimetric comparison, and detects the
 sharp equality (rigidity) configuration.  The right-hand sides integrate the
-distortion profile J over [-D, D] clipped to its support (J vanishes outside,
-so the clipping is exact and keeps the quadrature smooth).
+distortion profile J over [0, t] or [-D, D] clipped to its support, in closed
+form for K >= 0 (model1d.jacobian_integral).  The left-hand sides stay
+quadratures of the needle densities, so each bound compares two independent
+evaluations.
 """
 
 from __future__ import annotations
@@ -12,15 +14,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .errors import CurvatureError, InequalityViolation, ParameterError
 from .geometry import NeedleDecomposition, inner_mass, tube_volume
-from .model1d import (JacobianParams, jacobian, jacobian_support, kappa_eff,
-                      model_density_normalizer, model_profile,
+from .model1d import (JacobianParams, jacobian_integral, jacobian_support,
+                      kappa_eff, model_profile, model_rhs_constant_H,
                       unit_sphere_volume)
-from .numerics import INEQ_SLACK, integrate
+from .numerics import INEQ_SLACK
 
 DEFAULT_EQUALITY_TOL = 1e-8
 TOLERANCE_ENV_VAR = "NEEDLECOMP_TOL"
@@ -84,15 +85,6 @@ class RigidityReport:
     failed_conditions: tuple[str, ...]
 
 
-def _jacobian_integral(params: JacobianParams, lo: float, hi: float) -> float:
-    """Integral of J over [lo, hi] intersected with its support."""
-    sup_lo, sup_hi = jacobian_support(params)
-    a, b = max(lo, sup_lo), min(hi, sup_hi)
-    if not b > a:
-        return 0.0
-    return integrate(partial(jacobian, params), a, b)
-
-
 def _guard_inequality(statement: str, lhs: float, rhs: float) -> None:
     if lhs > rhs + INEQ_SLACK * abs(rhs):
         raise InequalityViolation(
@@ -116,7 +108,7 @@ def _jacobian_shares(dec: NeedleDecomposition, Hs: tuple[float, ...], lo: float,
     """Per needle, its surface weight times the integral of J_{Hs[i]} over [lo, hi]."""
     return tuple(
         PerNeedle(i, Hs[i], (needle.weight * needle.profile.fn(0.0)
-                             * _jacobian_integral(JacobianParams(Hs[i], dec.cd), lo, hi)),
+                             * jacobian_integral(JacobianParams(Hs[i], dec.cd), lo, hi)),
                   dec.profile_deviation[i] <= tol)
         for i, needle in enumerate(dec.needles))
 
@@ -182,26 +174,23 @@ def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
         if not all(h <= H0 + slack * max(1.0, abs(H0)) for h in dec.H):
             raise ParameterError(
                 f"H0={H0} does not dominate the per-needle curvatures {dec.H}")
-        const_integral = _jacobian_integral(JacobianParams(H0, cd), -D, D)
+        const_integral = jacobian_integral(JacobianParams(H0, cd), -D, D)
         reports.append(needles_report("corollary-constant-H",
                                       [w * const_integral for w in weights]))
     if cd.K >= 0.0 and all(h <= slack for h in dec.H):
         reports.append(needles_report("corollary-diameter", [w * D for w in weights]))
     if cd.K > 0.0:
-        normalizer = model_density_normalizer(cd)
-        expo = 0.5 * (cd.N - 1.0)
-        factors = [kappa_eff(JacobianParams(h, cd)) ** expo for h in dec.H]
         reports.append(needles_report(
             "corollary-positive-K",
-            [w * normalizer * f for w, f in zip(weights, factors)]))
+            [w * model_rhs_constant_H(JacobianParams(h, cd)) for w, h in zip(weights, dec.H)]))
         if abs(cd.N - round(cd.N)) < 1e-12:
             n = int(round(cd.N))
             kap = cd.K / (cd.N - 1.0)
             ratio = (unit_sphere_volume(n) * kap ** (-0.5 * n)
                      / unit_sphere_volume(n - 1))
-            reports.append(needles_report(
-                "corollary-positive-K-spheres",
-                [w * ratio * f for w, f in zip(weights, factors)]))
+            reports.append(needles_report("corollary-positive-K-spheres", [
+                w * ratio * kappa_eff(JacobianParams(h, cd)) ** (0.5 * (cd.N - 1.0))
+                for w, h in zip(weights, dec.H)]))
     if not reports:
         raise ParameterError(
             "no corollary bound applies: provide a dominating H0, or satisfy "

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import ParameterError
+from .numerics import integrate
 
 
 @dataclass(frozen=True)
@@ -186,18 +187,11 @@ def _radial_kappa(p: JacobianParams) -> float:
     return p.K / (p.N - 1.0)
 
 
-def _jacobian_base(p: JacobianParams, r: float) -> float:
-    """cos_{K/(N-1)}(r) + H/(N-1) * sin_{K/(N-1)}(r), the (N-1)-th root of J."""
-    sn, cs = trig_kappa(_radial_kappa(p), r)
-    return cs + p.H / (p.N - 1.0) * sn
-
-
 def jacobian(p: JacobianParams, r: float) -> float:
-    """Volume distortion profile J_{H,K,N}(r), the positive part of the base
-    raised to the power N-1.  J(0) = 1; J is non-negative everywhere.
-
-    The same floats as _jacobian_base, computed in one frame from constants
-    cached on p: the quadrature of J calls this hundreds of thousands of times.
+    """Volume distortion profile J_{H,K,N}(r): the positive part of the base
+    cos_{K/(N-1)}(r) + H/(N-1) * sin_{K/(N-1)}(r) raised to the power N-1.
+    J(0) = 1; J is non-negative everywhere.  Computed in one frame from
+    constants cached on p, as the profile match calls it thousands of times.
     """
     kappa, rt, lam, m = p._consts
     if kappa > 0.0:
@@ -248,12 +242,12 @@ def _require_positive_curvature(cd: CurvatureDimension) -> float:
 
 
 def _half_beta(N: float) -> float:
-    """B(N/2, 1/2), the integral of sin^{N-1} over [0, pi]; log-gamma past
+    """B(N/2, 1/2), the integral of sin^{N-1} over [0, pi]; _log_beta past
     the range where Gamma(N/2) is finite."""
     a = 0.5 * N
     if a < 170.0:
         return math.sqrt(math.pi) * math.gamma(a) / math.gamma(a + 0.5)
-    return math.sqrt(math.pi) * math.exp(math.lgamma(a) - math.lgamma(a + 0.5))
+    return math.exp(_log_beta(a, 0.5))
 
 
 # Lentz's continued fraction: convergence test, floor for vanishing
@@ -271,13 +265,18 @@ def _check_beta_shape(a: float, b: float) -> None:
 
 
 def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    """log B(a, b); from a = 20 on, lgamma(a) - lgamma(a + b) by Stirling series
+    (DLMF 5.11.1), free of the rounding of two large lgamma values."""
+    if a < 20.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    tail = lambda x: (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * x * x)) / (x * x)) / (x * x)) / x
+    return (math.lgamma(b) - (a - 0.5) * math.log1p(b / a) - b * math.log(a + b) + b
+            + tail(a) - tail(a + b))
 
 
-def _beta_fraction(a: float, b: float, x: float, log_beta: float) -> float:
-    """I_x(a, b) as x^a (1-x)^b / (a B(a, b)) times the continued fraction
-    of DLMF 8.17.22, evaluated by the modified Lentz method; it converges
-    fast for x below (a + 1) / (a + b + 2)."""
+def _lentz_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of DLMF 8.17.22, evaluated by the modified Lentz
+    method; it converges fast for x below (a + 1) / (a + b + 2)."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
@@ -300,7 +299,7 @@ def _beta_fraction(a: float, b: float, x: float, log_beta: float) -> float:
             h *= step
         if abs(step - 1.0) <= _CF_EPS:
             break
-    return math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta) / a * h
+    return h
 
 
 def regularized_beta(a: float, b: float, x: float) -> float:
@@ -316,9 +315,13 @@ def regularized_beta(a: float, b: float, x: float) -> float:
 
 
 def _regularized_beta(a: float, b: float, x: float, log_beta: float) -> float:
-    if x > (a + 1.0) / (a + b + 2.0):
-        return 1.0 - _beta_fraction(b, a, 1.0 - x, log_beta)
-    return _beta_fraction(a, b, x, log_beta)
+    """I_x(a, b) as x^a (1-x)^b / (a B(a, b)) times _lentz_fraction, or 1 - I_{1-x}(b, a)."""
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x = b, a, 1.0 - x
+    h = _lentz_fraction(a, b, x)
+    part = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta) / a * h
+    return 1.0 - part if flip else part
 
 
 def inverse_regularized_beta(a: float, b: float, y: float) -> float:
@@ -389,18 +392,82 @@ def model_profile(cd: CurvatureDimension, v: float) -> float:
 
 
 def model_rhs_constant_H(p: JacobianParams) -> float:
-    """kappa_eff^{(N-1)/2} times the model density normalizer (K > 0).
+    """The integral of J_{H,K,N} (K > 0) over its full support: kappa_eff^{(N-1)/2}
+    times the model density normalizer or, where that alone overflows, the same
+    as (kappa_eff/kappa)^{(N-1)/2} B(N/2, 1/2) / sqrt(kappa)."""
+    kap = _require_positive_curvature(p.cd)
+    kap_eff, expo = kappa_eff(p), 0.5 * (p.cd.N - 1.0)
+    if -0.5 * p.cd.N * math.log(kap) < 700.0:
+        return kap_eff ** expo * model_density_normalizer(p.cd)
+    return (kap_eff / kap) ** expo * _half_beta(p.cd.N) / math.sqrt(kap)
 
-    Equals the integral of J_{H,K,N} over its full support: the base solves
-    the same oscillator as sqrt(kappa_eff) * sin_{K/(N-1)} up to translation.
-    """
-    _require_positive_curvature(p.cd)
-    kap_eff = kappa_eff(p)
-    return kap_eff ** (0.5 * (p.cd.N - 1.0)) * model_density_normalizer(p.cd)
+
+def jacobian_integral(p: JacobianParams, lo: float, hi: float) -> float:
+    """Integral of J over [lo, hi] within its support: a difference of masses from
+    the support end (K > 0) or from 0 (K = 0); the quadrature of J for K < 0 and
+    where terms or errors exceed that 256-fold.  Overflow is a ParameterError."""
+    sup_lo, sup_hi = jacobian_support(p)
+    a, b = max(lo, sup_lo), min(hi, sup_hi)
+    if not b > a:
+        return 0.0
+    kappa, _, lam, _ = p._consts
+    total, scale = 0.0, math.inf
+    try:
+        if kappa > 0.0:
+            k_a, part_a, err_a = (0, 0.0, 0.0) if a == sup_lo else _jacobian_mass_to(p, a)
+            k_b, part_b, err_b = (2, 0.0, 0.0) if b == sup_hi else _jacobian_mass_to(p, b)
+            whole = 0.5 * (k_b - k_a) * model_rhs_constant_H(p) if k_b != k_a else 0.0
+            total, scale = whole + part_b - part_a, max(abs(whole), err_a, err_b)
+        elif kappa == 0.0:
+            part_a, part_b = _power_mass_to(lam, p.N, a), _power_mass_to(lam, p.N, b)
+            total, scale = part_b - part_a, max(abs(part_a), abs(part_b))
+        if not scale <= 256.0 * total:
+            total = integrate(partial(jacobian, p), a, b)
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total):
+        raise ParameterError("the distortion profile J overflows a float at these parameters")
+    return total
+
+
+def _jacobian_mass_to(p: JacobianParams, r: float) -> tuple[int, float, float]:
+    """(halves, part, err): J's mass (K > 0) from its lower support end to r is
+    halves half masses plus part, the incomplete beta tail (DLMF 8.17.22) to the
+    nearer support end or, past the switch of its continued fraction, to the
+    peak; err = J(r) (|r| + 1/rt) bounds the error rounding r passes to part.
+    J(r) = (A sin v)^{N-1}, A^2 = 1 + c^2, v = rt r + atan2(1, c), rt = sqrt(kappa)."""
+    _, rt, lam, m = p._consts
+    c = lam / rt
+    sn, cs = math.sin(rt * r), math.cos(rt * r)
+    base, slope = cs + c * sn, c * cs - sn
+    if base <= 0.0:  # r rounds onto or past the end of the support
+        return (0 if slope >= 0.0 else 2), 0.0, 0.0
+    amp, a, jac = math.sqrt(1.0 + c * c), 0.5 * (m + 1.0), base ** m
+    sin_v, cos_v = base / amp, abs(slope) / amp
+    if sin_v * sin_v <= (a + 1.0) / (a + 2.5):  # 1/2 B(sin^2 v; a, 1/2) to the end
+        tail = jac * sin_v * cos_v * _lentz_fraction(a, 0.5, sin_v * sin_v) / ((m + 1.0) * rt)
+        halves, part = (0, tail) if slope >= 0.0 else (2, -tail)
+    else:  # 1/2 B(cos^2 v; 1/2, a) to the peak
+        tail = jac * sin_v * cos_v * _lentz_fraction(0.5, a, cos_v * cos_v) / rt
+        halves, part = 1, (-tail if slope >= 0.0 else tail)
+    return halves, part, jac * (abs(r) + 1.0 / rt)
+
+
+def _power_mass_to(lam: float, N: float, r: float) -> float:
+    """Integral of (1 + lam s)_+^{N-1} over [0, r], by expm1 and log1p below lam r = 1."""
+    x = lam * r
+    if x == 0.0 or x <= -1.0:
+        return r if x == 0.0 else -1.0 / (lam * N)
+    if x < 1.0:
+        return math.expm1(N * math.log1p(x)) / (lam * N)
+    return ((1.0 + x) ** N - 1.0) / (lam * N)
 
 
 def unit_sphere_volume(dim: int) -> float:
-    """Riemannian volume of the round unit sphere of the given dimension."""
+    """Riemannian volume of the round unit sphere of the given dimension;
+    log-gamma from dim = 342 on, where Gamma((dim + 1) / 2) overflows."""
     if dim < 0:
         raise ParameterError(f"sphere dimension must be >= 0, got {dim}")
-    return 2.0 * math.pi ** (0.5 * (dim + 1)) / math.gamma(0.5 * (dim + 1))
+    h = 0.5 * (dim + 1)
+    return 2.0 * (math.pi ** h / math.gamma(h) if dim < 342
+                  else math.exp(h * math.log(math.pi) - math.lgamma(h)))

@@ -496,6 +496,17 @@ def test_sturm_power_overflow_is_a_typed_error(capsys):
     assert "Traceback" not in out
 
 
+def test_area_of_a_400_ball_no_longer_overflows(capsys):
+    # the area constant of the 399-sphere is 1.37e-273; the run now reaches
+    # decompose, where s^399 underflows next to the centre
+    assert main(["run", str(CONFIGS / "euclidean_ball.cfg"), "--set", "geometry.n=400",
+                 "--path", "-"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL check=decompose reason=ParameterError: density must be "
+                          "positive")
+    assert "Traceback" not in out
+
+
 @pytest.mark.parametrize("n, radius, r0, where, what", [
     (400, 1e4, 100.0, "config", "overflows"),  # Gamma(200) in the sphere's area
     (210, 0.01, 0.01, "decompose", "underflows"),  # the total mass is below 1e-324

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import betaincinv
 
 from needlecomp import CurvatureDimension, ParameterError, model_profile
-from needlecomp.model1d import inverse_regularized_beta, regularized_beta
+from needlecomp.model1d import _log_beta, inverse_regularized_beta, regularized_beta
 
 DPS = 40
 DRAWS = 300
@@ -52,6 +52,30 @@ def test_regularized_beta_matches_mpmath():
             assert abs(got / expected - 1) <= 1e-12, (a, b, x, got, expected)
             checked += 1
     assert checked > DRAWS // 2
+
+
+def test_regularized_beta_past_its_complement_switch_at_large_a():
+    # x a little above (a + 1) / (a + b + 2) with a = N/2 large: 1 - I_{1-x}(b, a)
+    # with I near 0.9 amplifies the error of log B(a, b) tenfold, so lgamma(a)
+    # - lgamma(a + b) is taken from Stirling series there
+    rng = random.Random(8104)
+    with mp.workdps(DPS):
+        for _ in range(DRAWS):
+            a, b = 0.5 * rng.uniform(100.0, 400.0), 0.5
+            switch = (a + 1.0) / (a + b + 2.0)
+            x = switch + (1.0 - switch) * rng.uniform(0.0, 0.5)
+            expected = mp.betainc(a, b, 0, x, regularized=True)
+            got = regularized_beta(a, b, x)
+            assert abs(got / expected - 1) <= 1e-12, (a, x, got, expected)
+
+
+def test_log_beta_matches_mpmath_on_both_sides_of_the_stirling_switch():
+    for a in (19.5, 20.0, 20.5, 60.0, 200.0, 1e4):
+        for b in (0.5, 3.0, 30.0):
+            with mp.workdps(DPS):
+                expected = mp.log(mp.beta(a, b))
+                got = _log_beta(a, b)
+                assert abs(got - expected) <= 4e-15 * max(1.0, abs(expected)), (a, b)
 
 
 def _condition(a, b, y, x):

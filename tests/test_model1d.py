@@ -13,6 +13,7 @@ from needlecomp import (CurvatureDimension, JacobianParams, ParameterError,
                         model_density_normalizer, model_profile,
                         model_rhs_constant_H, pi_kappa, sigma, sigma_kappa,
                         tau, trig_kappa, unit_sphere_volume)
+from needlecomp.model1d import _radial_kappa
 
 
 def jp(H, K, N):
@@ -196,6 +197,12 @@ def test_jacobian_addition_identity():
                 assert jacobian(p, float(r)) == pytest.approx(expected, rel=1e-12)
 
 
+def _jacobian_base(p, r):
+    """cos_{K/(N-1)}(r) + H/(N-1) * sin_{K/(N-1)}(r), the (N-1)-th root of J."""
+    sn, cs = trig_kappa(_radial_kappa(p), r)
+    return cs + p.H / (p.N - 1.0) * sn
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -209,7 +216,6 @@ def _outcome(fn, *args):
        r=st.floats(-1e3, 1e3))
 def test_jacobian_is_its_clipped_base_to_the_power(H, sign, K, N, r):
     # bit for bit, K < 0, K = 0 and K > 0 alike, overflow of sinh or ** included
-    from needlecomp.model1d import _jacobian_base
     p = jp(H, sign * K, N)
     base = _outcome(_jacobian_base, p, r)
     if base is not OverflowError:
@@ -242,7 +248,6 @@ def test_jacobian_monotonicity(H, K, N, r, bump):
 def _support_oracle(p, lo, hi):
     # the base must vanish at finite endpoints, stay positive inside, and be
     # negative just outside
-    from needlecomp.model1d import _jacobian_base
     if math.isfinite(lo):
         assert abs(_jacobian_base(p, lo)) < 1e-12
         assert _jacobian_base(p, lo - 1e-3) < 0.0
@@ -431,6 +436,15 @@ def test_unit_sphere_volume():
     assert unit_sphere_volume(1) == pytest.approx(2 * math.pi, rel=1e-14)
     assert unit_sphere_volume(2) == pytest.approx(4 * math.pi, rel=1e-14)
     assert unit_sphere_volume(3) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [100, 340, 341, 342, 343, 399, 420])
+def test_unit_sphere_volume_past_gamma_overflow(dim):
+    # Gamma((dim + 1) / 2) overflows from dim = 343 on; the area is tiny and finite
+    with mp.workdps(ORACLE_DPS):
+        half = mp.mpf(dim + 1) / 2
+        expected = 2 * mp.pi ** half / mp.gamma(half)
+    assert abs(unit_sphere_volume(dim) / expected - 1) <= 1e-12
 
 
 def test_curvature_dimension_validation():

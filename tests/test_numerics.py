@@ -7,6 +7,7 @@ scipy is needed by these tests only; the package never imports it.
 
 import math
 import warnings
+from functools import partial
 from pathlib import Path
 
 import mpmath as mp
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sciint
 
-from needlecomp import GeodesicSphere, RoundSphere, decompose, numerics
+from needlecomp import GeodesicSphere, RoundSphere, decompose, hk, numerics
 from needlecomp.cli import parse_config, run
+from needlecomp.model1d import jacobian, jacobian_support
 from needlecomp.numerics import (QUAD_ABS_TOL, QUAD_LIMIT, QUAD_REL_TOL, dqagse,
                                  integrate)
 
@@ -95,15 +97,24 @@ def test_tiny_total_mass_meets_the_relative_target():
 
 
 def _shipped_integrals(monkeypatch, path, overrides=()):
-    """Every (fn, a, b) that running the config integrates."""
+    """Every (fn, a, b, value) that running the config integrates: value is
+    None for a quadrature, and for an integral of J that hk asks
+    jacobian_integral for, its value (fn is then J, [a, b] its clipped range)."""
     calls = []
-    original = numerics.dqagse
+    original, original_jacobian_integral = numerics.dqagse, hk.jacobian_integral
 
     def recording(fn, a, b, *rest):
-        calls.append((fn, a, b))
+        calls.append((fn, a, b, None))
         return original(fn, a, b, *rest)
 
+    def recording_jacobian_integral(p, lo, hi):
+        value = original_jacobian_integral(p, lo, hi)
+        sup_lo, sup_hi = jacobian_support(p)
+        calls.append((partial(jacobian, p), max(lo, sup_lo), min(hi, sup_hi), value))
+        return value
+
     monkeypatch.setattr(numerics, "dqagse", recording)
+    monkeypatch.setattr(hk, "jacobian_integral", recording_jacobian_integral)
     config = parse_config(path.read_text(),
                           overrides=["output.path=-", *overrides])
     run(config)
@@ -114,7 +125,8 @@ def _shipped_integrals(monkeypatch, path, overrides=()):
 @pytest.mark.parametrize("name", ["sphere_equator", "suspension", "euclidean_ball",
                                   "truncated_interval"])
 def test_shipped_densities_and_jacobians_match_quad(name, monkeypatch, capsys):
-    # the densities (masses and tube volumes) and J (the hk right sides)
+    # the densities (masses and tube volumes) and J (the hk right sides); the
+    # closed form of J is checked against the same quadrature
     checks = "run.checks=hk-outer,hk-full,corollaries,minkowski"
     overrides = [checks, "run.t_values=0.1,0.5,1.5"]
     if name != "euclidean_ball":
@@ -122,8 +134,11 @@ def test_shipped_densities_and_jacobians_match_quad(name, monkeypatch, capsys):
     calls = _shipped_integrals(monkeypatch, CONFIGS / f"{name}.cfg", overrides)
     capsys.readouterr()
     assert len(calls) >= 8
-    for fn, a, b in calls:
+    for fn, a, b, closed in calls:
         assert_matches_quad(fn, a, b)
+        if closed is not None:
+            quad = integrate(fn, a, b)
+            assert abs(closed - quad) <= 1e-12 * abs(quad), (a, b, closed, quad)
 
 
 @settings(max_examples=60, deadline=None)
