@@ -10,12 +10,10 @@ from .errors import (ConfigError, CurvatureError, DegenerateSurfaceError,
                      DomainError, InequalityViolation, NeedlecompError,
                      ParameterError)
 from .geometry import (EuclideanBall, GeodesicSphere, GeometrySpec, LevelPoint,
-                       MeanCurvature, NeedleDecomposition, RoundSphere,
-                       SphericalSuspension, SurfaceSpec, WeightedInterval,
-                       constant_interval, decompose, default_epsilons,
-                       disintegration_defect, inner_mass, mean_curvature_field,
-                       minkowski_content, minkowski_content_from_dec,
-                       model_interval, signed_distance, tube_volume)
+                       NeedleDecomposition, RoundSphere, SphericalSuspension,
+                       SurfaceSpec, WeightedInterval, constant_interval, decompose,
+                       inner_mass, minkowski_content_from_dec, model_interval,
+                       tube_volume)
 from .hk import (DEFAULT_EQUALITY_TOL, HKReport, LevyGromovReport, PerNeedle,
                  RigidityReport, TOLERANCE_ENV_VAR, closed_form_bounds,
                  equality_detect, equality_tolerance, hk_full, hk_outer,
@@ -24,8 +22,7 @@ from .model1d import (CurvatureDimension, JacobianParams, cos_kappa, jacobian,
                       jacobian_integral, jacobian_support, kappa_eff,
                       model_density_normalizer,
                       model_profile, model_rhs_constant_H, pi_kappa, sigma,
-                      sigma_kappa, sin_kappa, tau, trig_kappa,
-                      unit_sphere_volume)
+                      sigma_kappa, sin_kappa, tau, unit_sphere_volume)
 from .needle import (CdDensityReport, DensityProfile, Needle, RatioReport,
                      SturmReport, check_cd_density, density_ratio_check,
                      laplacian_regular_part, needle_mass,

@@ -19,10 +19,8 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .errors import ConfigError, NeedlecompError, ParameterError
-from .geometry import (EuclideanBall, GeodesicSphere, GeometrySpec, LevelPoint,
-                       NeedleDecomposition, RoundSphere, SphericalSuspension,
-                       SurfaceSpec, _radial_model, constant_interval, decompose,
-                       minkowski_content_from_dec, model_interval)
+from .geometry import (GEOMETRY_KINDS, GeometryKind, GeometrySpec, NeedleDecomposition,
+                       SurfaceSpec, decompose, minkowski_content_from_dec, radial_model)
 from .hk import (closed_form_bounds, equality_detect, equality_tolerance, hk_full,
                  hk_outer, levy_gromov_check)
 from .model1d import CurvatureDimension, JacobianParams, jacobian, model_profile
@@ -31,16 +29,8 @@ from .numerics import INEQ_SLACK
 
 CHECK_NAMES = ("cd-density", "sturm", "ratio", "hk-outer", "hk-full",
                "corollaries", "levy-gromov", "rigidity", "minkowski")
-GEOMETRY_KINDS = ("weighted-interval", "round-sphere", "euclidean-ball",
-                  "spherical-suspension")
 MINKOWSKI_REL_TOL = 1e-6
 
-_GEOMETRY_KEYS = {
-    "weighted-interval": {"kind", "K", "N", "density", "length"},
-    "round-sphere": {"kind", "n", "radius"},
-    "euclidean-ball": {"kind", "n", "R"},
-    "spherical-suspension": {"kind", "K", "N", "base_volume"},
-}
 _SECTION_KEYS = {
     "surface": {"r0"},
     "run": {"checks", "t_values", "expect", "tolerance", "grid_size", "H0",
@@ -196,43 +186,30 @@ def _as_float_list(raw: _Value, key: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _build_geometry(view: _SectionView) -> GeometrySpec:
-    kind_raw = view.require("kind")
-    kind, lineno = kind_raw
-    if kind not in GEOMETRY_KINDS:
-        raise ConfigError(f"unknown geometry kind {kind!r}; expected one of "
+def _as_geometry_value(raw: _Value, key: str):
+    """A [geometry] value: n is the only integer key and density the only string."""
+    if key == "n":
+        return _as_int(raw, key)
+    return raw[0] if key == "density" else _as_float(raw, key)
+
+
+def _build_geometry(view: _SectionView) -> tuple[GeometrySpec, GeometryKind]:
+    name, lineno = view.require("kind")
+    kind = GEOMETRY_KINDS.get(name)
+    if kind is None:
+        raise ConfigError(f"unknown geometry kind {name!r}; expected one of "
                           f"{', '.join(GEOMETRY_KINDS)}", line=lineno, key="kind")
-    view.reject_unknown(_GEOMETRY_KEYS[kind])
+    view.reject_unknown({"kind", *kind.keys, *kind.optional})
+    values, lines = {}, {}
+    for key in kind.keys + kind.optional:
+        raw = view.require(key) if key in kind.keys else view.take(key)
+        if raw is not None:
+            values[key], lines[key] = _as_geometry_value(raw, key), raw[1]
     try:
-        if kind == "round-sphere":
-            return RoundSphere(n=_as_int(view.require("n"), "n"),
-                               radius=_as_float(view.require("radius"), "radius"))
-        if kind == "euclidean-ball":
-            return EuclideanBall(n=_as_int(view.require("n"), "n"),
-                                 R=_as_float(view.require("R"), "R"))
-        if kind == "spherical-suspension":
-            cd = CurvatureDimension(_as_float(view.require("K"), "K"),
-                                    _as_float(view.require("N"), "N"))
-            return SphericalSuspension(cd=cd,
-                                       base_volume=_as_float(view.require("base_volume"),
-                                                             "base_volume"))
-        cd = CurvatureDimension(_as_float(view.require("K"), "K"),
-                                _as_float(view.require("N"), "N"))
-        density_raw = view.take("density")
-        density = density_raw[0] if density_raw else "model"
-        length_raw = view.take("length")
-        length = _as_float(length_raw, "length") if length_raw else None
-        if density == "model":
-            return model_interval(cd, length=length)
-        if density == "constant":
-            if length is None:
-                raise ConfigError("constant density requires a length", key="length")
-            return constant_interval(length, cd)
-        raise ConfigError(f"unknown density family {density!r} (model or constant)",
-                          line=density_raw[1], key="density")
+        return kind.build(**values), kind
+    except ConfigError as exc:  # it names a key: add the line that key came from
+        raise ConfigError(exc.reason, line=lines.get(exc.key), key=exc.key) from None
     except NeedlecompError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc), line=lineno)
 
 
@@ -247,23 +224,17 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
         if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
 
-    geometry = _build_geometry(_SectionView("geometry", sections["geometry"]))
+    geometry, kind = _build_geometry(_SectionView("geometry", sections["geometry"]))
 
     surf_view = _SectionView("surface", sections["surface"])
     surf_view.reject_unknown(_SECTION_KEYS["surface"])
     r0_raw = surf_view.require("r0")
     r0 = _as_float(r0_raw, "r0")
-    length = _radial_model(geometry).length
+    length = radial_model(geometry).length
     if not 0.0 < r0 < length:
-        where = "pole" if isinstance(geometry, (RoundSphere, SphericalSuspension)) \
-            else "boundary"
-        raise ConfigError(f"surface touches {where}: r0={r0} must lie strictly "
+        raise ConfigError(f"surface touches {kind.end}: r0={r0} must lie strictly "
                           f"inside (0, {length})", line=r0_raw[1], key="r0")
-    surface: SurfaceSpec
-    if isinstance(geometry, (RoundSphere, EuclideanBall, SphericalSuspension)):
-        surface = GeodesicSphere(r0)
-    else:
-        surface = LevelPoint(r0)
+    surface = kind.surface(r0)
 
     run_view = _SectionView("run", sections["run"])
     run_view.reject_unknown(_SECTION_KEYS["run"])

@@ -6,20 +6,22 @@ density on [0, L].  All needles through a geodesic sphere are congruent and the
 quotient collapses to one representative needle whose weight is the total mass.
 Needle densities are stored normalized to probability measures, with the
 normalizer folded into the weight; the surface measure total is weight * h(0).
+GEOMETRY_KINDS describes each kind once, keyed by its configuration name.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
 
-from .errors import (CurvatureError, DegenerateSurfaceError, DomainError,
+from .errors import (ConfigError, CurvatureError, DegenerateSurfaceError,
                      ParameterError)
-from .model1d import (CurvatureDimension, JacobianParams, jacobian, pi_kappa,
-                      unit_sphere_volume)
-from .needle import DensityProfile, Needle, needle_mass, one_sided_log_derivative
+from .model1d import (J_OVERFLOWS, CurvatureDimension, JacobianParams, jacobian,
+                      pi_kappa, unit_sphere_volume)
+from .needle import DensityProfile, Needle, one_sided_log_derivative
 from .numerics import extrapolate_to_zero, integrate
 
 # Interior points at which a needle density is compared with h(0) J_H.
@@ -115,13 +117,6 @@ SurfaceSpec = Union[LevelPoint, GeodesicSphere]
 
 
 @dataclass(frozen=True)
-class MeanCurvature:
-    H_plus: float
-    H_minus: float
-    H: float
-
-
-@dataclass(frozen=True)
 class NeedleDecomposition:
     """Weighted needle family for one geometry/surface pair, with the surface
     measure total and per-needle mean curvatures."""
@@ -138,28 +133,39 @@ class NeedleDecomposition:
     @cached_property
     def profile_deviation(self) -> tuple[float, ...]:
         """Per needle, max |h(r)/h(0) - J_H(r)| / max(J_H(r), 1e-12) over
-        PROFILE_MATCH_POINTS interior points; computed on first use."""
+        PROFILE_MATCH_POINTS interior points; computed on first use.  A J that
+        overflows a float there is a ParameterError."""
         deviations = []
         for needle, H in zip(self.needles, self.H):
             params, p = JacobianParams(H, self.cd), needle.profile
             h0, worst = p.fn(0.0), 0.0
-            for i in range(PROFILE_MATCH_POINTS):
-                r = p.a + (p.b - p.a) * (i + 1.0) / (PROFILE_MATCH_POINTS + 1.0)
-                bound = jacobian(params, r)
-                worst = max(worst, abs(p.fn(r) / h0 - bound) / max(bound, 1e-12))
+            try:
+                for i in range(PROFILE_MATCH_POINTS):
+                    r = p.a + (p.b - p.a) * (i + 1.0) / (PROFILE_MATCH_POINTS + 1.0)
+                    bound = jacobian(params, r)
+                    worst = max(worst, abs(p.fn(r) / h0 - bound) / max(bound, 1e-12))
+            except OverflowError:
+                raise ParameterError(J_OVERFLOWS) from None
             deviations.append(worst)
         return tuple(deviations)
 
 
 @dataclass(frozen=True)
 class _RadialModel:
-    kind: str
     length: float
+    diameter: float
     density: Callable[[float], float]
     density_deriv: Optional[Callable[[float], float]]
-    cd: CurvatureDimension
-    diameter: float
     mode: Optional[float]  # where the density peaks, as DensityProfile.mode
+
+
+def _sin_power(cd: CurvatureDimension, scale: float = 1.0):
+    """scale * sin_{K/(N-1)}^{N-1} and its derivative, clamped at 0 past pi_kappa."""
+    expo = cd.N - 1.0
+    rt = math.sqrt(cd.K / expo)  # sin_kappa(kap, r) is math.sin(rt * r) / rt
+    return (lambda r: scale * max(math.sin(rt * r) / rt, 0.0) ** expo,
+            lambda r: (scale * expo * max(math.sin(rt * r) / rt, 0.0) ** (expo - 1.0)
+                       * math.cos(rt * r)))
 
 
 def model_interval(cd: CurvatureDimension, length: Optional[float] = None,
@@ -168,16 +174,12 @@ def model_interval(cd: CurvatureDimension, length: Optional[float] = None,
     [0, length], with length defaulting to the full model diameter."""
     if cd.K <= 0.0 or cd.N <= 1.0:
         raise ParameterError("model interval requires K > 0 and N > 1")
-    kap = cd.K / (cd.N - 1.0)
-    full = pi_kappa(kap)
+    full = pi_kappa(cd.K / (cd.N - 1.0))
     if length is None:
         length = full
     if not 0.0 < length <= full:
         raise ParameterError(f"length must lie in (0, {full}], got {length}")
-    expo = cd.N - 1.0
-    rt = math.sqrt(kap)  # sin_kappa(kap, r) is math.sin(rt * r) / rt
-    fn = lambda r: max(math.sin(rt * r) / rt, 0.0) ** expo
-    deriv = lambda r: expo * max(math.sin(rt * r) / rt, 0.0) ** (expo - 1.0) * math.cos(rt * r)
+    fn, deriv = _sin_power(cd)
     try:
         profile = DensityProfile(0.0, length, fn, deriv=deriv, grid_size=grid_size,
                                  mode=min(length, 0.5 * full))
@@ -194,86 +196,98 @@ def constant_interval(length: float, cd: CurvatureDimension,
     return WeightedInterval(length=length, density=profile, cd=cd)
 
 
-def _radial_model(geom: GeometrySpec) -> _RadialModel:
-    try:
-        if isinstance(geom, WeightedInterval):
-            return _RadialModel("weighted-interval", geom.length, geom.density.fn,
-                                geom.density.deriv, geom.cd, geom.length, geom.density.mode)
-        if isinstance(geom, RoundSphere):
-            n, radius = geom.n, geom.radius
-            scale = unit_sphere_volume(n - 1) * radius ** (n - 1)
-            density = lambda s: scale * max(math.sin(s / radius), 0.0) ** (n - 1)
-            deriv = lambda s: (scale * (n - 1) * max(math.sin(s / radius), 0.0) ** (n - 2)
-                               * math.cos(s / radius) / radius)
-            return _RadialModel("round-sphere", math.pi * radius, density, deriv,
-                                geom.cd, math.pi * radius, 0.5 * math.pi * radius)
-        if isinstance(geom, EuclideanBall):
-            n, R = geom.n, geom.R
-            scale = unit_sphere_volume(n - 1)
-            density = lambda s: scale * s ** (n - 1)
-            if n == 1:
-                deriv = lambda s: 0.0
-            else:
-                deriv = lambda s: scale * (n - 1) * s ** (n - 2)
-            return _RadialModel("euclidean-ball", R, density, deriv, geom.cd, 2.0 * R, R)
-        if isinstance(geom, SphericalSuspension):
-            cd = geom.cd
-            kap = cd.K / (cd.N - 1.0)
-            top = pi_kappa(kap)
-            expo = cd.N - 1.0
-            vol = geom.base_volume
-            rt = math.sqrt(kap)  # sin_kappa(kap, s) is math.sin(rt * s) / rt
-            density = lambda s: vol * max(math.sin(rt * s) / rt, 0.0) ** expo
-            deriv = lambda s: (vol * expo * max(math.sin(rt * s) / rt, 0.0) ** (expo - 1.0)
-                               * math.cos(rt * s))
-            return _RadialModel("spherical-suspension", top, density, deriv, cd, top, 0.5 * top)
+def _configured_interval(K: float, N: float, density: str = "model",
+                         length: Optional[float] = None) -> WeightedInterval:
+    cd = CurvatureDimension(K, N)
+    if density == "model":
+        return model_interval(cd, length=length)
+    if density == "constant":
+        if length is None:
+            raise ConfigError("constant density requires a length", key="length")
+        return constant_interval(length, cd)
+    raise ConfigError(f"unknown density family {density!r} (model or constant)",
+                      key="density")
+
+
+def _interval_radial(geom: WeightedInterval) -> _RadialModel:
+    p = geom.density
+    return _RadialModel(geom.length, geom.length, p.fn, p.deriv, p.mode)
+
+
+def _sphere_radial(geom: RoundSphere) -> _RadialModel:
+    n, radius = geom.n, geom.radius
+    scale = unit_sphere_volume(n - 1) * radius ** (n - 1)
+    density = lambda s: scale * max(math.sin(s / radius), 0.0) ** (n - 1)
+    deriv = lambda s: (scale * (n - 1) * max(math.sin(s / radius), 0.0) ** (n - 2)
+                       * math.cos(s / radius) / radius)
+    return _RadialModel(math.pi * radius, math.pi * radius, density, deriv,
+                        0.5 * math.pi * radius)
+
+
+def _ball_radial(geom: EuclideanBall) -> _RadialModel:
+    n, scale = geom.n, unit_sphere_volume(geom.n - 1)
+    deriv = (lambda s: 0.0) if n == 1 else (lambda s: scale * (n - 1) * s ** (n - 2))
+    return _RadialModel(geom.R, 2.0 * geom.R, lambda s: scale * s ** (n - 1), deriv, geom.R)
+
+
+def _suspension_radial(geom: SphericalSuspension) -> _RadialModel:
+    top = pi_kappa(geom.cd.K / (geom.cd.N - 1.0))
+    density, deriv = _sin_power(geom.cd, geom.base_volume)
+    return _RadialModel(top, top, density, deriv, 0.5 * top)
+
+
+@dataclass(frozen=True)
+class GeometryKind:
+    """One geometry kind: its configuration keys and how they build it, the
+    surface class it takes, and its radial model."""
+
+    name: str  # the config value of [geometry] kind
+    cls: type
+    keys: tuple[str, ...]  # required config keys besides kind
+    optional: tuple[str, ...]  # optional config keys
+    build: Callable[..., GeometrySpec]  # the geometry from its keys, by keyword
+    surface: type  # GeodesicSphere or LevelPoint
+    end: str  # what a surface at either end of the radial range touches
+    radial: Callable[..., _RadialModel]
+
+
+GEOMETRY_KINDS = {kind.name: kind for kind in (
+    GeometryKind("weighted-interval", WeightedInterval, ("K", "N"), ("density", "length"),
+                 _configured_interval, LevelPoint, "boundary", _interval_radial),
+    GeometryKind("round-sphere", RoundSphere, ("n", "radius"), (), RoundSphere,
+                 GeodesicSphere, "pole", _sphere_radial),
+    GeometryKind("euclidean-ball", EuclideanBall, ("n", "R"), (), EuclideanBall,
+                 GeodesicSphere, "boundary", _ball_radial),
+    GeometryKind("spherical-suspension", SphericalSuspension, ("K", "N", "base_volume"), (),
+                 lambda K, N, base_volume: SphericalSuspension(CurvatureDimension(K, N),
+                                                               base_volume),
+                 GeodesicSphere, "pole", _suspension_radial),
+)}
+_KIND_OF_CLASS = {kind.cls: kind for kind in GEOMETRY_KINDS.values()}
+
+
+def _kind_of(geom: GeometrySpec) -> GeometryKind:
+    """The GEOMETRY_KINDS entry of the geometry's class."""
+    kind = _KIND_OF_CLASS.get(type(geom))
+    if kind is None:
         raise ParameterError(f"unsupported geometry {geom!r}")
+    return kind
+
+
+@contextmanager
+def _density_overflow_is_parameter_error(kind: GeometryKind):
+    try:
+        yield
     except OverflowError:
-        raise ParameterError(f"the radial density of {type(geom).__name__} overflows "
-                             "a float at these parameters") from None
+        raise ParameterError(f"the radial density of {kind.name} overflows a float "
+                             "at these parameters") from None
 
 
-def _surface_offset(geom: GeometrySpec, surf: SurfaceSpec, model: _RadialModel) -> float:
-    if isinstance(geom, WeightedInterval):
-        if not isinstance(surf, LevelPoint):
-            raise ParameterError("a weighted interval takes a LevelPoint surface")
-    elif not isinstance(surf, GeodesicSphere):
-        raise ParameterError(f"{model.kind} takes a GeodesicSphere surface")
-    r0 = surf.r0
-    if not 0.0 < r0 < model.length:
-        raise DegenerateSurfaceError(
-            f"surface at r0={r0} touches the boundary of the radial range "
-            f"(0, {model.length}) of {model.kind}")
-    return r0
-
-
-def signed_distance(geom: GeometrySpec, surf: SurfaceSpec, x: float) -> float:
-    """Signed distance of the point at radial coordinate x from the surface:
-    negative inside the inner region, zero on the surface, positive outside."""
-    model = _radial_model(geom)
-    r0 = _surface_offset(geom, surf, model)
-    if not 0.0 <= x <= model.length:
-        raise DomainError(f"radial coordinate {x} outside [0, {model.length}]")
-    return x - r0
-
-
-def _needle_curvature(needle: Needle) -> MeanCurvature:
-    profile = needle.profile
-    d_plus = one_sided_log_derivative(profile, 0.0, "plus")
-    d_minus = one_sided_log_derivative(profile, 0.0, "minus")
-    if math.isinf(d_plus) or math.isinf(d_minus):
-        raise CurvatureError("needle has infinite one-sided curvature at its base")
-    # Inner mean curvature is the outer one of the role-swapped configuration,
-    # i.e. -d^- log h(0); then H = max(H_plus, -H_minus) = max(d^+, d^-) log h(0).
-    return MeanCurvature(H_plus=d_plus, H_minus=-d_minus, H=max(d_plus, d_minus))
-
-
-def mean_curvature_field(dec: NeedleDecomposition) -> tuple[MeanCurvature, ...]:
-    """Recompute (H_plus, H_minus, H) for every needle of the decomposition."""
-    for needle in dec.needles:
-        if not needle.profile.a < 0.0 < needle.profile.b:
-            raise DomainError("needle base must lie in the open interval")
-    return tuple(_needle_curvature(n) for n in dec.needles)
+def radial_model(geom: GeometrySpec) -> _RadialModel:
+    """The radial density of the geometry on [0, length], with its diameter."""
+    kind = _kind_of(geom)
+    with _density_overflow_is_parameter_error(kind):
+        return kind.radial(geom)
 
 
 def decompose(geom: GeometrySpec, surf: SurfaceSpec,
@@ -286,17 +300,23 @@ def decompose(geom: GeometrySpec, surf: SurfaceSpec,
     interval endpoint), CurvatureError when the base curvature is infinite,
     and ParameterError when the density overflows or its mass underflows a float.
     """
-    model = _radial_model(geom)
-    if model.cd.N <= 1.0:
-        raise ParameterError(f"needle calculus requires N > 1, got N={model.cd.N}")
-    r0 = _surface_offset(geom, surf, model)
-
-    density = model.density
-    density_deriv = model.density_deriv
-    try:
+    kind = _kind_of(geom)
+    with _density_overflow_is_parameter_error(kind):
+        model = kind.radial(geom)
+        if geom.cd.N <= 1.0:
+            raise ParameterError(f"needle calculus requires N > 1, got N={geom.cd.N}")
+        if not isinstance(surf, kind.surface):
+            raise ParameterError(f"{kind.name} takes a {kind.surface.__name__} surface")
+        r0 = surf.r0
+        if not 0.0 < r0 < model.length:
+            raise DegenerateSurfaceError(
+                f"surface at r0={r0} touches the boundary of the radial range "
+                f"(0, {model.length}) of {kind.name}")
+        density = model.density
+        density_deriv = model.density_deriv
         total = integrate(density, 0.0, model.length)
         if total == 0.0:
-            raise ParameterError(f"the total mass of {model.kind} underflows to 0")
+            raise ParameterError(f"the total mass of {kind.name} underflows to 0")
         fn = lambda r: density(r0 + r) / total
         deriv = None
         if density_deriv is not None:
@@ -304,21 +324,21 @@ def decompose(geom: GeometrySpec, surf: SurfaceSpec,
         profile = DensityProfile(-r0, model.length - r0, fn, deriv=deriv,
                                  grid_size=grid_size,
                                  mode=None if model.mode is None else model.mode - r0)
-        needle = Needle(profile=profile, weight=total)
-        curvature = _needle_curvature(needle)
-    except OverflowError:
-        raise ParameterError(f"the radial density of {model.kind} overflows a float "
-                             "at these parameters") from None
-    surface_total = needle.weight * profile.fn(0.0)
+        d_plus = one_sided_log_derivative(profile, 0.0, "plus")
+        d_minus = one_sided_log_derivative(profile, 0.0, "minus")
+    if math.isinf(d_plus) or math.isinf(d_minus):
+        raise CurvatureError("needle has infinite one-sided curvature at its base")
+    # Inner mean curvature is the outer one of the role-swapped configuration,
+    # i.e. -d^- log h(0); then H = max(H_plus, -H_minus) = max(d^+, d^-) log h(0).
     return NeedleDecomposition(
-        needles=(needle,),
+        needles=(Needle(profile=profile, weight=total),),
         total_mass=total,
         diameter=model.diameter,
-        cd=model.cd,
-        surface_total=surface_total,
-        H_plus=(curvature.H_plus,),
-        H_minus=(curvature.H_minus,),
-        H=(curvature.H,),
+        cd=geom.cd,
+        surface_total=total * profile.fn(0.0),
+        H_plus=(d_plus,),
+        H_minus=(-d_minus,),
+        H=(max(d_plus, d_minus),),
     )
 
 
@@ -343,29 +363,18 @@ def inner_mass(dec: NeedleDecomposition) -> float:
     return tube_volume(dec, dec.diameter, "inner")
 
 
-def default_epsilons(scale: float) -> tuple[float, float, float]:
-    """Tube-width schedule for Minkowski content extrapolation.
-
-    Quadratic extrapolation leaves an error of order eps1*eps2*eps3 relative
-    to the cube of the local density-variation scale, so the schedule must be
-    small against that scale (the distance from the surface to the nearest
-    ray end, not the diameter)."""
-    return (0.0025 * scale, 0.00125 * scale, 0.000625 * scale)
-
-
-def _feature_scale(dec: "NeedleDecomposition") -> float:
-    scale = dec.diameter
-    for needle in dec.needles:
-        scale = min(scale, -needle.profile.a, needle.profile.b)
-    return scale
-
-
 def minkowski_content_from_dec(dec: NeedleDecomposition,
                                epsilons: Optional[tuple[float, ...]] = None) -> float:
     """Outer Minkowski content estimate: tube_volume(eps)/eps along a decreasing
-    schedule, Richardson-extrapolated to 0 from the last three values."""
+    schedule, Richardson-extrapolated to 0 from the last three values.
+
+    Quadratic extrapolation leaves an error of order eps1*eps2*eps3 relative to
+    the cube of the local density-variation scale, so the default schedule is
+    small against that scale: the distance from the surface to the nearest ray
+    end, not the diameter."""
     if epsilons is None:
-        epsilons = default_epsilons(_feature_scale(dec))
+        scale = min([dec.diameter] + [min(-n.profile.a, n.profile.b) for n in dec.needles])
+        epsilons = (0.0025 * scale, 0.00125 * scale, 0.000625 * scale)
     eps = [float(e) for e in epsilons]
     if len(eps) < 3:
         raise ParameterError(f"need at least 3 epsilons, got {len(eps)}")
@@ -374,17 +383,3 @@ def minkowski_content_from_dec(dec: NeedleDecomposition,
         raise ParameterError("epsilons must be positive and strictly decreasing")
     values = [tube_volume(dec, e, "outer") / e for e in eps]
     return extrapolate_to_zero(eps[-3:], values[-3:])
-
-
-def minkowski_content(geom: GeometrySpec, surf: SurfaceSpec,
-                      epsilons: Optional[tuple[float, ...]] = None) -> float:
-    """Outer Minkowski content of the inner region; for these model surfaces it
-    equals the surface measure total."""
-    dec = decompose(geom, surf)
-    return minkowski_content_from_dec(dec, epsilons)
-
-
-def disintegration_defect(dec: NeedleDecomposition) -> float:
-    """Relative mismatch between the summed needle masses and the total mass."""
-    summed = sum(needle_mass(n) for n in dec.needles)
-    return abs(summed - dec.total_mass) / dec.total_mass

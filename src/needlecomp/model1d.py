@@ -20,6 +20,8 @@ from functools import cached_property, partial
 from .errors import ParameterError
 from .numerics import integrate
 
+J_OVERFLOWS = "the distortion profile J overflows a float at these parameters"
+
 
 @dataclass(frozen=True)
 class CurvatureDimension:
@@ -64,22 +66,9 @@ class JacobianParams:
         return self.cd.N
 
 
-def trig_kappa(kappa: float, r: float) -> tuple[float, float]:
-    """(sin_kappa(r), cos_kappa(r)): the v(0)=0, v'(0)=1 and v(0)=1, v'(0)=0
-    solutions of v'' + kappa v = 0, as closed forms on all of R.
-
-    They satisfy cos_kappa^2 + kappa * sin_kappa^2 = 1.
-    """
-    if kappa > 0.0:
-        rt = math.sqrt(kappa)
-        return math.sin(rt * r) / rt, math.cos(rt * r)
-    if kappa < 0.0:
-        rt = math.sqrt(-kappa)
-        return math.sinh(rt * r) / rt, math.cosh(rt * r)
-    return r, 1.0
-
-
 def sin_kappa(kappa: float, r: float) -> float:
+    """The solution of v'' + kappa v = 0 with v(0) = 0, v'(0) = 1; cos_kappa is the
+    one with v(0) = 1, v'(0) = 0, and cos_kappa^2 + kappa sin_kappa^2 = 1."""
     if kappa > 0.0:
         rt = math.sqrt(kappa)
         return math.sin(rt * r) / rt
@@ -394,12 +383,20 @@ def model_profile(cd: CurvatureDimension, v: float) -> float:
 def model_rhs_constant_H(p: JacobianParams) -> float:
     """The integral of J_{H,K,N} (K > 0) over its full support: kappa_eff^{(N-1)/2}
     times the model density normalizer or, where that alone overflows, the same
-    as (kappa_eff/kappa)^{(N-1)/2} B(N/2, 1/2) / sqrt(kappa)."""
+    as (kappa_eff/kappa)^{(N-1)/2} B(N/2, 1/2) / sqrt(kappa).  An integral that
+    overflows a float is a ParameterError."""
     kap = _require_positive_curvature(p.cd)
     kap_eff, expo = kappa_eff(p), 0.5 * (p.cd.N - 1.0)
-    if -0.5 * p.cd.N * math.log(kap) < 700.0:
-        return kap_eff ** expo * model_density_normalizer(p.cd)
-    return (kap_eff / kap) ** expo * _half_beta(p.cd.N) / math.sqrt(kap)
+    try:
+        if -0.5 * p.cd.N * math.log(kap) < 700.0:
+            total = kap_eff ** expo * model_density_normalizer(p.cd)
+        else:
+            total = (kap_eff / kap) ** expo * _half_beta(p.cd.N) / math.sqrt(kap)
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total):
+        raise ParameterError(J_OVERFLOWS)
+    return total
 
 
 def jacobian_integral(p: JacobianParams, lo: float, hi: float) -> float:
@@ -426,7 +423,7 @@ def jacobian_integral(p: JacobianParams, lo: float, hi: float) -> float:
     except OverflowError:
         total = math.inf
     if math.isinf(total):
-        raise ParameterError("the distortion profile J overflows a float at these parameters")
+        raise ParameterError(J_OVERFLOWS)
     return total
 
 

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from needlecomp import ConfigError, GeodesicSphere, LevelPoint, RoundSphere
+from needlecomp import (ConfigError, CurvatureDimension, EuclideanBall, GeodesicSphere,
+                        LevelPoint, RoundSphere, SphericalSuspension, WeightedInterval,
+                        decompose, equality_detect, hk_full, hk_outer, model_interval)
 from needlecomp.cli import CSV_HEADER, main, parse_config, run
+from needlecomp.geometry import GEOMETRY_KINDS
 
 SPHERE_CFG = """\
 [geometry]
@@ -96,6 +99,60 @@ def test_overrides_replace_keys():
                                                  "output.format=csv"])
     assert config.surface == GeodesicSphere(0.5)
     assert config.output_format == "csv"
+
+
+# A valid value for each config key of a kind, its required keys, the classes
+# it parses to and what a surface at r0 = 0 touches.
+KIND_CONFIGS = {
+    "weighted-interval": ({"K": "1.0", "N": "3.0", "density": "model", "length": "2.0"},
+                          ("K", "N"), WeightedInterval, LevelPoint, "boundary"),
+    "round-sphere": ({"n": "3", "radius": "1.5"}, ("n", "radius"), RoundSphere,
+                     GeodesicSphere, "pole"),
+    "euclidean-ball": ({"n": "3", "R": "1.0"}, ("n", "R"), EuclideanBall, GeodesicSphere,
+                       "boundary"),
+    "spherical-suspension": ({"K": "1.0", "N": "3.0", "base_volume": "2.5"},
+                             ("K", "N", "base_volume"), SphericalSuspension,
+                             GeodesicSphere, "pole"),
+}
+
+
+def _kind_config(kind: str, keys: dict, r0: str = "0.5") -> str:
+    return "\n".join(["[geometry]", f"kind = {kind}", *(f"{k} = {v}" for k, v in keys.items()),
+                      "", "[surface]", f"r0 = {r0}", "", "[run]", "checks = hk-full", ""])
+
+
+def test_kind_table_lists_the_four_kinds_in_order():
+    assert list(GEOMETRY_KINDS) == list(KIND_CONFIGS)
+    with pytest.raises(ConfigError) as err:
+        parse_config(_kind_config("torus", {}))
+    assert str(err.value) == ("line 2, key 'kind': unknown geometry kind 'torus'; expected one "
+                              "of weighted-interval, round-sphere, euclidean-ball, "
+                              "spherical-suspension")
+
+
+@pytest.mark.parametrize("kind", GEOMETRY_KINDS)
+def test_each_kind_parses_from_exactly_its_keys(kind):
+    values, required, cls, surface, end = KIND_CONFIGS[kind]
+    for keys in (values, {key: values[key] for key in required}):
+        config = parse_config(_kind_config(kind, keys))
+        assert type(config.geometry) is cls and config.surface == surface(0.5)
+    with pytest.raises(ConfigError) as err:
+        parse_config(_kind_config(kind, values, r0="0"))
+    r0_line = 5 + len(values)  # after the geometry lines, a blank and [surface]
+    assert str(err.value).startswith(f"line {r0_line}, key 'r0': surface touches {end}: "
+                                     "r0=0.0 must lie strictly inside (0, ")
+    for key in required:
+        with pytest.raises(ConfigError) as err:
+            parse_config(_kind_config(kind, {k: v for k, v in values.items() if k != key}))
+        assert str(err.value) == f"key '{key}': missing required key in [geometry]"
+    foreign = {k: v for other in KIND_CONFIGS.values() for k, v in other[0].items()
+               if k not in values}
+    assert foreign
+    for key, value in foreign.items():
+        with pytest.raises(ConfigError) as err:
+            parse_config(_kind_config(kind, {**values, key: value}))
+        line = 3 + len(values)  # after [geometry], kind and the kind's own keys
+        assert str(err.value) == f"line {line}, key '{key}': unknown key in [geometry]"
 
 
 # ------------------------------------------------------------------ running
@@ -517,3 +574,51 @@ def test_unrepresentable_sphere_is_a_typed_error(capsys, n, radius, r0, where, w
     out = capsys.readouterr().out
     assert out.startswith(f"FAIL check={where} reason=ParameterError: ")
     assert what in out and "Traceback" not in out
+
+
+def test_overflowing_distortion_profile_is_a_typed_failure(capsys):
+    # H = 31 cot(1e-5) is about 3.1e6 at this small cap of the 63-sphere, and
+    # J = (cos + H/62 sin)^62 overflows a float inside the profile match of
+    # hk-outer and in the corollary-positive-K bound
+    assert main(["run", str(CONFIGS / "sphere_equator.cfg"), "--set", "geometry.n=63",
+                 "--set", "geometry.radius=2", "--set", "surface.r0=2e-5",
+                 "--set", "run.checks=hk-outer,corollaries", "--set", "run.t_values=1e-6",
+                 "--path", "-"]) == 1
+    out = capsys.readouterr().out
+    for check in ("hk-outer", "corollaries"):
+        assert (f"FAIL check={check} reason=ParameterError: the distortion profile J "
+                "overflows a float at these parameters") in out
+    assert "Traceback" not in out
+
+
+# ------------------------------------------------- README experiment recipes
+
+def test_tube_curve_recipe_matches_hk_outer(capsys):
+    widths = (0.5, 1.0, 1.5, 2.0)
+    assert main(["run", str(CONFIGS / "sphere_equator.cfg"), "--set", "surface.r0=0.7",
+                 "--set", "run.checks=hk-outer", "--set", "run.t_values=0.5,1,1.5,2",
+                 "--format", "plotdata"]) == 0
+    reports = [hk_outer(decompose(RoundSphere(2, 1.0), GeodesicSphere(0.7)), t)
+               for t in widths]
+    assert capsys.readouterr().out.splitlines() == [
+        "# series: hk-outer lhs", *(f"{t!r} {r.lhs!r}" for t, r in zip(widths, reports)), "",
+        "# series: hk-outer rhs", *(f"{t!r} {r.rhs!r}" for t, r in zip(widths, reports))]
+
+
+@pytest.mark.parametrize("r0", ["0.5", "1.5", "2.5"])
+def test_rigidity_scan_recipe_matches_equality_detect(capsys, r0):
+    cfg = str(CONFIGS / "truncated_interval.cfg")
+    recipe = ["run", cfg, "--set", f"surface.r0={r0}", "--set", "run.checks=hk-full,rigidity",
+              "--format", "csv"]
+    assert main(recipe) == 0
+    rows = capsys.readouterr().out.splitlines()
+    dec = decompose(model_interval(CurvatureDimension(1.0, 2.0), length=3.0415926535897933),
+                    LevelPoint(float(r0)))
+    full, verdict = hk_full(dec), equality_detect(dec)
+    assert rows[-2].startswith(f"hk-full,,{full.lhs!r},{full.rhs!r},{full.gap!r},"
+                               f"{full.relative_gap!r},false,,,")
+    assert rows[-1] == (f"rigidity,,,,{verdict.gap!r},{verdict.relative_gap!r},"
+                        f"{str(verdict.rigid).lower()},,,")
+    assert main(recipe + ["--set", "run.expect=rigid"]) == 1
+    assert (f"FAIL check=rigidity reason=expected rigid but conditions failed: "
+            f"{verdict.failed_conditions}") in capsys.readouterr().out

@@ -9,10 +9,10 @@ from scipy import integrate as sciint
 from scipy.special import betaincinv
 
 from needlecomp import (CurvatureDimension, JacobianParams, ParameterError,
-                        jacobian, jacobian_support, kappa_eff,
+                        cos_kappa, jacobian, jacobian_support, kappa_eff,
                         model_density_normalizer, model_profile,
                         model_rhs_constant_H, pi_kappa, sigma, sigma_kappa,
-                        tau, trig_kappa, unit_sphere_volume)
+                        sin_kappa, tau, unit_sphere_volume)
 from needlecomp.model1d import _radial_kappa
 
 
@@ -23,18 +23,18 @@ def jp(H, K, N):
 # ------------------------------------------------------ generalized trig
 
 def test_trig_kappa_flat():
-    assert trig_kappa(0.0, 5.0) == (5.0, 1.0)
+    assert (sin_kappa(0.0, 5.0), cos_kappa(0.0, 5.0)) == (5.0, 1.0)
 
 
 def test_trig_kappa_unit():
-    sn, cs = trig_kappa(1.0, math.pi / 2)
+    sn, cs = sin_kappa(1.0, math.pi / 2), cos_kappa(1.0, math.pi / 2)
     assert sn == pytest.approx(1.0, abs=1e-15)
     assert cs == pytest.approx(0.0, abs=1e-15)
 
 
 def test_trig_kappa_scaled():
     # closed form at kappa=4: sin(pi/2)/2 and cos(pi/2)
-    sn, cs = trig_kappa(4.0, math.pi / 4)
+    sn, cs = sin_kappa(4.0, math.pi / 4), cos_kappa(4.0, math.pi / 4)
     assert sn == pytest.approx(0.5, abs=1e-15)
     assert cs == pytest.approx(0.0, abs=1e-15)
 
@@ -42,13 +42,13 @@ def test_trig_kappa_scaled():
 def test_trig_identity_on_grid():
     for kappa in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0):
         for r in np.linspace(-3.0, 3.0, 25):
-            sn, cs = trig_kappa(kappa, float(r))
+            sn, cs = sin_kappa(kappa, float(r)), cos_kappa(kappa, float(r))
             assert abs(cs * cs + kappa * sn * sn - 1.0) < 1e-12
 
 
 @given(st.floats(-4, 4), st.floats(-4, 4))
 def test_trig_identity_property(kappa, r):
-    sn, cs = trig_kappa(kappa, r)
+    sn, cs = sin_kappa(kappa, r), cos_kappa(kappa, r)
     scale = max(1.0, cs * cs, abs(kappa) * sn * sn)
     assert abs(cs * cs + kappa * sn * sn - 1.0) <= 1e-10 * scale
 
@@ -199,7 +199,8 @@ def test_jacobian_addition_identity():
 
 def _jacobian_base(p, r):
     """cos_{K/(N-1)}(r) + H/(N-1) * sin_{K/(N-1)}(r), the (N-1)-th root of J."""
-    sn, cs = trig_kappa(_radial_kappa(p), r)
+    kappa = _radial_kappa(p)
+    sn, cs = sin_kappa(kappa, r), cos_kappa(kappa, r)
     return cs + p.H / (p.N - 1.0) * sn
 
 

@@ -271,7 +271,7 @@ def test_registered_densities_get_the_full_grid_verdict(geometry_and_N, where, s
     with mock.patch.object(geometry, "DensityProfile", recording):
         try:
             geom = make_geometry()
-            model = geometry._radial_model(geom)
+            model = geometry.radial_model(geom)
             built.append((0.0, model.length, model.density, model.mode))
             length = model.length
             r0 = {"inside": share * length, "near 0": offset,
