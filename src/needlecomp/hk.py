@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import CurvatureError, InequalityViolation, ParameterError
 from .geometry import NeedleDecomposition, inner_mass, tube_volume
-from .model1d import (JacobianParams, jacobian_integral, jacobian_support,
+from .model1d import (J_OVERFLOWS, JacobianParams, jacobian_integral, jacobian_support,
                       kappa_eff, model_profile, model_rhs_constant_H,
                       unit_sphere_volume)
 from .numerics import INEQ_SLACK
@@ -150,7 +150,8 @@ def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
     Branches: (a) a constant curvature bound H0 dominating every needle,
     (b) the diameter bound for H <= 0 and K >= 0, (c) for K > 0 the sharp
     bound through kappa_eff, plus its sphere-volume form for integer N.
-    Raises when no branch applies or when H0 fails to dominate.
+    Raises when no branch applies, when H0 fails to dominate or when a bound
+    overflows a float.
     """
     tol = equality_tolerance(tolerance)
     _require_finite(dec.H_plus, "outer mean curvature")
@@ -161,6 +162,8 @@ def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
     weights = [n.weight * n.profile.fn(0.0) for n in dec.needles]
 
     def needles_report(statement: str, shares) -> HKReport:
+        if math.isinf(sum(shares)):
+            raise ParameterError(J_OVERFLOWS)
         per_needle = tuple(
             PerNeedle(i, dec.H[i], share, dec.profile_deviation[i] <= tol)
             for i, share in enumerate(shares))
@@ -186,10 +189,16 @@ def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
         if abs(cd.N - round(cd.N)) < 1e-12:
             n = int(round(cd.N))
             kap = cd.K / (cd.N - 1.0)
-            ratio = (unit_sphere_volume(n) * kap ** (-0.5 * n)
-                     / unit_sphere_volume(n - 1))
+            # Where kappa^{-n/2} would overflow, scale kappa_eff by kappa
+            # instead, as model_rhs_constant_H does.
+            if -0.5 * cd.N * math.log(kap) < 700.0:
+                ratio, scale = unit_sphere_volume(n) * kap ** (-0.5 * n), 1.0
+            else:
+                ratio, scale = unit_sphere_volume(n) / math.sqrt(kap), kap
+            ratio /= unit_sphere_volume(n - 1)
+            # model_rhs_constant_H raised above if this power overflows
             reports.append(needles_report("corollary-positive-K-spheres", [
-                w * ratio * kappa_eff(JacobianParams(h, cd)) ** (0.5 * (cd.N - 1.0))
+                w * ratio * (kappa_eff(JacobianParams(h, cd)) / scale) ** (0.5 * (cd.N - 1.0))
                 for w, h in zip(weights, dec.H)]))
     if not reports:
         raise ParameterError(

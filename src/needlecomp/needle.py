@@ -26,6 +26,9 @@ FD_DIVERGE_THRESHOLD = 1e8
 
 _TINY = 1e-300
 
+# Triples (r0, r1, t) per array block of check_cd_density: bounds its memory.
+_CD_BLOCK_TRIPLES = 8192
+
 
 def _grid_point(a: float, b: float, n: int) -> Callable[[int], float]:
     """i -> np.linspace(a, b, n)[i] as a float, bit for bit (n >= 2)."""
@@ -199,7 +202,8 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     Violations are measured relative to the left side; the check passes when
     the worst one does not exceed the inequality slack.  The witness is the
     first triple in (r0, r1, t) grid order reaching the worst violation; NaN
-    violations never count.  Triples sharing r0 are evaluated as one array.
+    violations never count.  The triples are evaluated as arrays, in blocks of
+    whole pairs (r0, r1) taken in that order.
     """
     if grid_size < 3:
         raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
@@ -212,43 +216,53 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     steps = np.arange(grid_size) + 1.0
     rs = a + (b - a) * steps / (grid_size + 1.0)
     ts = steps / (grid_size + 1.0)
-    # Row i holds the triples (rs[i], rs[j], t) for j > i and t in ts; its
-    # separations form a column, so each row is a (G - 1 - i, G) block.
-    thetas = [(rs[i + 1:] - rs[i])[:, None] for i in range(grid_size - 1)]
+    # The pairs rs[lo[p]] < rs[hi[p]] in (r0, r1) order, and their separations.
+    lo, hi = np.triu_indices(grid_size, 1)
+    thetas = rs[hi] - rs[lo]
 
-    # u = fn^expo at each distinct grid point and midpoint r0 + t theta, one
-    # fn call each; the rows then look their values up by binary search.
-    points = np.empty(grid_size + grid_size * grid_size * (grid_size - 1) // 2)
+    # Every grid point, then each pair's midpoints r0 + t theta in t order.
+    points = np.empty(grid_size * (1 + thetas.size))
     points[:grid_size] = rs
-    offset = grid_size
-    for i, theta in enumerate(thetas):
-        mids = rs[i] + ts * theta
-        points[offset:offset + mids.size] = mids.ravel()
-        offset += mids.size
-    points.sort()
-    points = points[np.append(True, points[1:] != points[:-1])]
+    mids = points[grid_size:].reshape(thetas.size, grid_size)
+    np.multiply(ts, thetas[:, None], out=mids)
+    np.add(rs[lo, None], mids, out=mids)
+    del mids
+    # u = fn^expo once per distinct point; index[k] locates points[k] among them.
+    order = np.argsort(points)
+    points = points[order]
+    new = np.empty(points.size, dtype=bool)
+    new[0] = True
+    np.not_equal(points[1:], points[:-1], out=new[1:])
+    distinct = points[new].tolist()
+    del points
+    index = np.empty(order.size, dtype=np.int32 if order.size < 2**31 else np.intp)
+    index[order] = np.cumsum(new, dtype=index.dtype) - 1
+    del order, new
     fn = profile.fn
-    values = np.array([fn(x) ** expo for x in points.tolist()], dtype=float)
-    u = lambda r: values[np.searchsorted(points, r)]
-    u_rs = u(rs)
+    values = np.array([fn(x) ** expo for x in distinct], dtype=float)
+    del distinct
+    u_rs = values[index[:grid_size]]
 
     worst = -math.inf
     witness = None
-    for i, theta in enumerate(thetas):
+    step = max(1, _CD_BLOCK_TRIPLES // grid_size)  # pairs per block
+    for p0 in range(0, thetas.size, step):
+        p1 = min(p0 + step, thetas.size)
+        theta = thetas[p0:p1, None]
         s_lo = sigma_kappa(kap, 1.0 - ts, theta)
         s_hi = sigma_kappa(kap, ts, theta)
-        lhs = u(rs[i] + ts * theta)
+        lhs = values[index[grid_size * (1 + p0):grid_size * (1 + p1)]].reshape(-1, grid_size)
         with np.errstate(invalid="ignore", over="ignore"):
             rhs = np.where(np.isinf(s_lo) | np.isinf(s_hi), math.inf,
-                           s_lo * u_rs[i] + s_hi * u_rs[i + 1:, None])
+                           s_lo * u_rs[lo[p0:p1], None] + s_hi * u_rs[hi[p0:p1], None])
             violation = (rhs - lhs) / np.maximum(np.abs(lhs), _TINY)
-        # NaN never counts as worse; argmax takes the first (j, t) in loop order.
+        # NaN never counts as worse; argmax takes the first (pair, t) in order.
         violation[np.isnan(violation)] = -math.inf
         k = int(np.argmax(violation))
         if violation.flat[k] > worst:
             worst = float(violation.flat[k])
-            j, m = divmod(k, grid_size)
-            witness = (float(rs[i]), float(rs[i + 1 + j]), float(ts[m]))
+            p, m = divmod(k, grid_size)
+            witness = (float(rs[lo[p0 + p]]), float(rs[hi[p0 + p]]), float(ts[m]))
     return CdDensityReport(passed=worst <= INEQ_SLACK, worst_violation=worst,
                            witness=witness)
 

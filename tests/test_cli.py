@@ -204,6 +204,18 @@ checks = cd-density
     assert "FAIL check=cd-density" in capsys.readouterr().out
 
 
+def test_run_corollaries_past_the_sphere_power_overflow(capsys):
+    # kappa^{-N/2} overflows a float although both corollary bounds do not
+    assert main(["run", str(CONFIGS / "suspension.cfg"),
+                 "--set", "geometry.K=1.02e-4", "--set", "geometry.N=103",
+                 "--set", "geometry.base_volume=1e-300", "--set", "surface.r0=1000",
+                 "--set", "run.checks=corollaries", "--path", "-"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "check corollaries: PASS" in captured.out
+    assert "statement=corollary-positive-K-spheres kind=summary" in captured.out
+
+
 def test_run_corollaries_without_applicable_branch_fails(capsys):
     text = """\
 [geometry]

@@ -9,6 +9,7 @@ from needlecomp import (CurvatureDimension, DEFAULT_EQUALITY_TOL, EuclideanBall,
                         SphericalSuspension, closed_form_bounds, decompose,
                         equality_detect, equality_tolerance, hk_full, hk_outer,
                         jacobian, levy_gromov_check, model_interval)
+from needlecomp import hk
 
 SPHERE = RoundSphere(2, 1.0)
 BALL = EuclideanBall(3, 1.0)
@@ -143,6 +144,40 @@ def test_corollary_positive_curvature_sphere():
     assert sharp.equality
     spheres = reports["corollary-positive-K-spheres"]
     assert spheres.rhs == pytest.approx(sharp.rhs, rel=1e-12)
+
+
+# kappa^{-N/2} overflows a float here while the weighted bounds do not
+FAR_SUSPENSION = SphericalSuspension(CurvatureDimension(1.02e-4, 103.0), 1e-300)
+
+
+def test_corollary_spheres_past_the_power_overflow_matches_positive_K():
+    dec = decompose(FAR_SUSPENSION, GeodesicSphere(1000.0))
+    reports = {r.statement: r for r in closed_form_bounds(dec)}
+    sharp = reports["corollary-positive-K"]
+    spheres = reports["corollary-positive-K-spheres"]
+    assert sharp.rhs == 247585620.7011551
+    # |S^103|/|S^102| and B(103/2, 1/2) differ in the last place
+    assert abs(spheres.rhs - sharp.rhs) <= 4 * math.ulp(sharp.rhs)
+    assert sharp.equality and spheres.equality
+
+
+@pytest.mark.parametrize("N", (103.0, 103.2))
+def test_corollary_overflow_is_a_parameter_error(N):
+    # the mass fits a float; the surface weight times the bound does not
+    dec = decompose(model_interval(CurvatureDimension(1.02e-4, N), length=1400.0),
+                    LevelPoint(1000.0))
+    assert math.isfinite(dec.total_mass)
+    with pytest.raises(ParameterError, match="overflows a float"):
+        closed_form_bounds(dec)
+
+
+def test_corollary_spheres_overflow_is_a_parameter_error(monkeypatch):
+    dec = decompose(model_interval(FAR_SUSPENSION.cd, length=1400.0), LevelPoint(1000.0))
+    weight = dec.needles[0].weight * dec.needles[0].profile.fn(0.0)
+    # a finite sharp bound, so that only the sphere-volume form overflows
+    monkeypatch.setattr(hk, "model_rhs_constant_H", lambda p: dec.total_mass / weight)
+    with pytest.raises(ParameterError, match="overflows a float"):
+        closed_form_bounds(dec)
 
 
 def test_corollary_constant_H_interval():

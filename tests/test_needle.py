@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from needlecomp import (CdDensityReport, CurvatureDimension, CurvatureError,
                         decompose, density_ratio_check, geometry, jacobian,
                         laplacian_regular_part, model_interval, needle_mass,
                         one_sided_log_derivative, sigma_kappa, sturm_bound_check)
+from needlecomp import needle as needle_module
 from needlecomp.numerics import INEQ_SLACK
 
 
@@ -460,7 +462,7 @@ def _assert_same_report(got, want):
         (want.worst_violation, want.witness, want.passed)
 
 
-@pytest.mark.parametrize("grid", (3, 10, 24, 48))
+@pytest.mark.parametrize("grid", (3, 10, 24, 48, 70))
 @pytest.mark.parametrize("bound", ("true", "violated"))
 @pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES))
 def test_cd_density_matches_triple_loop(kind, bound, grid):
@@ -523,6 +525,41 @@ def test_cd_density_all_nan_grid():
     assert report.worst_violation == -math.inf
     assert report.witness is None
     assert report.passed
+
+
+# Triples per block: one pair per block at any grid, and 7 pairs per block at
+# grid 24, which leaves 3 of its 276 pairs for the last block.
+@pytest.fixture(params=(1, 7 * 24 + 5), ids=("one-pair", "seven-pairs"))
+def small_blocks(request, monkeypatch):
+    monkeypatch.setattr(needle_module, "_CD_BLOCK_TRIPLES", request.param)
+
+
+@pytest.mark.parametrize("bound", ("true", "violated"))
+@pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES))
+def test_cd_density_blocks_match_triple_loop(small_blocks, kind, bound):
+    test_cd_density_matches_triple_loop(kind, bound, 24)
+
+
+def test_cd_density_blocks_keep_the_first_infinite_witness(small_blocks):
+    test_cd_density_beyond_model_diameter_is_infinite()  # inf in several blocks
+
+
+def test_cd_density_blocks_of_nan_have_no_witness(small_blocks):
+    test_cd_density_all_nan_grid()
+
+
+def test_cd_density_memory_stays_bounded():
+    # the point index and one block of triples; a single array pass over all
+    # 54k triples of grid 48 peaks at about 5 MB
+    profile, cd = _kind_needle("spherical-suspension")
+    check_cd_density(profile, cd, 48)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        check_cd_density(profile, cd, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
 
 
 def test_cd_density_rejects_tiny_grid():
