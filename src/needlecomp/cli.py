@@ -13,9 +13,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from .errors import ConfigError, NeedlecompError, ParameterError
@@ -43,8 +42,7 @@ _SECTIONS = ("geometry",) + tuple(_SECTION_KEYS)
 _Value = tuple[str, int | str]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     geometry: GeometrySpec
     surface: SurfaceSpec
     checks: tuple[str, ...]
@@ -58,8 +56,7 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One CSV/plotdata record; None fields render as empty cells."""
 
     statement: str
@@ -75,12 +72,13 @@ class Row:
     H: Optional[float] = None
 
 
-@dataclass
 class CheckOutcome:
-    name: str
-    rows: list[Row] = field(default_factory=list)
-    passed: bool = True
-    messages: list[str] = field(default_factory=list)
+    def __init__(self, name: str, rows: Optional[list[Row]] = None, passed: bool = True,
+                 messages: Optional[list[str]] = None):
+        self.name = name
+        self.rows = [] if rows is None else rows
+        self.passed = passed
+        self.messages = [] if messages is None else messages
 
 
 # ----------------------------------------------------------------- parsing
@@ -567,7 +565,7 @@ def _cmd_run(args) -> int:
         overrides.append(f"output.path={args.path}")
     try:
         config = parse_config(text, overrides=overrides)
-        config = replace(config, tolerance=equality_tolerance(config.tolerance))
+        config = config._replace(tolerance=equality_tolerance(config.tolerance))
         return run(config)
     except NeedlecompError as exc:
         print(f"FAIL check=config reason={type(exc).__name__}: {exc}")

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (ConfigError, CurvatureError, DegenerateSurfaceError,
                      ParameterError)
@@ -28,86 +28,79 @@ from .numerics import extrapolate_to_zero, integrate
 PROFILE_MATCH_POINTS = 200
 
 
-@dataclass(frozen=True)
-class WeightedInterval:
+class WeightedInterval(namedtuple("WeightedInterval", "length density cd")):
     """Interval [0, length] carrying an explicit density and its CD parameters."""
 
-    length: float
-    density: DensityProfile
-    cd: CurvatureDimension
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise ParameterError(f"interval length must be positive, got {self.length}")
-        if self.density.a != 0.0 or self.density.b != self.length:
+    def __new__(cls, length: float, density: DensityProfile, cd: CurvatureDimension):
+        if not (math.isfinite(length) and length > 0.0):
+            raise ParameterError(f"interval length must be positive, got {length}")
+        if density.a != 0.0 or density.b != length:
             raise ParameterError("interval density must live on [0, length]")
+        return super().__new__(cls, length, density, cd)
 
 
-@dataclass(frozen=True)
-class RoundSphere:
+class RoundSphere(namedtuple("RoundSphere", "n radius")):
     """Round sphere of dimension n and the given radius, Riemannian volume."""
 
-    n: int
-    radius: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError(f"sphere dimension must be >= 2, got {self.n}")
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ParameterError(f"sphere radius must be positive, got {self.radius}")
+    def __new__(cls, n: int, radius: float):
+        if n < 2:
+            raise ParameterError(f"sphere dimension must be >= 2, got {n}")
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise ParameterError(f"sphere radius must be positive, got {radius}")
+        return super().__new__(cls, n, radius)
 
     @property
     def cd(self) -> CurvatureDimension:
         return CurvatureDimension((self.n - 1) / self.radius ** 2, float(self.n))
 
 
-@dataclass(frozen=True)
-class EuclideanBall:
+class EuclideanBall(namedtuple("EuclideanBall", "n R")):
     """Closed ball of radius R in n-dimensional flat space, Lebesgue measure."""
 
-    n: int
-    R: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"ball dimension must be >= 1, got {self.n}")
-        if not (math.isfinite(self.R) and self.R > 0.0):
-            raise ParameterError(f"ball radius must be positive, got {self.R}")
+    def __new__(cls, n: int, R: float):
+        if n < 1:
+            raise ParameterError(f"ball dimension must be >= 1, got {n}")
+        if not (math.isfinite(R) and R > 0.0):
+            raise ParameterError(f"ball radius must be positive, got {R}")
+        return super().__new__(cls, n, R)
 
     @property
     def cd(self) -> CurvatureDimension:
         return CurvatureDimension(0.0, float(self.n))
 
 
-@dataclass(frozen=True)
-class SphericalSuspension:
+class SphericalSuspension(namedtuple("SphericalSuspension", "cd base_volume")):
     """Warped product over the positively curved 1D model space; the cross
     section enters only through its total measure."""
 
-    cd: CurvatureDimension
-    base_volume: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cd.K <= 0.0:
-            raise ParameterError(f"suspension requires K > 0, got K={self.cd.K}")
-        if self.cd.N <= 1.0:
-            raise ParameterError(f"suspension requires N > 1, got N={self.cd.N}")
-        if not (math.isfinite(self.base_volume) and self.base_volume > 0.0):
-            raise ParameterError(f"base volume must be positive, got {self.base_volume}")
+    def __new__(cls, cd: CurvatureDimension, base_volume: float):
+        if cd.K <= 0.0:
+            raise ParameterError(f"suspension requires K > 0, got K={cd.K}")
+        if cd.N <= 1.0:
+            raise ParameterError(f"suspension requires N > 1, got N={cd.N}")
+        if not (math.isfinite(base_volume) and base_volume > 0.0):
+            raise ParameterError(f"base volume must be positive, got {base_volume}")
+        return super().__new__(cls, cd, base_volume)
 
 
 GeometrySpec = Union[WeightedInterval, RoundSphere, EuclideanBall, SphericalSuspension]
 
 
-@dataclass(frozen=True)
-class LevelPoint:
+class LevelPoint(NamedTuple):
     """Surface {r0} of a weighted interval; the inner region is [0, r0]."""
 
     r0: float
 
 
-@dataclass(frozen=True)
-class GeodesicSphere:
+class GeodesicSphere(NamedTuple):
     """Distance sphere of radius r0 about the pole/center; inner region is the ball."""
 
     r0: float
@@ -116,19 +109,13 @@ class GeodesicSphere:
 SurfaceSpec = Union[LevelPoint, GeodesicSphere]
 
 
-@dataclass(frozen=True)
-class NeedleDecomposition:
+class NeedleDecomposition(namedtuple("NeedleDecomposition", (
+        "needles", "total_mass", "diameter", "cd", "surface_total", "H_plus", "H_minus", "H"))):
     """Weighted needle family for one geometry/surface pair, with the surface
-    measure total and per-needle mean curvatures."""
+    measure total and per-needle mean curvatures.  needles is a tuple of
+    Needle; H_plus, H_minus and H are tuples of floats, one per needle."""
 
-    needles: tuple[Needle, ...]
-    total_mass: float
-    diameter: float
-    cd: CurvatureDimension
-    surface_total: float
-    H_plus: tuple[float, ...]
-    H_minus: tuple[float, ...]
-    H: tuple[float, ...]
+    # No __slots__: the cached profile_deviation lives in the instance dict.
 
     @cached_property
     def profile_deviation(self) -> tuple[float, ...]:
@@ -150,8 +137,7 @@ class NeedleDecomposition:
         return tuple(deviations)
 
 
-@dataclass(frozen=True)
-class _RadialModel:
+class _RadialModel(NamedTuple):
     length: float
     diameter: float
     density: Callable[[float], float]
@@ -190,7 +176,11 @@ def model_interval(cd: CurvatureDimension, length: Optional[float] = None,
 
 def constant_interval(length: float, cd: CurvatureDimension,
                       grid_size: int = 1024) -> WeightedInterval:
-    """Interval [0, length] with unit density."""
+    """Interval [0, length] with unit density.  Its u = h^{1/(N-1)} is constant,
+    so u'' + K/(N-1) u <= 0, the CD(K, N) condition, holds only for K <= 0."""
+    if cd.K > 0.0:
+        raise ParameterError(f"a constant density satisfies CD(K, N) only for K <= 0, "
+                             f"got K={cd.K}")
     profile = DensityProfile(0.0, length, lambda r: 1.0, deriv=lambda r: 0.0,
                              grid_size=grid_size, mode=0.0)
     return WeightedInterval(length=length, density=profile, cd=cd)
@@ -236,8 +226,7 @@ def _suspension_radial(geom: SphericalSuspension) -> _RadialModel:
     return _RadialModel(top, top, density, deriv, 0.5 * top)
 
 
-@dataclass(frozen=True)
-class GeometryKind:
+class GeometryKind(NamedTuple):
     """One geometry kind: its configuration keys and how they build it, the
     surface class it takes, and its radial model."""
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CurvatureError, InequalityViolation, ParameterError
 from .geometry import NeedleDecomposition, inner_mass, tube_volume
@@ -47,16 +46,14 @@ def equality_tolerance(override: Optional[float] = None) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class PerNeedle:
+class PerNeedle(NamedTuple):
     index: int
     H: float
     rhs_contribution: float
     profile_match: bool
 
 
-@dataclass(frozen=True)
-class HKReport:
+class HKReport(NamedTuple):
     statement: str
     lhs: float
     rhs: float
@@ -67,8 +64,7 @@ class HKReport:
     t: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class LevyGromovReport:
+class LevyGromovReport(NamedTuple):
     content: float
     profile_value: float
     passed: bool
@@ -76,8 +72,7 @@ class LevyGromovReport:
     gap: float
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     rigid: bool
     per_needle_match: tuple[bool, ...]
     gap: float

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, partial
 
 from .errors import ParameterError
@@ -23,30 +23,28 @@ from .numerics import integrate
 J_OVERFLOWS = "the distortion profile J overflows a float at these parameters"
 
 
-@dataclass(frozen=True)
-class CurvatureDimension:
+class CurvatureDimension(namedtuple("CurvatureDimension", "K N")):
     """Curvature bound K (units 1/length^2) and dimension bound N (>= 1)."""
 
-    K: float
-    N: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.K):
-            raise ParameterError(f"curvature bound K must be finite, got {self.K}")
-        if not (math.isfinite(self.N) and self.N >= 1.0):
-            raise ParameterError(f"dimension bound N must be finite and >= 1, got {self.N}")
+    def __new__(cls, K: float, N: float):
+        if not math.isfinite(K):
+            raise ParameterError(f"curvature bound K must be finite, got {K}")
+        if not (math.isfinite(N) and N >= 1.0):
+            raise ParameterError(f"dimension bound N must be finite and >= 1, got {N}")
+        return super().__new__(cls, K, N)
 
 
-@dataclass(frozen=True)
-class JacobianParams:
+class JacobianParams(namedtuple("JacobianParams", "H cd")):
     """Mean curvature H together with the ambient (K, N)."""
 
-    H: float
-    cd: CurvatureDimension
+    # No __slots__: the cached _consts lives in the instance dict.
 
-    def __post_init__(self):
-        if not math.isfinite(self.H):
-            raise ParameterError(f"mean curvature H must be finite, got {self.H}")
+    def __new__(cls, H: float, cd: CurvatureDimension):
+        if not math.isfinite(H):
+            raise ParameterError(f"mean curvature H must be finite, got {H}")
+        return super().__new__(cls, H, cd)
 
     @cached_property
     def _consts(self) -> tuple[float, float, float, float]:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import CurvatureError, DomainError, ParameterError
 from .model1d import CurvatureDimension, JacobianParams, cos_kappa, jacobian, sigma_kappa, sin_kappa
@@ -38,7 +38,6 @@ def _grid_point(a: float, b: float, n: int) -> Callable[[int], float]:
     return lambda i: i * step + a if i < n - 1 else b
 
 
-@dataclass(frozen=True)
 class DensityProfile:
     """Positive density on [a, b], as a callable plus its values on a uniform grid.
 
@@ -51,38 +50,49 @@ class DensityProfile:
     neighbours, the points around the mode); samples is built on first access.
     """
 
-    a: float
-    b: float
-    fn: Callable[[float], float]
-    deriv: Optional[Callable[[float], float]] = None
-    grid_size: int = 1024
-    mode: Optional[float] = None
-    _checked: tuple = field(init=False, repr=False, compare=False)  # fn at the checked points
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
-            raise ParameterError(f"invalid interval [{self.a}, {self.b}]")
-        n = self.grid_size
-        if n < 2:
-            raise ParameterError(f"grid_size must be >= 2, got {n}")
-        if self.mode is not None and math.isnan(self.mode):
+    def __init__(self, a: float, b: float, fn: Callable[[float], float],
+                 deriv: Optional[Callable[[float], float]] = None, grid_size: int = 1024,
+                 mode: Optional[float] = None):
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ParameterError(f"invalid interval [{a}, {b}]")
+        if grid_size < 2:
+            raise ParameterError(f"grid_size must be >= 2, got {grid_size}")
+        if mode is not None and math.isnan(mode):
             raise ParameterError("mode must not be NaN")
-        point = _grid_point(self.a, self.b, n)
+        self.a, self.b, self.fn, self.deriv = a, b, fn, deriv
+        self.grid_size, self.mode = grid_size, mode
+        n = grid_size
+        point = _grid_point(a, b, n)
         indices = range(n)
-        if self.mode is not None:
+        if mode is not None:
             # The least interior value sits next to an end and the largest next
             # to the mode; a point more on each side absorbs rounding in the mode.
-            k = bisect_right(indices, self.mode, key=point)  # grid points <= mode
+            k = bisect_right(indices, mode, key=point)  # grid points <= mode
             indices = sorted({i for i in (0, 1, k - 2, k - 1, k, k + 1, n - 2, n - 1)
                               if 0 <= i < n})
-        self._check(tuple(map(self.fn, map(point, indices))))
+        self._check(tuple(map(fn, map(point, indices))))
+
+    def _key(self) -> tuple:
+        return self.a, self.b, self.fn, self.deriv, self.grid_size, self.mode
+
+    def __repr__(self) -> str:
+        return ("DensityProfile(a={!r}, b={!r}, fn={!r}, deriv={!r}, grid_size={!r}, "
+                "mode={!r})".format(*self._key()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def _check(self, values: tuple) -> None:
         if not (all(map(math.isfinite, values)) and min(values[1:-1], default=1.0) > 0.0
                 and values[0] >= 0.0 and values[-1] >= 0.0):
             raise ParameterError("density must be positive on the open interval "
                                  "and finite, non-negative at the endpoints")
-        object.__setattr__(self, "_checked", values)
+        self._checked = values
 
     @cached_property
     def samples(self):
@@ -114,13 +124,10 @@ class DensityProfile:
         new_deriv = None
         if deriv is not None:
             new_deriv = lambda r: exponent * fn(r) ** (exponent - 1.0) * deriv(r)
-        # Not DensityProfile(...): __post_init__ would call fn on the grid again.
+        # Not DensityProfile(...): __init__ would call fn on the grid again.
         out = object.__new__(DensityProfile)
-        for name, value in (("a", self.a), ("b", self.b),
-                            ("fn", lambda r: fn(r) ** exponent), ("deriv", new_deriv),
-                            ("grid_size", self.grid_size),
-                            ("mode", self.mode if exponent > 0.0 else None)):
-            object.__setattr__(out, name, value)
+        out.a, out.b, out.fn, out.deriv = self.a, self.b, lambda r: fn(r) ** exponent, new_deriv
+        out.grid_size, out.mode = self.grid_size, self.mode if exponent > 0.0 else None
         try:  # x ** exponent is monotone: the extremes stay where they were
             out._check(tuple(s ** exponent for s in self._checked))
         except OverflowError:  # float ** raises where an array holds inf: reject that
@@ -128,36 +135,31 @@ class DensityProfile:
         return out
 
 
-@dataclass(frozen=True)
-class Needle:
+class Needle(namedtuple("Needle", "profile weight")):
     """A density profile with base point 0 plus the quotient weight it carries."""
 
-    profile: DensityProfile
-    weight: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.weight) and self.weight >= 0.0):
-            raise ParameterError(f"needle weight must be finite and >= 0, got {self.weight}")
-        if not self.profile.a <= 0.0 <= self.profile.b:
-            raise ParameterError(
-                f"needle base 0 must lie in [{self.profile.a}, {self.profile.b}]")
+    def __new__(cls, profile: DensityProfile, weight: float = 1.0):
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ParameterError(f"needle weight must be finite and >= 0, got {weight}")
+        if not profile.a <= 0.0 <= profile.b:
+            raise ParameterError(f"needle base 0 must lie in [{profile.a}, {profile.b}]")
+        return super().__new__(cls, profile, weight)
 
 
-@dataclass(frozen=True)
-class CdDensityReport:
+class CdDensityReport(NamedTuple):
     passed: bool
     worst_violation: float
     witness: Optional[tuple[float, float, float]]
 
 
-@dataclass(frozen=True)
-class SturmReport:
+class SturmReport(NamedTuple):
     passed: bool
     max_excess: float
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     passed: bool
     H_used: float
     max_excess: float

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from needlecomp import (ConfigError, CurvatureDimension, EuclideanBall, GeodesicSphere,
-                        LevelPoint, RoundSphere, SphericalSuspension, WeightedInterval,
-                        decompose, equality_detect, hk_full, hk_outer, model_interval)
-from needlecomp.cli import CSV_HEADER, main, parse_config, run
+from needlecomp import (ConfigError, CurvatureDimension, DensityProfile, EuclideanBall,
+                        GeodesicSphere, LevelPoint, RoundSphere, SphericalSuspension,
+                        WeightedInterval, decompose, equality_detect, hk_full, hk_outer,
+                        model_interval)
+from needlecomp.cli import CSV_HEADER, ExperimentConfig, main, parse_config, run
 from needlecomp.geometry import GEOMETRY_KINDS
 
 SPHERE_CFG = """\
@@ -185,22 +186,11 @@ def test_run_expect_not_rigid_passes():
 
 
 def test_run_cd_density_failure_is_nonzero(capsys):
-    # constant density cannot satisfy a positive curvature bound
-    text = """\
-[geometry]
-kind = weighted-interval
-K = 1.0
-N = 2.0
-density = constant
-length = 1.5
-
-[surface]
-r0 = 0.75
-
-[run]
-checks = cd-density
-"""
-    assert run(parse_config(text)) == 1
+    # constant density cannot satisfy a positive curvature bound; the API
+    # still builds it, where a configuration refuses it
+    geom = WeightedInterval(1.5, DensityProfile(0.0, 1.5, lambda r: 1.0),
+                            CurvatureDimension(1.0, 2.0))
+    assert run(ExperimentConfig(geom, LevelPoint(0.75), ("cd-density",))) == 1
     assert "FAIL check=cd-density" in capsys.readouterr().out
 
 
@@ -480,6 +470,31 @@ print(codes, loaded)
                            "[False, False, False, False, False, False, False, True]")
 
 
+def test_no_command_loads_dataclasses(run_isolated):
+    # the value types are named tuples and plain classes: importing
+    # dataclasses (and with it inspect) took most of a cold command's import
+    out = run_isolated(f"""
+import contextlib, io
+from pathlib import Path
+from needlecomp.cli import main
+configs = Path({str(CONFIGS)!r})
+calls = [["version"],
+         ["profile", "--K", "1", "--N", "3", "--v", "0.3"],
+         ["jacobian", "--H", "1", "--K", "1", "--N", "3", "--r", "0.5"]]
+calls += [["run", str(configs / name), "--path", "-"]
+          for name in ("sphere_equator.cfg", "suspension.cfg", "truncated_interval.cfg")]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for args in calls:
+        codes.append(main(args))
+    loaded = [m in sys.modules for m in ("dataclasses", "inspect")]
+    codes.append(main(["run", str(configs / "euclidean_ball.cfg"), "--path", "-"]))
+loaded.append("dataclasses" in sys.modules)  # numpy imports inspect, not dataclasses
+print(codes, loaded)
+""")
+    assert out.strip() == "[0, 0, 0, 0, 0, 0, 0] [False, False, False]"
+
+
 SUSPENSION_OVERFLOW_CFG = """\
 [geometry]
 kind = spherical-suspension
@@ -556,13 +571,25 @@ def test_equator_of_the_100_sphere_is_rigid(capsys):
 
 def test_sturm_power_overflow_is_a_typed_error(capsys):
     # the density 10 raised to 1/(N-1) = 1000 overflows a float
-    assert main(["run", str(CONFIGS / "truncated_interval.cfg"),
+    assert main(["run", str(CONFIGS / "truncated_interval.cfg"), "--set", "geometry.K=0",
                  "--set", "geometry.density=constant", "--set", "geometry.length=0.1",
                  "--set", "geometry.N=1.001", "--set", "surface.r0=0.05",
                  "--set", "run.checks=sturm", "--path", "-"]) == 1
     out = capsys.readouterr().out
     assert "FAIL check=sturm reason=ParameterError: density must be positive" in out
     assert "Traceback" not in out
+
+
+def test_constant_density_with_positive_K_is_a_config_error(capsys):
+    # a constant density satisfies CD(K, N) only for K <= 0; hk-full once
+    # raised InequalityViolation on this configuration
+    assert main(["run", str(CONFIGS / "truncated_interval.cfg"),
+                 "--set", "geometry.density=constant", "--set", "geometry.length=0.1",
+                 "--set", "geometry.N=1.001", "--set", "surface.r0=0.05",
+                 "--set", "run.checks=sturm", "--path", "-"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL check=config reason=ConfigError: ")
+    assert "K <= 0" in out and "InequalityViolation" not in out
 
 
 def test_area_of_a_400_ball_no_longer_overflows(capsys):

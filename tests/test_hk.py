@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -96,8 +95,7 @@ def test_hk_full_truncated_interval_gap():
 
 def test_hk_full_rhs_monotone_in_mean_curvature():
     dec = decompose(BALL, GeodesicSphere(0.5))
-    bumped = dataclasses.replace(dec, H=(dec.H[0] + 1.0,),
-                                 H_plus=(dec.H_plus[0] + 1.0,))
+    bumped = dec._replace(H=(dec.H[0] + 1.0,), H_plus=(dec.H_plus[0] + 1.0,))
     assert hk_full(bumped).rhs >= hk_full(dec).rhs
 
 
@@ -108,7 +106,7 @@ def test_hk_outer_rhs_monotone_in_outer_curvature():
     dec = decompose(SPHERE, GeodesicSphere(2 * math.pi / 3))
     rhs_values = []
     for bump in (0.0, 0.5, 1.0, 2.0):
-        shifted = dataclasses.replace(dec, H_plus=(dec.H_plus[0] + bump,))
+        shifted = dec._replace(H_plus=(dec.H_plus[0] + bump,))
         rhs_values.append(hk_outer(shifted, 0.8).rhs)
     assert all(b >= a - 1e-12 for a, b in zip(rhs_values, rhs_values[1:]))
 
@@ -117,7 +115,7 @@ def test_violation_guard_raises():
     # an understated mean curvature shrinks the tight outer bound below the
     # true tube mass, which the guard must flag as a defect
     dec = decompose(BALL, GeodesicSphere(0.5))
-    broken = dataclasses.replace(dec, H_plus=(0.0,))
+    broken = dec._replace(H_plus=(0.0,))
     with pytest.raises(InequalityViolation):
         hk_outer(broken, 0.25)
 
@@ -126,10 +124,10 @@ def test_infinite_curvature_is_rejected():
     from needlecomp import CurvatureError
 
     dec = decompose(BALL, GeodesicSphere(0.5))
-    outer_inf = dataclasses.replace(dec, H_plus=(math.inf,))
+    outer_inf = dec._replace(H_plus=(math.inf,))
     with pytest.raises(CurvatureError):
         hk_outer(outer_inf, 0.25)
-    inner_inf = dataclasses.replace(dec, H_minus=(-math.inf,))
+    inner_inf = dec._replace(H_minus=(-math.inf,))
     with pytest.raises(CurvatureError):
         hk_full(inner_inf)
 
@@ -265,7 +263,7 @@ def test_profile_deviation_is_per_decomposition():
     # a wrong H makes J vanish before the needle ends: near r = -1 for a
     # larger H, near its far end for a smaller one
     for bump in (0.5, -0.5):
-        shifted = dataclasses.replace(dec, H=(dec.H[0] + bump,))
+        shifted = dec._replace(H=(dec.H[0] + bump,))
         deviation = shifted.profile_deviation[0]
         assert deviation > 0.1
         for tol in (DEFAULT_EQUALITY_TOL, 0.5 * deviation, 2.0 * deviation):
