@@ -299,14 +299,22 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
 # ------------------------------------------------------------------ checks
 
 def _hk_rows(report, dec: NeedleDecomposition) -> list[Row]:
-    rows = [Row(statement=report.statement, kind="needle", t=report.t,
-                rhs=entry.rhs_contribution, H_plus=dec.H_plus[entry.index],
-                H_minus=dec.H_minus[entry.index], H=dec.H[entry.index])
-            for entry in report.per_needle]
-    rows.append(Row(statement=report.statement, kind="summary", t=report.t,
-                    lhs=report.lhs, rhs=report.rhs, gap=report.gap,
-                    relative_gap=report.relative_gap, equality=report.equality))
-    return rows
+    return [Row(statement=report.statement, kind="needle", t=report.t, rhs=report.rhs,
+                H_plus=dec.H_plus, H_minus=dec.H_minus, H=dec.H),
+            Row(statement=report.statement, kind="summary", t=report.t,
+                lhs=report.lhs, rhs=report.rhs, gap=report.gap,
+                relative_gap=report.relative_gap, equality=report.equality)]
+
+
+def _add_needle_row(out: CheckOutcome, dec: NeedleDecomposition, worst: float,
+                    passed: bool, failure: str) -> None:
+    """The needle's row of a needle check, against the slack INEQ_SLACK; a
+    failed check also records the failure message."""
+    out.rows.append(Row(statement=out.name, kind="needle", lhs=worst, rhs=INEQ_SLACK,
+                        equality=passed, H_plus=dec.H_plus, H_minus=dec.H_minus, H=dec.H))
+    if not passed:
+        out.passed = False
+        out.messages.append(f"needle 0: {failure}")
 
 
 def _expectation_misses(expect: Optional[str], report) -> list[str]:
@@ -360,50 +368,30 @@ def _run_check(name: str, config: ExperimentConfig,
                 f"tube extrapolation {content!r} deviates from surface total "
                 f"{dec.surface_total!r} by {deviation:.3e}")
     elif name == "cd-density":
-        for i, needle in enumerate(dec.needles):
-            try:
-                report = check_cd_density(needle.profile, dec.cd, config.grid_size)
-            except OverflowError:  # sinh of a strongly negative K
-                raise ParameterError("the distortion coefficients of the density check "
-                                     "overflow a float at these parameters") from None
-            out.rows.append(Row(statement="cd-density", kind="needle",
-                                lhs=report.worst_violation, rhs=INEQ_SLACK,
-                                equality=report.passed, H_plus=dec.H_plus[i],
-                                H_minus=dec.H_minus[i], H=dec.H[i]))
-            if not report.passed:
-                out.passed = False
-                out.messages.append(
-                    f"needle {i}: density inequality violated by "
-                    f"{report.worst_violation:.3e} at {report.witness}")
+        try:
+            report = check_cd_density(dec.needle.profile, dec.cd, config.grid_size)
+        except OverflowError:  # sinh of a strongly negative K
+            raise ParameterError("the distortion coefficients of the density check "
+                                 "overflow a float at these parameters") from None
+        _add_needle_row(out, dec, report.worst_violation, report.passed,
+                        f"density inequality violated by {report.worst_violation:.3e} "
+                        f"at {report.witness}")
     elif name == "sturm":
         kap = dec.cd.K / (dec.cd.N - 1.0)
-        for i, needle in enumerate(dec.needles):
-            u = needle.profile.power(1.0 / (dec.cd.N - 1.0))
-            worst = -math.inf
-            ok = True
-            for j in range(10):
-                r0 = u.a + (u.b - u.a) * (j + 1.0) / 11.0
-                report = sturm_bound_check(u, kap, r0, grid_size=config.grid_size)
-                worst = max(worst, report.max_excess)
-                ok = ok and report.passed
-            out.rows.append(Row(statement="sturm", kind="needle", lhs=worst,
-                                rhs=INEQ_SLACK, equality=ok, H_plus=dec.H_plus[i],
-                                H_minus=dec.H_minus[i], H=dec.H[i]))
-            if not ok:
-                out.passed = False
-                out.messages.append(f"needle {i}: comparison bound exceeded by {worst:.3e}")
+        u = dec.needle.profile.power(1.0 / (dec.cd.N - 1.0))
+        worst = -math.inf
+        ok = True
+        for j in range(10):
+            r0 = u.a + (u.b - u.a) * (j + 1.0) / 11.0
+            report = sturm_bound_check(u, kap, r0, grid_size=config.grid_size)
+            worst = max(worst, report.max_excess)
+            ok = ok and report.passed
+        _add_needle_row(out, dec, worst, ok, f"comparison bound exceeded by {worst:.3e}")
     elif name == "ratio":
-        for i, needle in enumerate(dec.needles):
-            report = density_ratio_check(needle, dec.cd, grid_size=config.grid_size)
-            out.rows.append(Row(statement="ratio", kind="needle",
-                                lhs=report.max_excess, rhs=INEQ_SLACK,
-                                equality=report.passed, H_plus=dec.H_plus[i],
-                                H_minus=dec.H_minus[i], H=dec.H[i]))
-            if not report.passed:
-                out.passed = False
-                out.messages.append(
-                    f"needle {i}: density ratio exceeds the distortion profile "
-                    f"by {report.max_excess:.3e}")
+        report = density_ratio_check(dec.needle, dec.cd, grid_size=config.grid_size)
+        _add_needle_row(out, dec, report.max_excess, report.passed,
+                        f"density ratio exceeds the distortion profile "
+                        f"by {report.max_excess:.3e}")
     else:
         raise ConfigError(f"unknown check {name!r}")
     return out

@@ -2,8 +2,8 @@
 
 Every supported geometry is rotationally symmetric around a pole or center, so
 the radial coordinate is the only spatial datum: a geometry reduces to a radial
-density on [0, L].  All needles through a geodesic sphere are congruent and the
-quotient collapses to one representative needle whose weight is the total mass.
+density on [0, L].  Each needle through a geodesic sphere is congruent to the
+others, so the quotient collapses to one needle whose weight is the total mass.
 Needle densities are stored normalized to probability measures, with the
 normalizer folded into the weight; the surface measure total is weight * h(0).
 GEOMETRY_KINDS describes each kind once, keyed by its configuration name.
@@ -12,6 +12,7 @@ GEOMETRY_KINDS describes each kind once, keyed by its configuration name.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from collections import namedtuple
 from functools import cached_property
@@ -19,8 +20,8 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (ConfigError, CurvatureError, DegenerateSurfaceError,
                      ParameterError)
-from .model1d import (J_OVERFLOWS, CurvatureDimension, JacobianParams, jacobian,
-                      pi_kappa, unit_sphere_volume)
+from .model1d import (J_OVERFLOWS, Checked, CurvatureDimension, JacobianParams,
+                      jacobian, pi_kappa, unit_sphere_volume)
 from .needle import DensityProfile, Needle, one_sided_log_derivative
 from .numerics import extrapolate_to_zero, integrate
 
@@ -28,7 +29,7 @@ from .numerics import extrapolate_to_zero, integrate
 PROFILE_MATCH_POINTS = 200
 
 
-class WeightedInterval(namedtuple("WeightedInterval", "length density cd")):
+class WeightedInterval(Checked, namedtuple("WeightedInterval", "length density cd")):
     """Interval [0, length] carrying an explicit density and its CD parameters."""
 
     __slots__ = ()
@@ -41,7 +42,7 @@ class WeightedInterval(namedtuple("WeightedInterval", "length density cd")):
         return super().__new__(cls, length, density, cd)
 
 
-class RoundSphere(namedtuple("RoundSphere", "n radius")):
+class RoundSphere(Checked, namedtuple("RoundSphere", "n radius")):
     """Round sphere of dimension n and the given radius, Riemannian volume."""
 
     __slots__ = ()
@@ -58,7 +59,7 @@ class RoundSphere(namedtuple("RoundSphere", "n radius")):
         return CurvatureDimension((self.n - 1) / self.radius ** 2, float(self.n))
 
 
-class EuclideanBall(namedtuple("EuclideanBall", "n R")):
+class EuclideanBall(Checked, namedtuple("EuclideanBall", "n R")):
     """Closed ball of radius R in n-dimensional flat space, Lebesgue measure."""
 
     __slots__ = ()
@@ -75,7 +76,7 @@ class EuclideanBall(namedtuple("EuclideanBall", "n R")):
         return CurvatureDimension(0.0, float(self.n))
 
 
-class SphericalSuspension(namedtuple("SphericalSuspension", "cd base_volume")):
+class SphericalSuspension(Checked, namedtuple("SphericalSuspension", "cd base_volume")):
     """Warped product over the positively curved 1D model space; the cross
     section enters only through its total measure."""
 
@@ -110,31 +111,33 @@ SurfaceSpec = Union[LevelPoint, GeodesicSphere]
 
 
 class NeedleDecomposition(namedtuple("NeedleDecomposition", (
-        "needles", "total_mass", "diameter", "cd", "surface_total", "H_plus", "H_minus", "H"))):
-    """Weighted needle family for one geometry/surface pair, with the surface
-    measure total and per-needle mean curvatures.  needles is a tuple of
-    Needle; H_plus, H_minus and H are tuples of floats, one per needle."""
+        "needle", "total_mass", "diameter", "cd", "surface_total", "H_plus", "H_minus", "H"))):
+    """The needle of one geometry/surface pair, which every needle through the
+    surface is congruent to, with the surface measure total and the needle's
+    mean curvatures H_plus, H_minus and H = max(H_plus, -H_minus)."""
 
     # No __slots__: the cached profile_deviation lives in the instance dict.
 
+    @property
+    def needles(self) -> tuple[Needle]:
+        """(needle,), for perfbench/worker.py, which reads needles[0]."""
+        return (self.needle,)
+
     @cached_property
-    def profile_deviation(self) -> tuple[float, ...]:
-        """Per needle, max |h(r)/h(0) - J_H(r)| / max(J_H(r), 1e-12) over
-        PROFILE_MATCH_POINTS interior points; computed on first use.  A J that
+    def profile_deviation(self) -> float:
+        """max |h(r)/h(0) - J_H(r)| / max(J_H(r), 1e-12) over PROFILE_MATCH_POINTS
+        interior points of the needle; computed on first use.  A J that
         overflows a float there is a ParameterError."""
-        deviations = []
-        for needle, H in zip(self.needles, self.H):
-            params, p = JacobianParams(H, self.cd), needle.profile
-            h0, worst = p.fn(0.0), 0.0
-            try:
-                for i in range(PROFILE_MATCH_POINTS):
-                    r = p.a + (p.b - p.a) * (i + 1.0) / (PROFILE_MATCH_POINTS + 1.0)
-                    bound = jacobian(params, r)
-                    worst = max(worst, abs(p.fn(r) / h0 - bound) / max(bound, 1e-12))
-            except OverflowError:
-                raise ParameterError(J_OVERFLOWS) from None
-            deviations.append(worst)
-        return tuple(deviations)
+        params, p = JacobianParams(self.H, self.cd), self.needle.profile
+        h0, worst = p.fn(0.0), 0.0
+        try:
+            for i in range(PROFILE_MATCH_POINTS):
+                r = p.a + (p.b - p.a) * (i + 1.0) / (PROFILE_MATCH_POINTS + 1.0)
+                bound = jacobian(params, r)
+                worst = max(worst, abs(p.fn(r) / h0 - bound) / max(bound, 1e-12))
+        except OverflowError:
+            raise ParameterError(J_OVERFLOWS) from None
+        return worst
 
 
 class _RadialModel(NamedTuple):
@@ -320,35 +323,36 @@ def decompose(geom: GeometrySpec, surf: SurfaceSpec,
     # Inner mean curvature is the outer one of the role-swapped configuration,
     # i.e. -d^- log h(0); then H = max(H_plus, -H_minus) = max(d^+, d^-) log h(0).
     return NeedleDecomposition(
-        needles=(Needle(profile=profile, weight=total),),
+        needle=Needle(profile=profile, weight=total),
         total_mass=total,
         diameter=model.diameter,
         cd=geom.cd,
         surface_total=total * profile.fn(0.0),
-        H_plus=(d_plus,),
-        H_minus=(-d_minus,),
-        H=(max(d_plus, d_minus),),
+        H_plus=d_plus,
+        H_minus=-d_minus,
+        H=max(d_plus, d_minus),
     )
 
 
 def tube_volume(dec: NeedleDecomposition, t: float, side: str) -> float:
-    """Mass of the one-sided tube of width t around the surface."""
+    """Mass of the one-sided tube of width t around the surface.  A needle
+    density that is subnormal on average over the tube is a ParameterError:
+    its quadrature has lost the digits the bounds compare."""
     if not t > 0.0:
         raise ParameterError(f"tube width t must be positive, got {t}")
     if side not in ("outer", "inner"):
         raise ParameterError(f"side must be 'outer' or 'inner', got {side!r}")
-    total = 0.0
-    for needle in dec.needles:
-        p = needle.profile
-        if side == "outer":
-            total += needle.weight * integrate(p.fn, 0.0, min(p.b, t))
-        else:
-            total += needle.weight * integrate(p.fn, max(p.a, -t), 0.0)
-    return total
+    p = dec.needle.profile
+    lo, hi = (0.0, min(p.b, t)) if side == "outer" else (max(p.a, -t), 0.0)
+    mass = integrate(p.fn, lo, hi)
+    if mass < sys.float_info.min * (hi - lo):
+        raise ParameterError(f"the needle density is subnormal on average over the {side} "
+                             f"tube of width {t}: its mass is not resolved in a float")
+    return dec.needle.weight * mass
 
 
 def inner_mass(dec: NeedleDecomposition) -> float:
-    """Mass of the inner region (the side the needles enter at negative r)."""
+    """Mass of the inner region (the side the needle enters at negative r)."""
     return tube_volume(dec, dec.diameter, "inner")
 
 
@@ -362,7 +366,8 @@ def minkowski_content_from_dec(dec: NeedleDecomposition,
     small against that scale: the distance from the surface to the nearest ray
     end, not the diameter."""
     if epsilons is None:
-        scale = min([dec.diameter] + [min(-n.profile.a, n.profile.b) for n in dec.needles])
+        p = dec.needle.profile
+        scale = min(dec.diameter, -p.a, p.b)
         epsilons = (0.0025 * scale, 0.00125 * scale, 0.000625 * scale)
     eps = [float(e) for e in epsilons]
     if len(eps) < 3:

@@ -46,13 +46,6 @@ def equality_tolerance(override: Optional[float] = None) -> float:
     return value
 
 
-class PerNeedle(NamedTuple):
-    index: int
-    H: float
-    rhs_contribution: float
-    profile_match: bool
-
-
 class HKReport(NamedTuple):
     statement: str
     lhs: float
@@ -60,7 +53,6 @@ class HKReport(NamedTuple):
     gap: float
     relative_gap: float
     equality: bool
-    per_needle: tuple[PerNeedle, ...]
     t: Optional[float] = None
 
 
@@ -74,7 +66,7 @@ class LevyGromovReport(NamedTuple):
 
 class RigidityReport(NamedTuple):
     rigid: bool
-    per_needle_match: tuple[bool, ...]
+    profile_match: bool
     gap: float
     relative_gap: float
     failed_conditions: tuple[str, ...]
@@ -87,29 +79,22 @@ def _guard_inequality(statement: str, lhs: float, rhs: float) -> None:
             "this indicates a software defect")
 
 
-def _build_report(statement: str, lhs: float, per_needle: tuple[PerNeedle, ...],
-                  tol: float, t: Optional[float] = None) -> HKReport:
-    rhs = sum(entry.rhs_contribution for entry in per_needle)
+def _build_report(statement: str, lhs: float, rhs: float, tol: float,
+                  t: Optional[float] = None) -> HKReport:
     _guard_inequality(statement, lhs, rhs)
     gap = rhs - lhs
     relative_gap = gap / max(abs(rhs), _TINY)
     return HKReport(statement=statement, lhs=lhs, rhs=rhs, gap=gap,
-                    relative_gap=relative_gap, equality=relative_gap < tol,
-                    per_needle=per_needle, t=t)
+                    relative_gap=relative_gap, equality=relative_gap < tol, t=t)
 
 
-def _jacobian_shares(dec: NeedleDecomposition, Hs: tuple[float, ...], lo: float,
-                     hi: float, tol: float) -> tuple[PerNeedle, ...]:
-    """Per needle, its surface weight times the integral of J_{Hs[i]} over [lo, hi]."""
-    return tuple(
-        PerNeedle(i, Hs[i], (needle.weight * needle.profile.fn(0.0)
-                             * jacobian_integral(JacobianParams(Hs[i], dec.cd), lo, hi)),
-                  dec.profile_deviation[i] <= tol)
-        for i, needle in enumerate(dec.needles))
+def _surface_weight(dec: NeedleDecomposition) -> float:
+    """The needle's weight times its density at the base, h(0)."""
+    return dec.needle.weight * dec.needle.profile.fn(0.0)
 
 
-def _require_finite(values, what: str) -> None:
-    if any(math.isinf(v) or math.isnan(v) for v in values):
+def _require_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
         raise CurvatureError(f"{what} must be finite for this bound")
 
 
@@ -122,8 +107,8 @@ def hk_outer(dec: NeedleDecomposition, t: float,
     _require_finite(dec.H_plus, "outer mean curvature")
     tol = equality_tolerance(tolerance)
     lhs = tube_volume(dec, t, "outer")
-    return _build_report("hk-outer", lhs, _jacobian_shares(dec, dec.H_plus, 0.0, t, tol),
-                         tol, t=t)
+    rhs = _surface_weight(dec) * jacobian_integral(JacobianParams(dec.H_plus, dec.cd), 0.0, t)
+    return _build_report("hk-outer", lhs, rhs, tol, t=t)
 
 
 def hk_full(dec: NeedleDecomposition,
@@ -134,15 +119,15 @@ def hk_full(dec: NeedleDecomposition,
     _require_finite(dec.H_minus, "inner mean curvature")
     tol = equality_tolerance(tolerance)
     D = dec.diameter
-    return _build_report("hk-full", dec.total_mass,
-                         _jacobian_shares(dec, dec.H, -D, D, tol), tol)
+    rhs = _surface_weight(dec) * jacobian_integral(JacobianParams(dec.H, dec.cd), -D, D)
+    return _build_report("hk-full", dec.total_mass, rhs, tol)
 
 
 def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
                        tolerance: Optional[float] = None) -> tuple[HKReport, ...]:
     """Evaluate every applicable closed-form corollary bound on the total mass.
 
-    Branches: (a) a constant curvature bound H0 dominating every needle,
+    Branches: (a) a constant curvature bound H0 dominating the needle's H,
     (b) the diameter bound for H <= 0 and K >= 0, (c) for K > 0 the sharp
     bound through kappa_eff, plus its sphere-volume form for integer N.
     Raises when no branch applies, when H0 fails to dominate or when a bound
@@ -151,36 +136,29 @@ def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
     tol = equality_tolerance(tolerance)
     _require_finite(dec.H_plus, "outer mean curvature")
     _require_finite(dec.H_minus, "inner mean curvature")
-    cd = dec.cd
-    D = dec.diameter
-    lhs = dec.total_mass
-    weights = [n.weight * n.profile.fn(0.0) for n in dec.needles]
+    cd, D, H = dec.cd, dec.diameter, dec.H
+    weight = _surface_weight(dec)
 
-    def needles_report(statement: str, shares) -> HKReport:
-        if math.isinf(sum(shares)):
+    def report(statement: str, rhs: float) -> HKReport:
+        if math.isinf(rhs):
             raise ParameterError(J_OVERFLOWS)
-        per_needle = tuple(
-            PerNeedle(i, dec.H[i], share, dec.profile_deviation[i] <= tol)
-            for i, share in enumerate(shares))
-        return _build_report(statement, lhs, per_needle, tol)
+        return _build_report(statement, dec.total_mass, rhs, tol)
 
     # Sign and dominance preconditions tolerate float noise around equality
     # (cot of a numerically represented half-diameter is ~1e-16, not 0).
     slack = 1e-12
     reports = []
     if H0 is not None:
-        if not all(h <= H0 + slack * max(1.0, abs(H0)) for h in dec.H):
+        if not H <= H0 + slack * max(1.0, abs(H0)):
             raise ParameterError(
-                f"H0={H0} does not dominate the per-needle curvatures {dec.H}")
-        const_integral = jacobian_integral(JacobianParams(H0, cd), -D, D)
-        reports.append(needles_report("corollary-constant-H",
-                                      [w * const_integral for w in weights]))
-    if cd.K >= 0.0 and all(h <= slack for h in dec.H):
-        reports.append(needles_report("corollary-diameter", [w * D for w in weights]))
+                f"H0={H0} does not dominate the needle's mean curvature H={H}")
+        reports.append(report("corollary-constant-H",
+                              weight * jacobian_integral(JacobianParams(H0, cd), -D, D)))
+    if cd.K >= 0.0 and H <= slack:
+        reports.append(report("corollary-diameter", weight * D))
     if cd.K > 0.0:
-        reports.append(needles_report(
-            "corollary-positive-K",
-            [w * model_rhs_constant_H(JacobianParams(h, cd)) for w, h in zip(weights, dec.H)]))
+        reports.append(report("corollary-positive-K",
+                              weight * model_rhs_constant_H(JacobianParams(H, cd))))
         if abs(cd.N - round(cd.N)) < 1e-12:
             n = int(round(cd.N))
             kap = cd.K / (cd.N - 1.0)
@@ -192,9 +170,8 @@ def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
                 ratio, scale = unit_sphere_volume(n) / math.sqrt(kap), kap
             ratio /= unit_sphere_volume(n - 1)
             # model_rhs_constant_H raised above if this power overflows
-            reports.append(needles_report("corollary-positive-K-spheres", [
-                w * ratio * (kappa_eff(JacobianParams(h, cd)) / scale) ** (0.5 * (cd.N - 1.0))
-                for w, h in zip(weights, dec.H)]))
+            power = (kappa_eff(JacobianParams(H, cd)) / scale) ** (0.5 * (cd.N - 1.0))
+            reports.append(report("corollary-positive-K-spheres", weight * ratio * power))
     if not reports:
         raise ParameterError(
             "no corollary bound applies: provide a dominating H0, or satisfy "
@@ -234,28 +211,20 @@ def levy_gromov_check(dec: NeedleDecomposition,
 def equality_detect(dec: NeedleDecomposition,
                     tolerance: Optional[float] = None) -> RigidityReport:
     """Detect the sharp equality configuration (K > 0): the two-sided bound is
-    an equality, every needle density equals h(0) J_{H} on its interval, and
-    every needle spans the full support of its distortion profile."""
+    an equality, the needle density equals h(0) J_{H} on its interval, and
+    the needle spans the full support of its distortion profile."""
     if dec.cd.K <= 0.0:
         raise ParameterError(f"rigidity detection requires K > 0, got K={dec.cd.K}")
     tol = equality_tolerance(tolerance)
     full = hk_full(dec, tolerance=tol)
+    profile_match = dec.profile_deviation <= tol
     span_tol = tol * max(1.0, dec.diameter)
+    lo, hi = jacobian_support(JacobianParams(dec.H, dec.cd))
+    p = dec.needle.profile
+    span = abs(p.a - lo) <= span_tol and abs(p.b - hi) <= span_tol
 
-    matches = tuple(entry.profile_match for entry in full.per_needle)
-    spans = []
-    for i, needle in enumerate(dec.needles):
-        lo, hi = jacobian_support(JacobianParams(dec.H[i], dec.cd))
-        spans.append(abs(needle.profile.a - lo) <= span_tol
-                     and abs(needle.profile.b - hi) <= span_tol)
-
-    failed = []
-    if not full.equality:
-        failed.append("gap")
-    if not all(matches):
-        failed.append("profile")
-    if not all(spans):
-        failed.append("span")
-    return RigidityReport(rigid=not failed, per_needle_match=matches,
+    failed = [name for name, holds in (("gap", full.equality), ("profile", profile_match),
+                                       ("span", span)) if not holds]
+    return RigidityReport(rigid=not failed, profile_match=profile_match,
                           gap=full.gap, relative_gap=full.relative_gap,
                           failed_conditions=tuple(failed))

@@ -23,7 +23,18 @@ from .numerics import integrate
 J_OVERFLOWS = "the distortion profile J overflows a float at these parameters"
 
 
-class CurvatureDimension(namedtuple("CurvatureDimension", "K N")):
+class Checked:
+    """Base of the named tuples whose constructor checks its fields: _make, and
+    with it _replace, builds through the constructor, so the checks run again."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class CurvatureDimension(Checked, namedtuple("CurvatureDimension", "K N")):
     """Curvature bound K (units 1/length^2) and dimension bound N (>= 1)."""
 
     __slots__ = ()
@@ -36,7 +47,7 @@ class CurvatureDimension(namedtuple("CurvatureDimension", "K N")):
         return super().__new__(cls, K, N)
 
 
-class JacobianParams(namedtuple("JacobianParams", "H cd")):
+class JacobianParams(Checked, namedtuple("JacobianParams", "H cd")):
     """Mean curvature H together with the ambient (K, N)."""
 
     # No __slots__: the cached _consts lives in the instance dict.

@@ -16,7 +16,8 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CurvatureError, DomainError, ParameterError
-from .model1d import CurvatureDimension, JacobianParams, cos_kappa, jacobian, sigma_kappa, sin_kappa
+from .model1d import (Checked, CurvatureDimension, JacobianParams, cos_kappa, jacobian,
+                      sigma_kappa, sin_kappa)
 from .numerics import INEQ_SLACK, integrate, one_sided_derivative
 
 # Finite-difference defaults for one-sided derivatives.
@@ -135,7 +136,7 @@ class DensityProfile:
         return out
 
 
-class Needle(namedtuple("Needle", "profile weight")):
+class Needle(Checked, namedtuple("Needle", "profile weight")):
     """A density profile with base point 0 plus the quotient weight it carries."""
 
     __slots__ = ()

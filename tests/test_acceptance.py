@@ -24,7 +24,7 @@ from needlecomp import (CurvatureDimension, DensityProfile, EuclideanBall,
                         GeodesicSphere, JacobianParams, LevelPoint,
                         RoundSphere, SphericalSuspension, check_cd_density,
                         decompose, density_ratio_check, equality_detect,
-                        hk_full, hk_outer, jacobian, levy_gromov_check,
+                        equality_tolerance, hk_full, hk_outer, jacobian, levy_gromov_check,
                         minkowski_content_from_dec, model_interval,
                         model_profile, one_sided_log_derivative, sigma,
                         sturm_bound_check, unit_sphere_volume)
@@ -133,7 +133,7 @@ def test_criterion_3_euclidean_concentric_balls():
                 failures.append(f"{where}: rhs={full.rhs:.6g} expected={full_rhs:.6g}")
             if full.equality:
                 failures.append(f"{where}: two-sided bound reported as an equality")
-            if not all(entry.profile_match for entry in full.per_needle):
+            if not dec.profile_deviation <= equality_tolerance():
                 failures.append(f"{where}: needle density is not h(0) J")
             if off(outer.lhs, annulus) or off(outer.rhs, annulus):
                 failures.append(f"{where}: outer lhs={outer.lhs:.6g} "
@@ -237,15 +237,14 @@ def test_criterion_7_oracle_suite():
                           GeodesicSphere(0.7)))
 
     for dec in decs:
-        for needle in dec.needles:
-            if not check_cd_density(needle.profile, dec.cd, grid_size=10).passed:
-                failures.append("cd-density failed on a produced needle")
-            u = needle.profile.power(1.0 / (dec.cd.N - 1.0))
-            kap = dec.cd.K / (dec.cd.N - 1.0)
-            for j in range(10):
-                r0 = u.a + (u.b - u.a) * (j + 1.0) / 11.0
-                if not sturm_bound_check(u, kap, r0, grid_size=24).passed:
-                    failures.append(f"sturm bound failed at base {r0:.3f}")
+        if not check_cd_density(dec.needle.profile, dec.cd, grid_size=10).passed:
+            failures.append("cd-density failed on a produced needle")
+        u = dec.needle.profile.power(1.0 / (dec.cd.N - 1.0))
+        kap = dec.cd.K / (dec.cd.N - 1.0)
+        for j in range(10):
+            r0 = u.a + (u.b - u.a) * (j + 1.0) / 11.0
+            if not sturm_bound_check(u, kap, r0, grid_size=24).passed:
+                failures.append(f"sturm bound failed at base {r0:.3f}")
 
     constant = DensityProfile(0.0, math.pi / 2, lambda r: 1.0)
     if check_cd_density(constant, CurvatureDimension(1.0, 2.0), grid_size=12).passed:
@@ -255,10 +254,9 @@ def test_criterion_7_oracle_suite():
     ratio_decs += [decompose(EuclideanBall(n, 1.0), GeodesicSphere(0.5))
                    for n in BALL_DIMS]
     for dec in ratio_decs:
-        for needle in dec.needles:
-            report = density_ratio_check(needle, dec.cd, grid_size=60)
-            if not report.passed or abs(report.max_excess) >= 1e-8:
-                failures.append(f"ratio bound not tight: excess={report.max_excess:.3e}")
+        report = density_ratio_check(dec.needle, dec.cd, grid_size=60)
+        if not report.passed or abs(report.max_excess) >= 1e-8:
+            failures.append(f"ratio bound not tight: excess={report.max_excess:.3e}")
 
     ok = not failures
     assert _verdict(7, "needle oracle suite", ok,

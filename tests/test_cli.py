@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -617,20 +618,72 @@ def test_unrepresentable_sphere_is_a_typed_error(capsys, n, radius, r0, where, w
 
 def test_overflowing_distortion_profile_is_a_typed_failure(capsys):
     # H = 31 cot(1e-5) is about 3.1e6 at this small cap of the 63-sphere, and
-    # J = (cos + H/62 sin)^62 overflows a float inside the profile match of
-    # hk-outer and in the corollary-positive-K bound
+    # J = (cos + H/62 sin)^62 overflows a float in the corollary-positive-K
+    # bound; h(0) is about 1.6e-310, so the outer tube's mass is refused
     assert main(["run", str(CONFIGS / "sphere_equator.cfg"), "--set", "geometry.n=63",
                  "--set", "geometry.radius=2", "--set", "surface.r0=2e-5",
                  "--set", "run.checks=hk-outer,corollaries", "--set", "run.t_values=1e-6",
                  "--path", "-"]) == 1
     out = capsys.readouterr().out
-    for check in ("hk-outer", "corollaries"):
-        assert (f"FAIL check={check} reason=ParameterError: the distortion profile J "
-                "overflows a float at these parameters") in out
+    assert ("FAIL check=hk-outer reason=ParameterError: the needle density is subnormal "
+            "on average over the outer tube of width 1e-06") in out
+    assert ("FAIL check=corollaries reason=ParameterError: the distortion profile J "
+            "overflows a float at these parameters") in out
     assert "Traceback" not in out
+    assert "InequalityViolation" not in out
+
+
+def test_subnormal_tube_mass_is_a_typed_failure(capsys):
+    # h(0) = 2 pi r0 / (pi R^2) = 2e-310 is subnormal here: the tube masses of the
+    # narrow widths lose their digits, so they are refused, not compared
+    ball = [str(CONFIGS / "euclidean_ball.cfg"), "--set", "geometry.n=2",
+            "--set", "geometry.R=1e150", "--set", "surface.r0=1e-10",
+            "--set", "run.checks=hk-outer", "--path", "-", "--format", "csv"]
+    for t in ("1e-12", "1e-11"):
+        assert main(["run", *ball, "--set", f"run.t_values={t}"]) == 1
+        out = capsys.readouterr().out
+        assert (f"FAIL check=hk-outer reason=ParameterError: the needle density is "
+                f"subnormal on average over the outer tube of width {t}") in out
+        assert "InequalityViolation" not in out and "Traceback" not in out
+    # the outer tube of width 1 reaches the ray end: an exact equality case
+    assert main(["run", *ball, "--set", "run.t_values=1"]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert summary[0] == "hk-outer" and summary[6] == "true"
+    assert abs(float(summary[5])) < 1e-15
+
+
+def test_outer_bound_needs_no_profile_match(tmp_path, capsys):
+    # J_0 = cosh(sqrt(50) r)^2 at K = -100, N = 3 overflows a float within the
+    # interval [-100, 100], but the outer bound integrates J over [0, t] only
+    config = tmp_path / "steep.cfg"
+    config.write_text("[geometry]\nkind = weighted-interval\nK = -100\nN = 3\n"
+                      "density = constant\nlength = 200\n[surface]\nr0 = 100\n"
+                      "[run]\nchecks = hk-outer\nt_values = 0.1, 1.0\n")
+    assert main(["run", str(config), "--format", "csv", "--path", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == CSV_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(row[0], row[1]) for row in rows] == [("hk-outer", "0.1")] * 2 + \
+        [("hk-outer", "1.0")] * 2
+    for (needle, summary), lhs, rhs in zip((rows[:2], rows[2:]), (0.1, 1.0),
+                                           (0.11841494360042955, 24506.7282702168)):
+        assert needle[2] == "" and float(needle[3]) == float(summary[3])
+        assert float(summary[2]) == pytest.approx(lhs, rel=1e-14)
+        assert float(summary[3]) == pytest.approx(rhs, rel=1e-12)
+        assert summary[6] == "false"
 
 
 # ------------------------------------------------- README experiment recipes
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "True"  # the example's rigidity
 
 def test_tube_curve_recipe_matches_hk_outer(capsys):
     widths = (0.5, 1.0, 1.5, 2.0)

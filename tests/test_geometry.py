@@ -6,7 +6,7 @@ import pytest
 
 from needlecomp import (CurvatureDimension, CurvatureError,
                         DegenerateSurfaceError, DensityProfile, EuclideanBall,
-                        GeodesicSphere, LevelPoint, ParameterError,
+                        GeodesicSphere, LevelPoint, Needle, ParameterError,
                         RoundSphere, SphericalSuspension, WeightedInterval,
                         check_cd_density, constant_interval, decompose,
                         inner_mass, laplacian_regular_part,
@@ -74,23 +74,29 @@ def test_decompose_rejects_one_dimensional_calculus():
 
 def test_decompose_model_interval():
     dec = decompose(model_interval(CurvatureDimension(1.0, 2.0)), LevelPoint(math.pi / 2))
-    assert len(dec.needles) == 1
-    needle = dec.needles[0]
+    assert isinstance(dec.needle, Needle)
+    needle = dec.needle
     assert needle.profile.a == pytest.approx(-math.pi / 2)
     assert needle.profile.b == pytest.approx(math.pi / 2)
     assert dec.total_mass == pytest.approx(2.0, rel=1e-10)
     assert dec.surface_total == pytest.approx(1.0, rel=1e-10)
-    assert dec.H[0] == pytest.approx(0.0, abs=1e-12)
+    assert dec.H == pytest.approx(0.0, abs=1e-12)
     assert dec.diameter == pytest.approx(math.pi)
+
+
+def test_needles_alias_is_the_one_needle():
+    # perfbench/worker.py reads dec.needles[0]; the alias keeps it working.
+    dec = decompose(SPHERE, EQUATOR)
+    assert dec.needles == (dec.needle,)
 
 
 def test_decompose_euclidean_ball():
     dec = decompose(BALL, GeodesicSphere(0.5))
     assert dec.total_mass == pytest.approx(4 * math.pi / 3, rel=1e-10)
     assert dec.surface_total == pytest.approx(math.pi, rel=1e-10)
-    assert dec.H_plus[0] == pytest.approx(4.0, rel=1e-12)
-    assert dec.H[0] == pytest.approx(4.0, rel=1e-12)
-    assert dec.H_minus[0] == pytest.approx(-4.0, rel=1e-12)
+    assert dec.H_plus == pytest.approx(4.0, rel=1e-12)
+    assert dec.H == pytest.approx(4.0, rel=1e-12)
+    assert dec.H_minus == pytest.approx(-4.0, rel=1e-12)
     assert dec.diameter == 2.0
     assert dec.cd.K == 0.0 and dec.cd.N == 3.0
 
@@ -99,7 +105,7 @@ def test_decompose_round_sphere_equator():
     dec = decompose(SPHERE, EQUATOR)
     assert dec.total_mass == pytest.approx(4 * math.pi, rel=1e-10)
     assert dec.surface_total == pytest.approx(2 * math.pi, rel=1e-10)
-    assert dec.H[0] == pytest.approx(0.0, abs=1e-12)
+    assert dec.H == pytest.approx(0.0, abs=1e-12)
     assert dec.cd.K == pytest.approx(1.0)
 
 
@@ -111,28 +117,27 @@ def test_decompose_suspension_matches_model_density():
     kap = 1.0
     norm = 2.5 * math.pi / 2.0  # base_volume * integral of sin^2 over [0, pi]
     assert dec.total_mass == pytest.approx(norm, rel=1e-10)
-    needle = dec.needles[0]
+    needle = dec.needle
     for r in np.linspace(-0.7, 2.0, 9):
         expected = 2.5 * math.sin(r0 + float(r)) ** 2 / norm
         assert needle.profile.fn(float(r)) == pytest.approx(expected, rel=1e-12)
-    assert dec.H[0] == pytest.approx(2.0 / math.tan(r0), rel=1e-10)
+    assert dec.H == pytest.approx(2.0 / math.tan(r0), rel=1e-10)
 
 
 def test_mean_curvature_field():
     dec = decompose(BALL, GeodesicSphere(0.5))
-    assert dec.H_plus == (pytest.approx(4.0, rel=1e-12),)
-    assert dec.H_minus == (pytest.approx(-4.0, rel=1e-12),)
-    assert dec.H == (max(dec.H_plus[0], -dec.H_minus[0]),)
+    assert dec.H_plus == pytest.approx(4.0, rel=1e-12)
+    assert dec.H_minus == pytest.approx(-4.0, rel=1e-12)
+    assert dec.H == max(dec.H_plus, -dec.H_minus)
 
     dec = decompose(model_interval(CurvatureDimension(1.0, 2.0)), LevelPoint(math.pi / 4))
-    assert dec.H == (pytest.approx(1.0, rel=1e-10),)
+    assert dec.H == pytest.approx(1.0, rel=1e-10)
 
 
 def test_mean_curvature_max_convention():
     for geom, surf in all_model_pairs():
         dec = decompose(geom, surf)
-        for hp, hm, h in zip(dec.H_plus, dec.H_minus, dec.H):
-            assert h == max(hp, -hm)
+        assert dec.H == max(dec.H_plus, -dec.H_minus)
 
 
 def test_mean_curvature_rejects_infinite_base_slope():
@@ -220,22 +225,20 @@ def test_minkowski_schedule_validation():
 def test_disintegration_consistency():
     for geom, surf in all_model_pairs():
         dec = decompose(geom, surf)
-        assert sum(needle_mass(n) for n in dec.needles) == \
-            pytest.approx(dec.total_mass, rel=1e-9)
+        assert needle_mass(dec.needle) == pytest.approx(dec.total_mass, rel=1e-9)
 
 
 def test_every_produced_needle_satisfies_cd_density():
     for geom, surf in all_model_pairs():
         dec = decompose(geom, surf)
-        for needle in dec.needles:
-            report = check_cd_density(needle.profile, dec.cd, grid_size=10)
-            assert report.passed, (geom, surf, report.worst_violation)
+        report = check_cd_density(dec.needle.profile, dec.cd, grid_size=10)
+        assert report.passed, (geom, surf, report.worst_violation)
 
 
 def test_euclidean_needle_laplacian_is_classical():
     n, rho = 3, 0.5
     dec = decompose(EuclideanBall(n, 1.0), GeodesicSphere(rho))
-    needle = dec.needles[0]
+    needle = dec.needle
     for r in np.linspace(-0.4, 0.45, 9):
         assert laplacian_regular_part(needle, float(r)) == \
             pytest.approx(-(n - 1) / (rho + float(r)), rel=1e-10)
@@ -246,7 +249,7 @@ def test_constant_interval_geometry():
     dec = decompose(geom, LevelPoint(0.5))
     assert dec.total_mass == pytest.approx(2.0, rel=1e-12)
     assert dec.surface_total == pytest.approx(1.0, rel=1e-12)
-    assert dec.H[0] == 0.0
+    assert dec.H == 0.0
 
 
 # ---------------------------------------------- registered density shapes
@@ -312,7 +315,7 @@ def test_unrepresentable_radial_models_are_parameter_errors():
                          + [(constant_interval(2.0, CurvatureDimension(0.0, 2.0)),
                              LevelPoint(0.5))])
 def test_needle_mode_is_where_the_density_peaks(geom, surf):
-    profile = decompose(geom, surf).needles[0].profile
+    profile = decompose(geom, surf).needle.profile
     grid, values = profile.grid().tolist(), profile.samples.tolist()
     for i in range(len(grid) - 1):
         if grid[i + 1] <= profile.mode:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -60,11 +61,12 @@ def test_hk_outer_rejects_bad_width():
 # ----------------------------------------------------------------- hk_full
 
 def test_hk_full_sphere_equator_equality():
-    report = hk_full(decompose(SPHERE, EQUATOR))
+    dec = decompose(SPHERE, EQUATOR)
+    report = hk_full(dec)
     assert report.lhs == pytest.approx(4 * math.pi, rel=1e-12)
     assert report.rhs == pytest.approx(4 * math.pi, rel=1e-10)
     assert report.equality
-    assert all(entry.profile_match for entry in report.per_needle)
+    assert equality_detect(dec).profile_match
 
 
 def test_hk_full_cap_family_equality():
@@ -76,11 +78,12 @@ def test_hk_full_cap_family_equality():
 def test_hk_full_flat_ball_has_strict_gap():
     # J stays positive past the needle end for flat balls: the two-sided
     # bound over [-D, D] is strict there.
-    report = hk_full(decompose(BALL, GeodesicSphere(0.5)))
+    dec = decompose(BALL, GeodesicSphere(0.5))
+    report = hk_full(dec)
     assert report.lhs == pytest.approx(4 * math.pi / 3, rel=1e-10)
     assert report.gap > 1.0
     assert not report.equality
-    assert all(entry.profile_match for entry in report.per_needle)
+    assert dec.profile_deviation <= DEFAULT_EQUALITY_TOL
 
 
 def test_hk_full_truncated_interval_gap():
@@ -95,7 +98,7 @@ def test_hk_full_truncated_interval_gap():
 
 def test_hk_full_rhs_monotone_in_mean_curvature():
     dec = decompose(BALL, GeodesicSphere(0.5))
-    bumped = dec._replace(H=(dec.H[0] + 1.0,), H_plus=(dec.H_plus[0] + 1.0,))
+    bumped = dec._replace(H=dec.H + 1.0, H_plus=dec.H_plus + 1.0)
     assert hk_full(bumped).rhs >= hk_full(dec).rhs
 
 
@@ -106,7 +109,7 @@ def test_hk_outer_rhs_monotone_in_outer_curvature():
     dec = decompose(SPHERE, GeodesicSphere(2 * math.pi / 3))
     rhs_values = []
     for bump in (0.0, 0.5, 1.0, 2.0):
-        shifted = dec._replace(H_plus=(dec.H_plus[0] + bump,))
+        shifted = dec._replace(H_plus=dec.H_plus + bump)
         rhs_values.append(hk_outer(shifted, 0.8).rhs)
     assert all(b >= a - 1e-12 for a, b in zip(rhs_values, rhs_values[1:]))
 
@@ -115,7 +118,7 @@ def test_violation_guard_raises():
     # an understated mean curvature shrinks the tight outer bound below the
     # true tube mass, which the guard must flag as a defect
     dec = decompose(BALL, GeodesicSphere(0.5))
-    broken = dec._replace(H_plus=(0.0,))
+    broken = dec._replace(H_plus=0.0)
     with pytest.raises(InequalityViolation):
         hk_outer(broken, 0.25)
 
@@ -124,10 +127,10 @@ def test_infinite_curvature_is_rejected():
     from needlecomp import CurvatureError
 
     dec = decompose(BALL, GeodesicSphere(0.5))
-    outer_inf = dec._replace(H_plus=(math.inf,))
+    outer_inf = dec._replace(H_plus=math.inf)
     with pytest.raises(CurvatureError):
         hk_outer(outer_inf, 0.25)
-    inner_inf = dec._replace(H_minus=(-math.inf,))
+    inner_inf = dec._replace(H_minus=-math.inf)
     with pytest.raises(CurvatureError):
         hk_full(inner_inf)
 
@@ -171,7 +174,7 @@ def test_corollary_overflow_is_a_parameter_error(N):
 
 def test_corollary_spheres_overflow_is_a_parameter_error(monkeypatch):
     dec = decompose(model_interval(FAR_SUSPENSION.cd, length=1400.0), LevelPoint(1000.0))
-    weight = dec.needles[0].weight * dec.needles[0].profile.fn(0.0)
+    weight = dec.needle.weight * dec.needle.profile.fn(0.0)
     # a finite sharp bound, so that only the sphere-volume form overflows
     monkeypatch.setattr(hk, "model_rhs_constant_H", lambda p: dec.total_mass / weight)
     with pytest.raises(ParameterError, match="overflows a float"):
@@ -209,6 +212,14 @@ def test_corollary_preconditions():
     assert [r.statement for r in reports] == ["corollary-constant-H"]
 
 
+def test_corollary_constant_H_names_the_undominated_curvature():
+    dec = interval_dec(r0=math.pi / 4)  # H = cot(pi/4)
+    assert isinstance(dec.H, float)
+    message = f"H0=0.5 does not dominate the needle's mean curvature H={dec.H}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        closed_form_bounds(dec, H0=0.5)
+
+
 def test_corollary_diameter_branch_on_negative_curvature_surface():
     dec = interval_dec(r0=0.6 * math.pi)  # H = cot(0.6 pi) < 0
     reports = {r.statement: r for r in closed_form_bounds(dec)}
@@ -234,43 +245,47 @@ def reference_profile_match(needle, params, tol, grid_size=200):
     return True
 
 
+def profile_match_cases():
+    return [decompose(SPHERE, GeodesicSphere(math.pi / 4)),
+            decompose(BALL, GeodesicSphere(0.5)),
+            interval_dec(length=math.pi - 0.1)]
+
+
 def test_profile_match_flags_equal_reference():
-    cases = [decompose(SPHERE, GeodesicSphere(math.pi / 4)),
-             decompose(BALL, GeodesicSphere(0.5)),
-             interval_dec(length=math.pi - 0.1)]
-    for dec in cases:
-        deviation = dec.profile_deviation[0]
+    for dec in profile_match_cases():
+        deviation = dec.profile_deviation
         assert deviation > 0.0
         for tol in (DEFAULT_EQUALITY_TOL, 0.5 * deviation, 2.0 * deviation):
-            expected = [reference_profile_match(needle, JacobianParams(H, dec.cd), tol)
-                        for needle, H in zip(dec.needles, dec.H)]
-            assert expected == [tol > deviation]
-            reports = [hk_outer(dec, 0.5 * dec.needles[0].profile.b, tolerance=tol),
-                       hk_full(dec, tolerance=tol)]
-            reports += closed_form_bounds(dec, H0=max(dec.H) + 1.0, tolerance=tol)
-            for report in reports:
-                assert [e.profile_match for e in report.per_needle] == expected, \
-                    (report.statement, tol)
+            expected = reference_profile_match(dec.needle, JacobianParams(dec.H, dec.cd), tol)
+            assert expected == (tol > deviation)
             if dec.cd.K > 0.0:
                 verdict = equality_detect(dec, tolerance=tol)
-                assert list(verdict.per_needle_match) == expected, tol
+                assert verdict.profile_match == expected, tol
+
+
+def test_hk_bounds_leave_the_profile_match_uncomputed():
+    # only the rigidity statement reads the profile match
+    for dec in profile_match_cases():
+        hk_outer(dec, 0.5 * dec.needle.profile.b)
+        hk_full(dec)
+        closed_form_bounds(dec, H0=dec.H + 1.0)
+        assert "profile_deviation" not in dec.__dict__
 
 
 def test_profile_deviation_is_per_decomposition():
     dec = decompose(SPHERE, GeodesicSphere(1.0))
     assert dec.profile_deviation is dec.profile_deviation
-    assert hk_full(dec).per_needle[0].profile_match
+    assert equality_detect(dec).profile_match
     # a wrong H makes J vanish before the needle ends: near r = -1 for a
     # larger H, near its far end for a smaller one
     for bump in (0.5, -0.5):
-        shifted = dec._replace(H=(dec.H[0] + bump,))
-        deviation = shifted.profile_deviation[0]
+        shifted = dec._replace(H=dec.H + bump)
+        deviation = shifted.profile_deviation
         assert deviation > 0.1
         for tol in (DEFAULT_EQUALITY_TOL, 0.5 * deviation, 2.0 * deviation):
             expected = reference_profile_match(
-                shifted.needles[0], JacobianParams(shifted.H[0], dec.cd), tol)
-            assert hk_outer(shifted, 0.5, tolerance=tol).per_needle[0].profile_match \
-                == expected == (tol > deviation)
+                shifted.needle, JacobianParams(shifted.H, dec.cd), tol)
+            assert (shifted.profile_deviation <= tol) == expected == (tol > deviation)
 
 
 # -------------------------------------------------------------- levy-gromov
@@ -354,7 +369,7 @@ def test_equality_implies_profile_match():
                 decompose(BALL, GeodesicSphere(0.5))):
         report = hk_full(dec)
         if report.equality:
-            assert all(entry.profile_match for entry in report.per_needle)
+            assert dec.profile_deviation <= DEFAULT_EQUALITY_TOL
 
 
 # ---------------------------------------------------------------- tolerance

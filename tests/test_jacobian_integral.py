@@ -178,8 +178,8 @@ def test_negative_K_hk_full_integrates_J(monkeypatch):
     report = hk_full(dec)
     assert any(isinstance(fn, partial) and fn.func is jacobian for fn in integrated)
     D = dec.diameter
-    expected = dec.needles[0].weight * dec.needles[0].profile.fn(0.0) * \
-        _parent_jacobian_integral(JacobianParams(dec.H[0], cd), -D, D)
+    expected = dec.needle.weight * dec.needle.profile.fn(0.0) * \
+        _parent_jacobian_integral(JacobianParams(dec.H, cd), -D, D)
     assert report.rhs == expected
 
 

@@ -451,7 +451,7 @@ _KIND_NEEDLES = {
 
 def _kind_needle(kind):
     dec = decompose(*_KIND_NEEDLES[kind])
-    return dec.needles[0].profile, dec.cd
+    return dec.needle.profile, dec.cd
 
 
 def _assert_same_report(got, want):

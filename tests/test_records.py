@@ -10,7 +10,7 @@ import pytest
 from needlecomp import (CdDensityReport, CurvatureDimension, DensityProfile, EuclideanBall,
                         GeodesicSphere, HKReport, JacobianParams, LevelPoint,
                         LevyGromovReport, Needle, NeedleDecomposition, ParameterError,
-                        PerNeedle, RatioReport, RigidityReport, RoundSphere,
+                        RatioReport, RigidityReport, RoundSphere,
                         SphericalSuspension, SturmReport, WeightedInterval, decompose)
 from needlecomp.cli import ExperimentConfig, Row
 
@@ -20,8 +20,8 @@ EXP = ("DensityProfile(a={}, b={}, fn=<built-in function exp>, deriv=None, grid_
 
 
 def _decomposition():
-    return NeedleDecomposition((Needle(DensityProfile(-1.0, 1.0, math.exp), 2.0),), 2.0, 2.0,
-                               CurvatureDimension(0.0, 2.0), 2.0, (1.0,), (-1.0,), (1.0,))
+    return NeedleDecomposition(Needle(DensityProfile(-1.0, 1.0, math.exp), 2.0), 2.0, 2.0,
+                               CurvatureDimension(0.0, 2.0), 2.0, 1.0, -1.0, 1.0)
 
 
 REPRS = [
@@ -45,23 +45,21 @@ REPRS = [
     (lambda: LevelPoint(0.5), "LevelPoint(r0=0.5)"),
     (lambda: GeodesicSphere(0.25), "GeodesicSphere(r0=0.25)"),
     (_decomposition,
-     f"NeedleDecomposition(needles=(Needle(profile={EXP.format(-1.0, 1.0)}, weight=2.0),), "
+     f"NeedleDecomposition(needle=Needle(profile={EXP.format(-1.0, 1.0)}, weight=2.0), "
      "total_mass=2.0, diameter=2.0, cd=CurvatureDimension(K=0.0, N=2.0), surface_total=2.0, "
-     "H_plus=(1.0,), H_minus=(-1.0,), H=(1.0,))"),
+     "H_plus=1.0, H_minus=-1.0, H=1.0)"),
     (lambda: CdDensityReport(False, 0.5, (-0.5, 0.5, 0.25)),
      "CdDensityReport(passed=False, worst_violation=0.5, witness=(-0.5, 0.5, 0.25))"),
     (lambda: SturmReport(True, -1.0), "SturmReport(passed=True, max_excess=-1.0)"),
     (lambda: RatioReport(False, 1.0, 0.125),
      "RatioReport(passed=False, H_used=1.0, max_excess=0.125)"),
-    (lambda: PerNeedle(0, 1.0, 2.0, True),
-     "PerNeedle(index=0, H=1.0, rhs_contribution=2.0, profile_match=True)"),
-    (lambda: HKReport("hk-full", 1.0, 1.0, 0.0, 0.0, True, ()),
+    (lambda: HKReport("hk-full", 1.0, 1.0, 0.0, 0.0, True),
      "HKReport(statement='hk-full', lhs=1.0, rhs=1.0, gap=0.0, relative_gap=0.0, "
-     "equality=True, per_needle=(), t=None)"),
+     "equality=True, t=None)"),
     (lambda: LevyGromovReport(0.5, 0.5, True, True, 0.0),
      "LevyGromovReport(content=0.5, profile_value=0.5, passed=True, equality=True, gap=0.0)"),
-    (lambda: RigidityReport(False, (False,), 0.5, 0.25, ("profile",)),
-     "RigidityReport(rigid=False, per_needle_match=(False,), gap=0.5, relative_gap=0.25, "
+    (lambda: RigidityReport(False, False, 0.5, 0.25, ("profile",)),
+     "RigidityReport(rigid=False, profile_match=False, gap=0.5, relative_gap=0.25, "
      "failed_conditions=('profile',))"),
     (lambda: ExperimentConfig(RoundSphere(2, 1.0), GeodesicSphere(1.0), ("hk-full",)),
      "ExperimentConfig(geometry=RoundSphere(n=2, radius=1.0), surface=GeodesicSphere(r0=1.0), "
@@ -127,6 +125,30 @@ def test_constructor_checks_positional_and_keyword(cls, kwargs, message):
         assert str(info.value) == message
 
 
+VALID = {CurvatureDimension: CD, JacobianParams: JacobianParams(0.5, CD),
+         WeightedInterval: WeightedInterval(1.0, P, CD), RoundSphere: RoundSphere(2, 1.0),
+         EuclideanBall: EuclideanBall(2, 1.0), SphericalSuspension: SphericalSuspension(CD, 1.0),
+         Needle: Needle(DensityProfile(-1.0, 1.0, math.exp))}
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [check for check in CHECKS
+                                                   if check[0] in VALID])
+def test_replace_reruns_the_constructor_checks(cls, kwargs, message):
+    with pytest.raises(ParameterError) as info:
+        VALID[cls]._replace(**kwargs)
+    assert str(info.value) == message
+
+
+def test_replace_builds_the_checked_type():
+    replaced = RoundSphere(2, 1.0)._replace(radius=2.0)
+    assert type(replaced) is RoundSphere and replaced == RoundSphere(2, 2.0)
+    with pytest.raises(ParameterError, match="^dimension bound N must be finite and >= 1, "
+                                             "got 0.5$"):
+        CurvatureDimension(1.0, 3.0)._replace(N=0.5)
+    with pytest.raises(ParameterError, match="^sphere radius must be positive, got -1.0$"):
+        decompose(RoundSphere(2, 1.0)._replace(radius=-1.0), GeodesicSphere(0.5))
+
+
 @pytest.mark.parametrize("make", [make for make, text in REPRS
                                   if not text.startswith("DensityProfile")])
 def test_fields_of_named_tuples_cannot_be_assigned(make):
@@ -139,7 +161,7 @@ def test_fields_of_named_tuples_cannot_be_assigned(make):
 def test_replaced_decomposition_recomputes_its_profile_deviation():
     dec = decompose(RoundSphere(2, 1.0), GeodesicSphere(math.pi / 2))
     deviation = dec.profile_deviation
-    bumped = dec._replace(H=(dec.H[0] + 1.0,))
+    bumped = dec._replace(H=dec.H + 1.0)
     assert bumped.profile_deviation != deviation
     assert bumped.profile_deviation == NeedleDecomposition(*bumped).profile_deviation
     assert dec.profile_deviation is deviation
