@@ -14,46 +14,55 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .errors import ConfigError, NeedlecompError, ParameterError
 from .geometry import (GEOMETRY_KINDS, GeometryKind, GeometrySpec, NeedleDecomposition,
-                       SurfaceSpec, decompose, minkowski_content_from_dec, radial_model)
+                       decompose, minkowski_content_from_dec, radial_model)
 from .hk import (closed_form_bounds, equality_detect, equality_tolerance, hk_full,
                  hk_outer, levy_gromov_check)
-from .model1d import CurvatureDimension, JacobianParams, jacobian, model_profile
+from .model1d import Checked, CurvatureDimension, JacobianParams, jacobian, model_profile
 from .needle import check_cd_density, density_ratio_check, sturm_bound_check
 from .numerics import INEQ_SLACK
 
 CHECK_NAMES = ("cd-density", "sturm", "ratio", "hk-outer", "hk-full",
                "corollaries", "levy-gromov", "rigidity", "minkowski")
+FORMATS = ("report", "csv", "plotdata")
 MINKOWSKI_REL_TOL = 1e-6
 
-_SECTION_KEYS = {
-    "surface": {"r0"},
-    "run": {"checks", "t_values", "expect", "tolerance", "grid_size", "H0",
-            "epsilons"},
-    "output": {"format", "path"},
-}
-_SECTIONS = ("geometry",) + tuple(_SECTION_KEYS)
-# A configuration value and where it was given: a line number of the file,
-# or a '--set #k' label for the k-th override.
-_Value = tuple[str, int | str]
 
+class ExperimentConfig(Checked, namedtuple("ExperimentConfig", (
+        "geometry surface checks t_values tolerance expect grid_size H0 epsilons "
+        "output_format output_path"), defaults=((), None, None, 24, None, None, "report", None))):
+    """One experiment: the geometry/surface pair, the checks to run on it and
+    how to emit them.  A bad value is a ConfigError naming its config key."""
 
-class ExperimentConfig(NamedTuple):
-    geometry: GeometrySpec
-    surface: SurfaceSpec
-    checks: tuple[str, ...]
-    t_values: tuple[float, ...] = ()
-    tolerance: Optional[float] = None
-    expect: Optional[str] = None
-    grid_size: int = 24
-    H0: Optional[float] = None
-    epsilons: Optional[tuple[float, ...]] = None
-    output_format: str = "report"
-    output_path: Optional[str] = None
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        if not self.checks:
+            raise ConfigError("checks must name at least one check", key="checks")
+        for name in self.checks:
+            if name not in CHECK_NAMES:
+                raise ConfigError(f"unknown check {name!r}; expected one of "
+                                  f"{', '.join(CHECK_NAMES)}", key="checks")
+        for t in self.t_values:
+            if not t > 0.0:
+                raise ConfigError(f"t_values must be positive, got {t}", key="t_values")
+        if self.expect not in (None, "rigid", "not-rigid"):
+            raise ConfigError(f"expect must be 'rigid' or 'not-rigid', got {self.expect!r}",
+                              key="expect")
+        tolerance = self.tolerance
+        if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
+            raise ConfigError(f"tolerance must be finite and positive, got {tolerance}",
+                              key="tolerance")
+        if self.grid_size < 1:
+            raise ConfigError(f"grid_size must be >= 1, got {self.grid_size}", key="grid_size")
+        if self.output_format not in FORMATS:
+            raise ConfigError(f"format must be report, csv or plotdata, "
+                              f"got {self.output_format!r}", key="format")
 
 
 class Row(NamedTuple):
@@ -82,6 +91,48 @@ class CheckOutcome:
 
 
 # ----------------------------------------------------------------- parsing
+
+def _as_float(value: str, expected: str = "a real number") -> float:
+    try:
+        out = float(value)
+    except ValueError:
+        raise ConfigError(f"expected {expected}, got {value!r}") from None
+    if math.isnan(out):
+        raise ConfigError("NaN is not a valid value")
+    return out
+
+
+def _as_int(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {value!r}") from None
+
+
+def _as_items(value: str) -> tuple[str, ...]:
+    return tuple(piece.strip() for piece in value.split(",") if piece.strip())
+
+
+def _as_float_list(value: str) -> tuple[float, ...]:
+    return tuple(_as_float(piece, "a comma-separated list of reals")
+                 for piece in _as_items(value))
+
+
+# Each key of a section -> (the field it sets, its converter from text).  The
+# value types check the converted values; [geometry] is read by its kind's keys.
+_FIELDS = {
+    "surface": {"r0": ("r0", _as_float)},
+    "run": {"checks": ("checks", _as_items), "t_values": ("t_values", _as_float_list),
+            "expect": ("expect", str), "tolerance": ("tolerance", _as_float),
+            "grid_size": ("grid_size", _as_int), "H0": ("H0", _as_float),
+            "epsilons": ("epsilons", _as_float_list)},
+    "output": {"format": ("output_format", str), "path": ("output_path", str)},
+}
+_SECTIONS = ("geometry", *_FIELDS)
+# A configuration value and where it was given: a line number of the file,
+# or a '--set #k' label for the k-th override.
+_Value = tuple[str, int | str]
+
 
 def _tokenize(text: str) -> dict[str, dict[str, _Value]]:
     sections: dict[str, dict[str, _Value]] = {}
@@ -128,91 +179,59 @@ def _apply_overrides(sections, overrides: Sequence[str]):
     return sections
 
 
-class _SectionView:
-    """Tracks key consumption so leftovers become hard errors."""
-
-    def __init__(self, name: str, data: dict[str, _Value]):
-        self.name = name
-        self.data = dict(data)
-        self.seen: set[str] = set()
-
-    def take(self, key: str) -> Optional[_Value]:
-        self.seen.add(key)
-        return self.data.get(key)
-
-    def require(self, key: str) -> _Value:
-        got = self.take(key)
-        if got is None:
-            raise ConfigError(f"missing required key in [{self.name}]", key=key)
-        return got
-
-    def reject_unknown(self, allowed: set[str]) -> None:
-        for key, (unused_value, lineno) in self.data.items():
-            if key not in allowed:
-                raise ConfigError(f"unknown key in [{self.name}]", line=lineno, key=key)
-
-
-def _as_float(raw: _Value, key: str) -> float:
-    value, lineno = raw
-    try:
-        out = float(value)
-    except ValueError:
-        raise ConfigError(f"expected a real number, got {value!r}", line=lineno, key=key)
-    if math.isnan(out):
-        raise ConfigError("NaN is not a valid value", line=lineno, key=key)
-    return out
-
-
-def _as_int(raw: _Value, key: str) -> int:
-    value, lineno = raw
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {value!r}", line=lineno, key=key)
-
-
-def _as_float_list(raw: _Value, key: str) -> tuple[float, ...]:
-    value, lineno = raw
-    items = [piece.strip() for piece in value.split(",") if piece.strip()]
-    out = []
-    for piece in items:
+def _read(section: str, data: dict[str, _Value], fields: dict, required=()) -> dict:
+    """The section's values converted by fields (key -> (field, converter)), in
+    the order of fields; an unknown or missing key, or a value that does not
+    convert, is a ConfigError naming the key and where it was given."""
+    for key, (unused_value, line) in data.items():
+        if key not in fields:
+            raise ConfigError(f"unknown key in [{section}]", line=line, key=key)
+    values = {}
+    for key, (field, convert) in fields.items():
+        if key not in data:
+            if key in required:
+                raise ConfigError(f"missing required key in [{section}]", key=key)
+            continue
+        text, line = data[key]
         try:
-            out.append(float(piece))
-        except ValueError:
-            raise ConfigError(f"expected a comma-separated list of reals, got {piece!r}",
-                              line=lineno, key=key)
-    return tuple(out)
+            values[field] = convert(text)
+        except ConfigError as exc:
+            raise ConfigError(exc.reason, line=line, key=key) from None
+    return values
 
 
-def _as_geometry_value(raw: _Value, key: str):
-    """A [geometry] value: n is the only integer key and density the only string."""
-    if key == "n":
-        return _as_int(raw, key)
-    return raw[0] if key == "density" else _as_float(raw, key)
+def _build(build: Callable, values: dict, data: dict[str, _Value], line=None):
+    """build(**values); an error naming a key gets the line that key was given
+    on, any other the line given here."""
+    try:
+        return build(**values)
+    except NeedlecompError as exc:
+        if exc.key is not None:  # a key left at its default was given on no line
+            line = data[exc.key][1] if exc.key in data else None
+        raise ConfigError(exc.reason, line=line, key=exc.key) from None
 
 
-def _build_geometry(view: _SectionView) -> tuple[GeometrySpec, GeometryKind]:
-    name, lineno = view.require("kind")
+# n is the one integer [geometry] key and density the one string; the rest are reals.
+_GEOMETRY_CONVERTERS = {"n": _as_int, "density": str}
+
+
+def _build_geometry(data: dict[str, _Value]) -> tuple[GeometrySpec, GeometryKind]:
+    if "kind" not in data:
+        raise ConfigError("missing required key in [geometry]", key="kind")
+    name, line = data["kind"]
     kind = GEOMETRY_KINDS.get(name)
     if kind is None:
         raise ConfigError(f"unknown geometry kind {name!r}; expected one of "
-                          f"{', '.join(GEOMETRY_KINDS)}", line=lineno, key="kind")
-    view.reject_unknown({"kind", *kind.keys, *kind.optional})
-    values, lines = {}, {}
-    for key in kind.keys + kind.optional:
-        raw = view.require(key) if key in kind.keys else view.take(key)
-        if raw is not None:
-            values[key], lines[key] = _as_geometry_value(raw, key), raw[1]
-    try:
-        return kind.build(**values), kind
-    except ConfigError as exc:  # it names a key: add the line that key came from
-        raise ConfigError(exc.reason, line=lines.get(exc.key), key=exc.key) from None
-    except NeedlecompError as exc:
-        raise ConfigError(str(exc), line=lineno)
+                          f"{', '.join(GEOMETRY_KINDS)}", line=line, key="kind")
+    fields = {key: (key, _GEOMETRY_CONVERTERS.get(key, _as_float))
+              for key in kind.keys + kind.optional}
+    values = _read("geometry", {k: v for k, v in data.items() if k != "kind"}, fields,
+                   required=kind.keys)
+    return _build(kind.build, values, data, line), kind
 
 
 def parse_config(text: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
-    """Parse and validate one experiment configuration document.
+    """Parse one experiment configuration document into a checked ExperimentConfig.
 
     Unknown sections or keys are hard errors naming the line and key; value
     and range validation errors carry the offending key as well.
@@ -222,78 +241,19 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
         if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
 
-    geometry, kind = _build_geometry(_SectionView("geometry", sections["geometry"]))
+    geometry, kind = _build_geometry(sections["geometry"])
 
-    surf_view = _SectionView("surface", sections["surface"])
-    surf_view.reject_unknown(_SECTION_KEYS["surface"])
-    r0_raw = surf_view.require("r0")
-    r0 = _as_float(r0_raw, "r0")
+    r0 = _read("surface", sections["surface"], _FIELDS["surface"], required=("r0",))["r0"]
     length = radial_model(geometry).length
     if not 0.0 < r0 < length:
         raise ConfigError(f"surface touches {kind.end}: r0={r0} must lie strictly "
-                          f"inside (0, {length})", line=r0_raw[1], key="r0")
-    surface = kind.surface(r0)
+                          f"inside (0, {length})", line=sections["surface"]["r0"][1], key="r0")
 
-    run_view = _SectionView("run", sections["run"])
-    run_view.reject_unknown(_SECTION_KEYS["run"])
-    checks_raw = run_view.require("checks")
-    checks = tuple(piece.strip() for piece in checks_raw[0].split(",") if piece.strip())
-    if not checks:
-        raise ConfigError("checks must name at least one check",
-                          line=checks_raw[1], key="checks")
-    for name in checks:
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"unknown check {name!r}; expected one of "
-                              f"{', '.join(CHECK_NAMES)}",
-                              line=checks_raw[1], key="checks")
-    t_raw = run_view.take("t_values")
-    t_values = _as_float_list(t_raw, "t_values") if t_raw else ()
-    for t in t_values:
-        if t <= 0.0:
-            raise ConfigError(f"t_values must be positive, got {t}",
-                              line=t_raw[1], key="t_values")
-    expect_raw = run_view.take("expect")
-    expect = None
-    if expect_raw is not None:
-        expect = expect_raw[0]
-        if expect not in ("rigid", "not-rigid"):
-            raise ConfigError(f"expect must be 'rigid' or 'not-rigid', got {expect!r}",
-                              line=expect_raw[1], key="expect")
-    tol_raw = run_view.take("tolerance")
-    tolerance = _as_float(tol_raw, "tolerance") if tol_raw else None
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ConfigError(f"tolerance must be finite and positive, got {tolerance}",
-                          line=tol_raw[1], key="tolerance")
-    grid_raw = run_view.take("grid_size")
-    grid_size = _as_int(grid_raw, "grid_size") if grid_raw else 24
-    if grid_size < 1:
-        raise ConfigError(f"grid_size must be >= 1, got {grid_size}",
-                          line=grid_raw[1], key="grid_size")
-    H0_raw = run_view.take("H0")
-    H0 = _as_float(H0_raw, "H0") if H0_raw else None
-    eps_raw = run_view.take("epsilons")
-    epsilons = _as_float_list(eps_raw, "epsilons") if eps_raw else None
-
-    output_format = "report"
-    output_path = None
-    if "output" in sections:
-        out_view = _SectionView("output", sections["output"])
-        out_view.reject_unknown(_SECTION_KEYS["output"])
-        fmt_raw = out_view.take("format")
-        if fmt_raw is not None:
-            output_format = fmt_raw[0]
-            if output_format not in ("report", "csv", "plotdata"):
-                raise ConfigError(f"format must be report, csv or plotdata, "
-                                  f"got {output_format!r}",
-                                  line=fmt_raw[1], key="format")
-        path_raw = out_view.take("path")
-        if path_raw is not None:
-            output_path = path_raw[0]
-
-    return ExperimentConfig(geometry=geometry, surface=surface, checks=checks,
-                            t_values=t_values, tolerance=tolerance, expect=expect,
-                            grid_size=grid_size, H0=H0, epsilons=epsilons,
-                            output_format=output_format, output_path=output_path)
+    run_data, output_data = sections["run"], sections.get("output", {})
+    values = _read("run", run_data, _FIELDS["run"], required=("checks",))
+    values.update(_read("output", output_data, _FIELDS["output"]))
+    return _build(ExperimentConfig, dict(values, geometry=geometry, surface=kind.surface(r0)),
+                  {**run_data, **output_data})
 
 
 # ------------------------------------------------------------------ checks
@@ -387,13 +347,11 @@ def _run_check(name: str, config: ExperimentConfig,
             worst = max(worst, report.max_excess)
             ok = ok and report.passed
         _add_needle_row(out, dec, worst, ok, f"comparison bound exceeded by {worst:.3e}")
-    elif name == "ratio":
+    else:  # ratio: ExperimentConfig admits no name outside CHECK_NAMES
         report = density_ratio_check(dec.needle, dec.cd, grid_size=config.grid_size)
         _add_needle_row(out, dec, report.max_excess, report.passed,
                         f"density ratio exceeds the distortion profile "
                         f"by {report.max_excess:.3e}")
-    else:
-        raise ConfigError(f"unknown check {name!r}")
     return out
 
 
@@ -581,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the configuration file")
     p_run.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a configuration key (repeatable)")
-    p_run.add_argument("--format", choices=("report", "csv", "plotdata"),
+    p_run.add_argument("--format", choices=FORMATS,
                        help="override the output format")
     p_run.add_argument("--path", help="override the output path")
     p_run.set_defaults(fn=_cmd_run)

@@ -36,9 +36,10 @@ class WeightedInterval(Checked, namedtuple("WeightedInterval", "length density c
 
     def __new__(cls, length: float, density: DensityProfile, cd: CurvatureDimension):
         if not (math.isfinite(length) and length > 0.0):
-            raise ParameterError(f"interval length must be positive, got {length}")
+            raise ParameterError(f"interval length must be positive, got {length}",
+                                 key="length")
         if density.a != 0.0 or density.b != length:
-            raise ParameterError("interval density must live on [0, length]")
+            raise ParameterError("interval density must live on [0, length]", key="density")
         return super().__new__(cls, length, density, cd)
 
 
@@ -49,9 +50,9 @@ class RoundSphere(Checked, namedtuple("RoundSphere", "n radius")):
 
     def __new__(cls, n: int, radius: float):
         if n < 2:
-            raise ParameterError(f"sphere dimension must be >= 2, got {n}")
+            raise ParameterError(f"sphere dimension must be >= 2, got {n}", key="n")
         if not (math.isfinite(radius) and radius > 0.0):
-            raise ParameterError(f"sphere radius must be positive, got {radius}")
+            raise ParameterError(f"sphere radius must be positive, got {radius}", key="radius")
         return super().__new__(cls, n, radius)
 
     @property
@@ -66,9 +67,9 @@ class EuclideanBall(Checked, namedtuple("EuclideanBall", "n R")):
 
     def __new__(cls, n: int, R: float):
         if n < 1:
-            raise ParameterError(f"ball dimension must be >= 1, got {n}")
+            raise ParameterError(f"ball dimension must be >= 1, got {n}", key="n")
         if not (math.isfinite(R) and R > 0.0):
-            raise ParameterError(f"ball radius must be positive, got {R}")
+            raise ParameterError(f"ball radius must be positive, got {R}", key="R")
         return super().__new__(cls, n, R)
 
     @property
@@ -84,11 +85,12 @@ class SphericalSuspension(Checked, namedtuple("SphericalSuspension", "cd base_vo
 
     def __new__(cls, cd: CurvatureDimension, base_volume: float):
         if cd.K <= 0.0:
-            raise ParameterError(f"suspension requires K > 0, got K={cd.K}")
+            raise ParameterError(f"suspension requires K > 0, got K={cd.K}", key="K")
         if cd.N <= 1.0:
-            raise ParameterError(f"suspension requires N > 1, got N={cd.N}")
+            raise ParameterError(f"suspension requires N > 1, got N={cd.N}", key="N")
         if not (math.isfinite(base_volume) and base_volume > 0.0):
-            raise ParameterError(f"base volume must be positive, got {base_volume}")
+            raise ParameterError(f"base volume must be positive, got {base_volume}",
+                                 key="base_volume")
         return super().__new__(cls, cd, base_volume)
 
 
@@ -162,12 +164,13 @@ def model_interval(cd: CurvatureDimension, length: Optional[float] = None,
     """The 1D model geometry for K > 0: density sin_{K/(N-1)}^{N-1} on
     [0, length], with length defaulting to the full model diameter."""
     if cd.K <= 0.0 or cd.N <= 1.0:
-        raise ParameterError("model interval requires K > 0 and N > 1")
+        raise ParameterError("model interval requires K > 0 and N > 1",
+                             key="K" if cd.K <= 0.0 else "N")
     full = pi_kappa(cd.K / (cd.N - 1.0))
     if length is None:
         length = full
     if not 0.0 < length <= full:
-        raise ParameterError(f"length must lie in (0, {full}], got {length}")
+        raise ParameterError(f"length must lie in (0, {full}], got {length}", key="length")
     fn, deriv = _sin_power(cd)
     try:
         profile = DensityProfile(0.0, length, fn, deriv=deriv, grid_size=grid_size,
@@ -183,7 +186,7 @@ def constant_interval(length: float, cd: CurvatureDimension,
     so u'' + K/(N-1) u <= 0, the CD(K, N) condition, holds only for K <= 0."""
     if cd.K > 0.0:
         raise ParameterError(f"a constant density satisfies CD(K, N) only for K <= 0, "
-                             f"got K={cd.K}")
+                             f"got K={cd.K}", key="K")
     profile = DensityProfile(0.0, length, lambda r: 1.0, deriv=lambda r: 0.0,
                              grid_size=grid_size, mode=0.0)
     return WeightedInterval(length=length, density=profile, cd=cd)
@@ -372,6 +375,8 @@ def minkowski_content_from_dec(dec: NeedleDecomposition,
     eps = [float(e) for e in epsilons]
     if len(eps) < 3:
         raise ParameterError(f"need at least 3 epsilons, got {len(eps)}")
+    if not all(map(math.isfinite, eps)):
+        raise ParameterError(f"epsilons must be finite, got {tuple(eps)}")
     if any(e <= 0.0 for e in eps) or any(later >= earlier
                                          for later, earlier in zip(eps[1:], eps[:-1])):
         raise ParameterError("epsilons must be positive and strictly decreasing")

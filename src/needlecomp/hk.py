@@ -88,11 +88,6 @@ def _build_report(statement: str, lhs: float, rhs: float, tol: float,
                     relative_gap=relative_gap, equality=relative_gap < tol, t=t)
 
 
-def _surface_weight(dec: NeedleDecomposition) -> float:
-    """The needle's weight times its density at the base, h(0)."""
-    return dec.needle.weight * dec.needle.profile.fn(0.0)
-
-
 def _require_finite(value: float, what: str) -> None:
     if not math.isfinite(value):
         raise CurvatureError(f"{what} must be finite for this bound")
@@ -107,7 +102,7 @@ def hk_outer(dec: NeedleDecomposition, t: float,
     _require_finite(dec.H_plus, "outer mean curvature")
     tol = equality_tolerance(tolerance)
     lhs = tube_volume(dec, t, "outer")
-    rhs = _surface_weight(dec) * jacobian_integral(JacobianParams(dec.H_plus, dec.cd), 0.0, t)
+    rhs = dec.surface_total * jacobian_integral(JacobianParams(dec.H_plus, dec.cd), 0.0, t)
     return _build_report("hk-outer", lhs, rhs, tol, t=t)
 
 
@@ -119,7 +114,7 @@ def hk_full(dec: NeedleDecomposition,
     _require_finite(dec.H_minus, "inner mean curvature")
     tol = equality_tolerance(tolerance)
     D = dec.diameter
-    rhs = _surface_weight(dec) * jacobian_integral(JacobianParams(dec.H, dec.cd), -D, D)
+    rhs = dec.surface_total * jacobian_integral(JacobianParams(dec.H, dec.cd), -D, D)
     return _build_report("hk-full", dec.total_mass, rhs, tol)
 
 
@@ -137,7 +132,7 @@ def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
     _require_finite(dec.H_plus, "outer mean curvature")
     _require_finite(dec.H_minus, "inner mean curvature")
     cd, D, H = dec.cd, dec.diameter, dec.H
-    weight = _surface_weight(dec)
+    weight = dec.surface_total
 
     def report(statement: str, rhs: float) -> HKReport:
         if math.isinf(rhs):

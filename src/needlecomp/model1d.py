@@ -41,9 +41,10 @@ class CurvatureDimension(Checked, namedtuple("CurvatureDimension", "K N")):
 
     def __new__(cls, K: float, N: float):
         if not math.isfinite(K):
-            raise ParameterError(f"curvature bound K must be finite, got {K}")
+            raise ParameterError(f"curvature bound K must be finite, got {K}", key="K")
         if not (math.isfinite(N) and N >= 1.0):
-            raise ParameterError(f"dimension bound N must be finite and >= 1, got {N}")
+            raise ParameterError(f"dimension bound N must be finite and >= 1, got {N}",
+                                 key="N")
         return super().__new__(cls, K, N)
 
 
@@ -179,12 +180,6 @@ def tau(cd: CurvatureDimension, t: float, theta: float) -> float:
     return t ** (1.0 / N) * s ** (1.0 - 1.0 / N)
 
 
-def _radial_kappa(p: JacobianParams) -> float:
-    if p.N <= 1.0:
-        raise ParameterError(f"the distortion profile requires N > 1, got N={p.N}")
-    return p.K / (p.N - 1.0)
-
-
 def jacobian(p: JacobianParams, r: float) -> float:
     """Volume distortion profile J_{H,K,N}(r): the positive part of the base
     cos_{K/(N-1)}(r) + H/(N-1) * sin_{K/(N-1)}(r) raised to the power N-1.
@@ -206,10 +201,8 @@ def jacobian(p: JacobianParams, r: float) -> float:
 
 def jacobian_support(p: JacobianParams) -> tuple[float, float]:
     """Maximal interval around 0 on which the base of J_{H,K,N} is positive."""
-    kap = _radial_kappa(p)
-    lam = p.H / (p.N - 1.0)
+    kap, rt, lam, _ = p._consts
     if kap > 0.0:
-        rt = math.sqrt(kap)
         phase = math.atan2(lam / rt, 1.0)
         return (phase - 0.5 * math.pi) / rt, (phase + 0.5 * math.pi) / rt
     if kap == 0.0:
@@ -217,7 +210,6 @@ def jacobian_support(p: JacobianParams) -> tuple[float, float]:
             return -math.inf, math.inf
         zero = -1.0 / lam
         return (zero, math.inf) if lam > 0.0 else (-math.inf, zero)
-    rt = math.sqrt(-kap)
     c = lam / rt
     if abs(c) <= 1.0:
         return -math.inf, math.inf

@@ -39,7 +39,8 @@ def _grid_point(a: float, b: float, n: int) -> Callable[[int], float]:
     return lambda i: i * step + a if i < n - 1 else b
 
 
-class DensityProfile:
+class DensityProfile(Checked, namedtuple("DensityProfile", "a b fn deriv grid_size mode",
+                                         defaults=(None, 1024, None))):
     """Positive density on [a, b], as a callable plus its values on a uniform grid.
 
     fn must be positive on the open interval and extend continuously to the
@@ -51,18 +52,18 @@ class DensityProfile:
     neighbours, the points around the mode); samples is built on first access.
     """
 
-    def __init__(self, a: float, b: float, fn: Callable[[float], float],
-                 deriv: Optional[Callable[[float], float]] = None, grid_size: int = 1024,
-                 mode: Optional[float] = None):
+    # No __slots__: the checked values and the cached samples live in the
+    # instance dict.  The checks run in __init__, so that a wrapper of __init__
+    # (perfbench/tracer.py installs one) sees every checked construction.
+
+    def __init__(self, *args, **kwargs):
+        a, b, fn, unused_deriv, n, mode = self
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ParameterError(f"invalid interval [{a}, {b}]")
-        if grid_size < 2:
-            raise ParameterError(f"grid_size must be >= 2, got {grid_size}")
+        if n < 2:
+            raise ParameterError(f"grid_size must be >= 2, got {n}")
         if mode is not None and math.isnan(mode):
             raise ParameterError("mode must not be NaN")
-        self.a, self.b, self.fn, self.deriv = a, b, fn, deriv
-        self.grid_size, self.mode = grid_size, mode
-        n = grid_size
         point = _grid_point(a, b, n)
         indices = range(n)
         if mode is not None:
@@ -72,21 +73,6 @@ class DensityProfile:
             indices = sorted({i for i in (0, 1, k - 2, k - 1, k, k + 1, n - 2, n - 1)
                               if 0 <= i < n})
         self._check(tuple(map(fn, map(point, indices))))
-
-    def _key(self) -> tuple:
-        return self.a, self.b, self.fn, self.deriv, self.grid_size, self.mode
-
-    def __repr__(self) -> str:
-        return ("DensityProfile(a={!r}, b={!r}, fn={!r}, deriv={!r}, grid_size={!r}, "
-                "mode={!r})".format(*self._key()))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def _check(self, values: tuple) -> None:
         if not (all(map(math.isfinite, values)) and min(values[1:-1], default=1.0) > 0.0
@@ -125,10 +111,10 @@ class DensityProfile:
         new_deriv = None
         if deriv is not None:
             new_deriv = lambda r: exponent * fn(r) ** (exponent - 1.0) * deriv(r)
-        # Not DensityProfile(...): __init__ would call fn on the grid again.
-        out = object.__new__(DensityProfile)
-        out.a, out.b, out.fn, out.deriv = self.a, self.b, lambda r: fn(r) ** exponent, new_deriv
-        out.grid_size, out.mode = self.grid_size, self.mode if exponent > 0.0 else None
+        # __new__ alone: DensityProfile(...) would call fn on the grid again.
+        out = DensityProfile.__new__(DensityProfile, self.a, self.b, lambda r: fn(r) ** exponent,
+                                     new_deriv, self.grid_size,
+                                     self.mode if exponent > 0.0 else None)
         try:  # x ** exponent is monotone: the extremes stay where they were
             out._check(tuple(s ** exponent for s in self._checked))
         except OverflowError:  # float ** raises where an array holds inf: reject that

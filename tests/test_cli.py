@@ -521,6 +521,54 @@ def test_density_overflow_is_a_typed_error(tmp_path, capsys):
     assert "overflows" in out and "Traceback" not in out
 
 
+@pytest.mark.parametrize("overrides, where", [
+    (["geometry.density=constant", "geometry.length=0.1", "geometry.K=2", "surface.r0=0.05"],
+     "--set #3"),
+    (["geometry.density=constant", "geometry.length=0.1", "surface.r0=0.05"], "line 4"),
+])
+def test_geometry_error_names_the_line_of_its_key(capsys, overrides, where):
+    # the constructor names the key it rejects; the error once named the line of kind
+    args = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["run", str(CONFIGS / "truncated_interval.cfg"), *args]) == 2
+    K = "2.0" if where.startswith("--set") else "1.0"
+    assert capsys.readouterr().out == (
+        f"FAIL check=config reason=ConfigError: {where}, key 'K': a constant density "
+        f"satisfies CD(K, N) only for K <= 0, got K={K}\n")
+    text = SPHERE_CFG.replace("radius = 1.0", "radius = -1.0")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == "line 4, key 'radius': sphere radius must be positive, got -1.0"
+
+
+@pytest.mark.parametrize("override, checks", [
+    ("run.t_values=nan", "hk-outer"), ("run.epsilons=nan,0.01,0.005", "minkowski"),
+    ("run.t_values=0.5,nan", "hk-outer"), ("run.H0=nan", "corollaries")])
+def test_nan_is_a_config_error_in_lists_too(capsys, override, checks):
+    # a NaN in a list once reached the checks: FAIL, exit 1, "t must be positive"
+    assert main(["run", str(CONFIGS / "sphere_equator.cfg"), "--set", override,
+                 "--set", f"run.checks={checks}"]) == 2
+    key = override.split("=")[0].split(".")[1]
+    assert capsys.readouterr().out == (f"FAIL check=config reason=ConfigError: --set #1, "
+                                       f"key '{key}': NaN is not a valid value\n")
+
+
+def test_experiment_config_checks_its_values():
+    config = parse_config(SPHERE_CFG)
+    for field, value, key, reason in [
+            ("checks", (), "checks", "checks must name at least one check"),
+            ("t_values", (1.0, 0.0), "t_values", "t_values must be positive, got 0.0"),
+            ("expect", "yes", "expect", "expect must be 'rigid' or 'not-rigid', got 'yes'"),
+            ("tolerance", math.inf, "tolerance", "tolerance must be finite and positive, got inf"),
+            ("grid_size", 0, "grid_size", "grid_size must be >= 1, got 0"),
+            ("output_format", "xml", "format",
+             "format must be report, csv or plotdata, got 'xml'")]:
+        for build in (lambda: config._replace(**{field: value}),
+                      lambda: ExperimentConfig(**{**config._asdict(), field: value})):
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert (err.value.key, err.value.line, err.value.reason) == (key, None, reason)
+
+
 def test_failing_override_is_reported_by_position(capsys):
     assert main(["run", str(CONFIGS / "sphere_equator.cfg"),
                  "--set", "run.checks=ratio", "--set", "run.grid_size=0"]) == 2
@@ -684,6 +732,19 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines()[-1] == "True"  # the example's rigidity
+
+
+def test_readme_config_block_parses(tmp_path, capsys):
+    blocks = re.findall(r"^```ini\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    config = parse_config(blocks[0])
+    assert config.geometry == RoundSphere(2, 1.0) and config.expect == "rigid"
+    assert config.epsilons == (0.01, 0.005, 0.0025) and config.output_path == "out.txt"
+    path = tmp_path / "readme.cfg"
+    path.write_text(blocks[0])
+    assert main(["run", str(path), "--path", "-"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
 
 def test_tube_curve_recipe_matches_hk_outer(capsys):
     widths = (0.5, 1.0, 1.5, 2.0)

@@ -191,6 +191,29 @@ def test_inner_mass_of_cap():
     assert inner_mass(dec) == pytest.approx(2 * math.pi * (1 - math.cos(r0)), rel=1e-10)
 
 
+@pytest.mark.parametrize("build, key", [
+    (lambda: RoundSphere(1, 1.0), "n"), (lambda: RoundSphere(2, -1.0), "radius"),
+    (lambda: EuclideanBall(0, 1.0), "n"), (lambda: EuclideanBall(2, math.inf), "R"),
+    (lambda: CurvatureDimension(math.inf, 2.0), "K"), (lambda: CurvatureDimension(0.0, 0.5), "N"),
+    (lambda: SphericalSuspension(CurvatureDimension(0.0, 3.0), 1.0), "K"),
+    (lambda: SphericalSuspension(CurvatureDimension(1.0, 1.0), 1.0), "N"),
+    (lambda: SphericalSuspension(CurvatureDimension(1.0, 3.0), 0.0), "base_volume"),
+    (lambda: model_interval(CurvatureDimension(0.0, 3.0)), "K"),
+    (lambda: model_interval(CurvatureDimension(1.0, 1.0)), "N"),
+    (lambda: model_interval(CurvatureDimension(1.0, 2.0), length=4.0), "length"),
+    (lambda: constant_interval(1.0, CurvatureDimension(1.0, 2.0)), "K"),
+    (lambda: WeightedInterval(-1.0, DensityProfile(0.0, 1.0, math.exp),
+                              CurvatureDimension(0.0, 2.0)), "length"),
+    (lambda: WeightedInterval(2.0, DensityProfile(0.0, 1.0, math.exp),
+                              CurvatureDimension(0.0, 2.0)), "density"),
+])
+def test_geometry_checks_name_the_config_key_they_reject(build, key):
+    with pytest.raises(ParameterError) as info:
+        build()
+    assert info.value.key == key
+    assert str(info.value) == info.value.reason  # the key is not part of the message
+
+
 # ------------------------------------------------------- minkowski content
 
 def test_minkowski_content_closed_forms():
@@ -218,6 +241,14 @@ def test_minkowski_schedule_validation():
         minkowski_content_from_dec(dec, epsilons=(0.1, 0.2, 0.05))
     with pytest.raises(ParameterError):
         minkowski_content_from_dec(dec, epsilons=(0.1, 0.05, -0.01))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_minkowski_schedule_must_be_finite(bad):
+    # an infinite width once gave the estimate nan, reported as a deviation of nan
+    dec = decompose(SPHERE, EQUATOR)
+    with pytest.raises(ParameterError, match="^epsilons must be finite, got "):
+        minkowski_content_from_dec(dec, epsilons=(bad, 1.0, 0.5))
 
 
 # ------------------------------------------------------------- consistency

@@ -13,7 +13,6 @@ from needlecomp import (CurvatureDimension, JacobianParams, ParameterError,
                         model_density_normalizer, model_profile,
                         model_rhs_constant_H, pi_kappa, sigma, sigma_kappa,
                         sin_kappa, tau, unit_sphere_volume)
-from needlecomp.model1d import _radial_kappa
 
 
 def jp(H, K, N):
@@ -199,7 +198,7 @@ def test_jacobian_addition_identity():
 
 def _jacobian_base(p, r):
     """cos_{K/(N-1)}(r) + H/(N-1) * sin_{K/(N-1)}(r), the (N-1)-th root of J."""
-    kappa = _radial_kappa(p)
+    kappa = p.K / (p.N - 1.0)
     sn, cs = sin_kappa(kappa, r), cos_kappa(kappa, r)
     return cs + p.H / (p.N - 1.0) * sn
 

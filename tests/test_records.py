@@ -128,7 +128,7 @@ def test_constructor_checks_positional_and_keyword(cls, kwargs, message):
 VALID = {CurvatureDimension: CD, JacobianParams: JacobianParams(0.5, CD),
          WeightedInterval: WeightedInterval(1.0, P, CD), RoundSphere: RoundSphere(2, 1.0),
          EuclideanBall: EuclideanBall(2, 1.0), SphericalSuspension: SphericalSuspension(CD, 1.0),
-         Needle: Needle(DensityProfile(-1.0, 1.0, math.exp))}
+         Needle: Needle(DensityProfile(-1.0, 1.0, math.exp)), DensityProfile: P}
 
 
 @pytest.mark.parametrize("cls, kwargs, message", [check for check in CHECKS
@@ -156,6 +156,28 @@ def test_fields_of_named_tuples_cannot_be_assigned(make):
     field = value._fields[0]
     with pytest.raises(AttributeError):
         setattr(value, field, None)
+
+
+def test_density_profile_is_a_checked_named_tuple():
+    # it was a plain class with hand-written repr, equality and hash
+    assert P._fields == ("a", "b", "fn", "deriv", "grid_size", "mode")
+    assert P == (0.0, 1.0, math.exp, None, 1024, None)
+    for field in P._fields:
+        with pytest.raises(AttributeError):
+            setattr(P, field, None)
+    replaced = P._replace(b=2.0)
+    assert type(replaced) is DensityProfile and replaced == DensityProfile(0.0, 2.0, math.exp)
+
+
+def test_power_checks_without_calling_fn_again():
+    calls = []
+    profile = DensityProfile(0.0, 1.0, lambda r: calls.append(r) or 1.0 + r, grid_size=16)
+    calls.clear()
+    root = profile.power(0.5)
+    assert calls == [] and type(root) is DensityProfile
+    assert root._checked == tuple(v ** 0.5 for v in profile._checked)
+    with pytest.raises(ParameterError, match="^density must be positive"):
+        DensityProfile(0.0, 1.0, lambda r: 1e300).power(2.0)
 
 
 def test_replaced_decomposition_recomputes_its_profile_deviation():
