@@ -29,15 +29,18 @@ from .numerics import extrapolate_to_zero, integrate
 PROFILE_MATCH_POINTS = 200
 
 
+def _check_length(length: float) -> None:
+    if not (math.isfinite(length) and length > 0.0):
+        raise ParameterError(f"interval length must be positive, got {length}", key="length")
+
+
 class WeightedInterval(Checked, namedtuple("WeightedInterval", "length density cd")):
     """Interval [0, length] carrying an explicit density and its CD parameters."""
 
     __slots__ = ()
 
     def __new__(cls, length: float, density: DensityProfile, cd: CurvatureDimension):
-        if not (math.isfinite(length) and length > 0.0):
-            raise ParameterError(f"interval length must be positive, got {length}",
-                                 key="length")
+        _check_length(length)
         if density.a != 0.0 or density.b != length:
             raise ParameterError("interval density must live on [0, length]", key="density")
         return super().__new__(cls, length, density, cd)
@@ -187,6 +190,7 @@ def constant_interval(length: float, cd: CurvatureDimension,
     if cd.K > 0.0:
         raise ParameterError(f"a constant density satisfies CD(K, N) only for K <= 0, "
                              f"got K={cd.K}", key="K")
+    _check_length(length)  # before DensityProfile, whose check names no key
     profile = DensityProfile(0.0, length, lambda r: 1.0, deriv=lambda r: 0.0,
                              grid_size=grid_size, mode=0.0)
     return WeightedInterval(length=length, density=profile, cd=cd)

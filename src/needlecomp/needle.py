@@ -188,6 +188,13 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     """Brute-force check that profile^{1/(N-1)} satisfies the curvature-dimension
     concavity inequality at level K/(N-1) over all grid triples (r0, r1, t).
 
+    With G = grid_size every point lies on the lattice
+    x_q = a + (b - a) (q / (G+1)^2): the grid point i is q = (i+1)(G+1), and the
+    point at t_m = (m+1)/(G+1) between grid points i < j is
+    q = (i+1)(G+1) + (m+1)(j-i), at separation theta = (b - a) ((j-i)/(G+1)).
+    The density is evaluated once per lattice point, G^2 calls in ascending q,
+    and sigma_kappa once per side over every (j-i, m), so memory is O(G^2).
+
     Violations are measured relative to the left side; the check passes when
     the worst one does not exceed the inequality slack.  The witness is the
     first triple in (r0, r1, t) grid order reaching the worst violation; NaN
@@ -202,48 +209,32 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     kap = cd.K / (cd.N - 1.0)
     expo = 1.0 / (cd.N - 1.0)
     a, b = profile.a, profile.b
-    steps = np.arange(grid_size) + 1.0
-    rs = a + (b - a) * steps / (grid_size + 1.0)
-    ts = steps / (grid_size + 1.0)
-    # The pairs rs[lo[p]] < rs[hi[p]] in (r0, r1) order, and their separations.
-    lo, hi = np.triu_indices(grid_size, 1)
-    thetas = rs[hi] - rs[lo]
-
-    # Every grid point, then each pair's midpoints r0 + t theta in t order.
-    points = np.empty(grid_size * (1 + thetas.size))
-    points[:grid_size] = rs
-    mids = points[grid_size:].reshape(thetas.size, grid_size)
-    np.multiply(ts, thetas[:, None], out=mids)
-    np.add(rs[lo, None], mids, out=mids)
-    del mids
-    # u = fn^expo once per distinct point; index[k] locates points[k] among them.
-    order = np.argsort(points)
-    points = points[order]
-    new = np.empty(points.size, dtype=bool)
-    new[0] = True
-    np.not_equal(points[1:], points[:-1], out=new[1:])
-    distinct = points[new].tolist()
-    del points
-    index = np.empty(order.size, dtype=np.int32 if order.size < 2**31 else np.intp)
-    index[order] = np.cumsum(new, dtype=index.dtype) - 1
-    del order, new
+    g1 = grid_size + 1
+    # The pairs j = i + 1 alone reach every q from G+1 to G(G+1), so u holds
+    # all G^2 of them; u[q - (G+1)] is the value at x_q.
+    xs = a + (b - a) * (np.arange(g1, grid_size * g1 + 1) / float(g1 * g1))
     fn = profile.fn
-    values = np.array([fn(x) ** expo for x in distinct], dtype=float)
-    del distinct
-    u_rs = values[index[:grid_size]]
+    u = np.array([fn(x) ** expo for x in xs.tolist()], dtype=float)
 
+    steps = np.arange(1, g1)  # m + 1 and j - i
+    ts = steps / float(g1)
+    thetas = (b - a) * (steps[:-1] / float(g1))
+    s_lo = sigma_kappa(kap, 1.0 - ts, thetas[:, None])  # row j-i-1, column m
+    s_hi = sigma_kappa(kap, ts, thetas[:, None])
+    infinite = np.isinf(s_lo) | np.isinf(s_hi)
+
+    # The pairs i < j in (r0, r1) order.
+    lo, hi = np.triu_indices(grid_size, 1)
     worst = -math.inf
     witness = None
     step = max(1, _CD_BLOCK_TRIPLES // grid_size)  # pairs per block
-    for p0 in range(0, thetas.size, step):
-        p1 = min(p0 + step, thetas.size)
-        theta = thetas[p0:p1, None]
-        s_lo = sigma_kappa(kap, 1.0 - ts, theta)
-        s_hi = sigma_kappa(kap, ts, theta)
-        lhs = values[index[grid_size * (1 + p0):grid_size * (1 + p1)]].reshape(-1, grid_size)
+    for p0 in range(0, lo.size, step):
+        i, j = lo[p0:p0 + step, None], hi[p0:p0 + step, None]
+        row = (j - i - 1)[:, 0]  # of the separation in the sigma tables
+        lhs = u[i * g1 + steps * (j - i)]
         with np.errstate(invalid="ignore", over="ignore"):
-            rhs = np.where(np.isinf(s_lo) | np.isinf(s_hi), math.inf,
-                           s_lo * u_rs[lo[p0:p1], None] + s_hi * u_rs[hi[p0:p1], None])
+            rhs = np.where(infinite[row], math.inf,
+                           s_lo[row] * u[i * g1] + s_hi[row] * u[j * g1])
             violation = (rhs - lhs) / np.maximum(np.abs(lhs), _TINY)
         # NaN never counts as worse; argmax takes the first (pair, t) in order.
         violation[np.isnan(violation)] = -math.inf
@@ -251,7 +242,8 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
         if violation.flat[k] > worst:
             worst = float(violation.flat[k])
             p, m = divmod(k, grid_size)
-            witness = (float(rs[lo[p0 + p]]), float(rs[hi[p0 + p]]), float(ts[m]))
+            witness = (float(xs[lo[p0 + p] * g1]), float(xs[hi[p0 + p] * g1]),
+                       float(ts[m]))
     return CdDensityReport(passed=worst <= INEQ_SLACK, worst_violation=worst,
                            witness=witness)
 

@@ -540,6 +540,24 @@ def test_geometry_error_names_the_line_of_its_key(capsys, overrides, where):
     assert str(err.value) == "line 4, key 'radius': sphere radius must be positive, got -1.0"
 
 
+@pytest.mark.parametrize("length", ("-1", "inf"))
+def test_constant_interval_length_names_its_key(capsys, length):
+    # DensityProfile once rejected the length first, naming the line of kind
+    assert main(["run", str(CONFIGS / "truncated_interval.cfg"),
+                 "--set", "geometry.density=constant", "--set", f"geometry.length={length}",
+                 "--set", "geometry.K=0", "--path", "-"]) == 2
+    assert capsys.readouterr().out == (
+        f"FAIL check=config reason=ConfigError: --set #2, key 'length': interval length "
+        f"must be positive, got {float(length)}\n")
+    text = (CONFIGS / "truncated_interval.cfg").read_text().replace(
+        "density = model", "density = constant").replace("K = 1.0", "K = 0.0")
+    text = re.sub(r"length = .*", f"length = {length}", text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == \
+        f"line 7, key 'length': interval length must be positive, got {float(length)}"
+
+
 @pytest.mark.parametrize("override, checks", [
     ("run.t_values=nan", "hk-outer"), ("run.epsilons=nan,0.01,0.005", "minkowski"),
     ("run.t_values=0.5,nan", "hk-outer"), ("run.H0=nan", "corollaries")])

@@ -206,6 +206,8 @@ def test_inner_mass_of_cap():
                               CurvatureDimension(0.0, 2.0)), "length"),
     (lambda: WeightedInterval(2.0, DensityProfile(0.0, 1.0, math.exp),
                               CurvatureDimension(0.0, 2.0)), "density"),
+    (lambda: constant_interval(-1.0, CurvatureDimension(0.0, 2.0)), "length"),
+    (lambda: constant_interval(math.inf, CurvatureDimension(-1.0, 2.0)), "length"),
 ])
 def test_geometry_checks_name_the_config_key_they_reject(build, key):
     with pytest.raises(ParameterError) as info:

@@ -405,7 +405,42 @@ def test_cd_density_constant_positive_curvature_fails():
 
 
 def _reference_cd_density(profile, cd, grid_size):
-    """The triple loop, one scalar distortion coefficient per call."""
+    """The triple loop on the lattice x_q = a + (b - a) (q / (G+1)^2), one
+    scalar density value and distortion coefficient per call."""
+    kap = cd.K / (cd.N - 1.0)
+    expo = 1.0 / (cd.N - 1.0)
+    a, b = profile.a, profile.b
+    g1 = grid_size + 1
+    x = lambda q: a + (b - a) * (q / g1 ** 2)
+    u = lambda q: profile.fn(x(q)) ** expo
+    worst = -math.inf
+    witness = None
+    for i in range(grid_size):
+        q0 = (i + 1) * g1
+        u0 = u(q0)
+        for j in range(i + 1, grid_size):
+            q1 = (j + 1) * g1
+            u1 = u(q1)
+            theta = (b - a) * ((j - i) / g1)
+            for m in range(grid_size):
+                t = (m + 1) / g1
+                s_lo = sigma_kappa(kap, 1.0 - t, theta)
+                s_hi = sigma_kappa(kap, t, theta)
+                lhs = u(q0 + (m + 1) * (j - i))
+                if math.isinf(s_lo) or math.isinf(s_hi):
+                    rhs = math.inf
+                else:
+                    rhs = s_lo * u0 + s_hi * u1
+                violation = (rhs - lhs) / max(abs(lhs), 1e-300)
+                if violation > worst:
+                    worst = violation
+                    witness = (x(q0), x(q1), t)
+    return CdDensityReport(passed=worst <= INEQ_SLACK, worst_violation=worst,
+                           witness=witness)
+
+
+def _float_grid_cd_density(profile, cd, grid_size):
+    """The triple loop on points formed in floating point as r0 + t theta."""
     kap = cd.K / (cd.N - 1.0)
     expo = 1.0 / (cd.N - 1.0)
     a, b = profile.a, profile.b
@@ -472,6 +507,35 @@ def test_cd_density_matches_triple_loop(kind, bound, grid):
     got = check_cd_density(profile, cd, grid)
     _assert_same_report(got, _reference_cd_density(profile, cd, grid))
     assert got.passed == (bound == "true")
+
+
+@pytest.mark.parametrize("grid", (3, 10, 24, 48, 70))
+@pytest.mark.parametrize("bound", ("true", "violated"))
+@pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES))
+def test_cd_density_agrees_with_the_float_grid(kind, bound, grid):
+    # the lattice moves points by rounding only: same verdict, same worst
+    profile, cd = _kind_needle(kind)
+    if bound == "violated":
+        cd = CurvatureDimension(2.0 * cd.K if cd.K > 0.0 else 1.0, cd.N)
+    got = check_cd_density(profile, cd, grid)
+    want = _float_grid_cd_density(profile, cd, grid)
+    assert got.passed == want.passed
+    w = want.worst_violation
+    assert got.worst_violation == w if math.isinf(w) else \
+        abs(got.worst_violation - w) <= 1e-12 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("grid", (24, 48))
+def test_cd_density_calls_the_density_once_per_lattice_point(grid):
+    profile, cd = _kind_needle("round-sphere")
+    seen = []
+    fn = profile.fn
+    counted = DensityProfile(profile.a, profile.b, lambda r: seen.append(r) or fn(r),
+                             grid_size=2)
+    seen.clear()
+    check_cd_density(counted, cd, grid)
+    assert len(seen) == grid * grid
+    assert all(x < y for x, y in zip(seen, seen[1:]))
 
 
 @pytest.mark.parametrize("grid", (3, 24))
@@ -549,17 +613,19 @@ def test_cd_density_blocks_of_nan_have_no_witness(small_blocks):
 
 
 def test_cd_density_memory_stays_bounded():
-    # the point index and one block of triples; a single array pass over all
-    # 54k triples of grid 48 peaks at about 5 MB
+    # O(G^2): the lattice values and one block of triples.  One array pass over
+    # all 54k triples of grid 48 would peak at about 5 MB, and holding every
+    # triple's point (G^3/2 of them) at about 85 MB for grid 192.
     profile, cd = _kind_needle("spherical-suspension")
     check_cd_density(profile, cd, 48)  # imports and caches outside the trace
-    tracemalloc.start()
-    try:
-        check_cd_density(profile, cd, 48)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5e6
+    for grid, bound in ((48, 2.5e6), (192, 8e6)):
+        tracemalloc.start()
+        try:
+            check_cd_density(profile, cd, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, grid
 
 
 def test_cd_density_rejects_tiny_grid():
