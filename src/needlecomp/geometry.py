@@ -162,8 +162,7 @@ def _sin_power(cd: CurvatureDimension, scale: float = 1.0):
                        * math.cos(rt * r)))
 
 
-def model_interval(cd: CurvatureDimension, length: Optional[float] = None,
-                   grid_size: int = 1024) -> WeightedInterval:
+def model_interval(cd: CurvatureDimension, length: Optional[float] = None) -> WeightedInterval:
     """The 1D model geometry for K > 0: density sin_{K/(N-1)}^{N-1} on
     [0, length], with length defaulting to the full model diameter."""
     if cd.K <= 0.0 or cd.N <= 1.0:
@@ -176,23 +175,20 @@ def model_interval(cd: CurvatureDimension, length: Optional[float] = None,
         raise ParameterError(f"length must lie in (0, {full}], got {length}", key="length")
     fn, deriv = _sin_power(cd)
     try:
-        profile = DensityProfile(0.0, length, fn, deriv=deriv, grid_size=grid_size,
-                                 mode=min(length, 0.5 * full))
+        profile = DensityProfile(0.0, length, fn, deriv=deriv, mode=min(length, 0.5 * full))
     except OverflowError:
         raise ParameterError("the model interval's density overflows a float") from None
     return WeightedInterval(length=length, density=profile, cd=cd)
 
 
-def constant_interval(length: float, cd: CurvatureDimension,
-                      grid_size: int = 1024) -> WeightedInterval:
+def constant_interval(length: float, cd: CurvatureDimension) -> WeightedInterval:
     """Interval [0, length] with unit density.  Its u = h^{1/(N-1)} is constant,
     so u'' + K/(N-1) u <= 0, the CD(K, N) condition, holds only for K <= 0."""
     if cd.K > 0.0:
         raise ParameterError(f"a constant density satisfies CD(K, N) only for K <= 0, "
                              f"got K={cd.K}", key="K")
     _check_length(length)  # before DensityProfile, whose check names no key
-    profile = DensityProfile(0.0, length, lambda r: 1.0, deriv=lambda r: 0.0,
-                             grid_size=grid_size, mode=0.0)
+    profile = DensityProfile(0.0, length, lambda r: 1.0, deriv=lambda r: 0.0, mode=0.0)
     return WeightedInterval(length=length, density=profile, cd=cd)
 
 
@@ -289,8 +285,7 @@ def radial_model(geom: GeometrySpec) -> _RadialModel:
         return kind.radial(geom)
 
 
-def decompose(geom: GeometrySpec, surf: SurfaceSpec,
-              grid_size: int = 1024) -> NeedleDecomposition:
+def decompose(geom: GeometrySpec, surf: SurfaceSpec) -> NeedleDecomposition:
     """Closed-form needle decomposition for the signed distance to the surface.
 
     The single congruence class is the radial density re-based at r0 and
@@ -321,7 +316,6 @@ def decompose(geom: GeometrySpec, surf: SurfaceSpec,
         if density_deriv is not None:
             deriv = lambda r: density_deriv(r0 + r) / total
         profile = DensityProfile(-r0, model.length - r0, fn, deriv=deriv,
-                                 grid_size=grid_size,
                                  mode=None if model.mode is None else model.mode - r0)
         d_plus = one_sided_log_derivative(profile, 0.0, "plus")
         d_minus = one_sided_log_derivative(profile, 0.0, "minus")
@@ -371,10 +365,13 @@ def minkowski_content_from_dec(dec: NeedleDecomposition,
     Quadratic extrapolation leaves an error of order eps1*eps2*eps3 relative to
     the cube of the local density-variation scale, so the default schedule is
     small against that scale: the distance from the surface to the nearest ray
-    end, not the diameter."""
+    end, and 1/rate with rate = max(|H_plus|, sqrt(K (N-1))), the rate at which
+    the density varies at the surface.  Every epsilon is validated; only the
+    last three tubes are integrated."""
     if epsilons is None:
         p = dec.needle.profile
-        scale = min(dec.diameter, -p.a, p.b)
+        rate = max(abs(dec.H_plus), math.sqrt(max(dec.cd.K, 0.0) * (dec.cd.N - 1.0)))
+        scale = min(dec.diameter, -p.a, p.b, 1.0 / rate if rate > 0.0 else math.inf)
         epsilons = (0.0025 * scale, 0.00125 * scale, 0.000625 * scale)
     eps = [float(e) for e in epsilons]
     if len(eps) < 3:
@@ -384,5 +381,5 @@ def minkowski_content_from_dec(dec: NeedleDecomposition,
     if any(e <= 0.0 for e in eps) or any(later >= earlier
                                          for later, earlier in zip(eps[1:], eps[:-1])):
         raise ParameterError("epsilons must be positive and strictly decreasing")
-    values = [tube_volume(dec, e, "outer") / e for e in eps]
-    return extrapolate_to_zero(eps[-3:], values[-3:])
+    eps = eps[-3:]
+    return extrapolate_to_zero(eps, [tube_volume(dec, e, "outer") / e for e in eps])

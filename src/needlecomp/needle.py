@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CurvatureError, DomainError, ParameterError
@@ -20,10 +19,10 @@ from .model1d import (Checked, CurvatureDimension, JacobianParams, cos_kappa, ja
                       sigma_kappa, sin_kappa)
 from .numerics import INEQ_SLACK, integrate, one_sided_derivative
 
-# Finite-difference defaults for one-sided derivatives.
+# Finite-difference base step, as a fraction of the interval length.
 FD_BASE_STEP_FRACTION = 1e-3
-FD_LEVELS = 8
-FD_DIVERGE_THRESHOLD = 1e8
+# Points of the uniform grid on which a DensityProfile is validated.
+GRID_SIZE = 1024
 
 _TINY = 1e-300
 
@@ -39,31 +38,30 @@ def _grid_point(a: float, b: float, n: int) -> Callable[[int], float]:
     return lambda i: i * step + a if i < n - 1 else b
 
 
-class DensityProfile(Checked, namedtuple("DensityProfile", "a b fn deriv grid_size mode",
-                                         defaults=(None, 1024, None))):
-    """Positive density on [a, b], as a callable plus its values on a uniform grid.
+class DensityProfile(Checked, namedtuple("DensityProfile", "a b fn deriv mode",
+                                         defaults=(None, None))):
+    """Positive density on [a, b], validated on a uniform grid of GRID_SIZE points.
 
     fn must be positive on the open interval and extend continuously to the
     closed one (the endpoint values may vanish).  deriv, when given, is the
     closed-form derivative of fn and is preferred over finite differences.
     mode, when given, declares fn non-decreasing on [a, mode] and non-increasing
-    on [mode, b].  Construction validates fn on grid() in pure Python, given a
+    on [mode, b].  Construction validates fn on the grid in pure Python, given a
     mode only where the grid's extremes can lie (both ends, their interior
-    neighbours, the points around the mode); samples is built on first access.
+    neighbours, the points around the mode).
     """
 
-    # No __slots__: the checked values and the cached samples live in the
-    # instance dict.  The checks run in __init__, so that a wrapper of __init__
-    # (perfbench/tracer.py installs one) sees every checked construction.
+    # No __slots__: the checked values live in the instance dict.  The checks
+    # run in __init__, so that a wrapper of __init__ (perfbench/tracer.py
+    # installs one) sees every checked construction.
 
     def __init__(self, *args, **kwargs):
-        a, b, fn, unused_deriv, n, mode = self
+        a, b, fn, unused_deriv, mode = self
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ParameterError(f"invalid interval [{a}, {b}]")
-        if n < 2:
-            raise ParameterError(f"grid_size must be >= 2, got {n}")
         if mode is not None and math.isnan(mode):
             raise ParameterError("mode must not be NaN")
+        n = GRID_SIZE
         point = _grid_point(a, b, n)
         indices = range(n)
         if mode is not None:
@@ -75,29 +73,11 @@ class DensityProfile(Checked, namedtuple("DensityProfile", "a b fn deriv grid_si
         self._check(tuple(map(fn, map(point, indices))))
 
     def _check(self, values: tuple) -> None:
-        if not (all(map(math.isfinite, values)) and min(values[1:-1], default=1.0) > 0.0
+        if not (all(map(math.isfinite, values)) and min(values[1:-1]) > 0.0
                 and values[0] >= 0.0 and values[-1] >= 0.0):
             raise ParameterError("density must be positive on the open interval "
                                  "and finite, non-negative at the endpoints")
         self._checked = values
-
-    @cached_property
-    def samples(self):
-        """fn on grid(), as a read-only ndarray."""
-        import numpy as np
-        n, values = self.grid_size, self._checked
-        if len(values) < n:
-            values = list(map(self.fn, map(_grid_point(self.a, self.b, n), range(n))))
-        samples = np.array(values)
-        samples.flags.writeable = False
-        return samples
-
-    def __call__(self, r: float) -> float:
-        return self.fn(r)
-
-    def grid(self):
-        import numpy as np
-        return np.linspace(self.a, self.b, self.grid_size)
 
     def power(self, exponent: float) -> "DensityProfile":
         """The profile raised pointwise to a power, derivative chained.
@@ -113,8 +93,7 @@ class DensityProfile(Checked, namedtuple("DensityProfile", "a b fn deriv grid_si
             new_deriv = lambda r: exponent * fn(r) ** (exponent - 1.0) * deriv(r)
         # __new__ alone: DensityProfile(...) would call fn on the grid again.
         out = DensityProfile.__new__(DensityProfile, self.a, self.b, lambda r: fn(r) ** exponent,
-                                     new_deriv, self.grid_size,
-                                     self.mode if exponent > 0.0 else None)
+                                     new_deriv, self.mode if exponent > 0.0 else None)
         try:  # x ** exponent is monotone: the extremes stay where they were
             out._check(tuple(s ** exponent for s in self._checked))
         except OverflowError:  # float ** raises where an array holds inf: reject that
@@ -179,8 +158,7 @@ def one_sided_log_derivative(profile: DensityProfile, r: float, side: str) -> fl
     room = (b - r) if side == "plus" else (r - a)
     base_step = min(FD_BASE_STEP_FRACTION * (b - a), 0.5 * room)
     log_fn = lambda x: math.log(profile.fn(x)) if profile.fn(x) > 0.0 else -math.inf
-    return one_sided_derivative(log_fn, r, side, base_step,
-                                levels=FD_LEVELS, diverge_threshold=FD_DIVERGE_THRESHOLD)
+    return one_sided_derivative(log_fn, r, side, base_step)
 
 
 def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
@@ -199,7 +177,8 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     the worst one does not exceed the inequality slack.  The witness is the
     first triple in (r0, r1, t) grid order reaching the worst violation; NaN
     violations never count.  The triples are evaluated as arrays, in blocks of
-    whole pairs (r0, r1) taken in that order.
+    whole pairs (r0, r1) taken in that order.  A u or a distortion coefficient
+    that overflows a float is a ParameterError.
     """
     if grid_size < 3:
         raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
@@ -214,13 +193,21 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     # all G^2 of them; u[q - (G+1)] is the value at x_q.
     xs = a + (b - a) * (np.arange(g1, grid_size * g1 + 1) / float(g1 * g1))
     fn = profile.fn
-    u = np.array([fn(x) ** expo for x in xs.tolist()], dtype=float)
+    try:
+        u = np.array([fn(x) ** expo for x in xs.tolist()], dtype=float)
+    except OverflowError:
+        raise ParameterError("the density check's u = h**(1/(N-1)) overflows a float "
+                             "at these parameters") from None
 
     steps = np.arange(1, g1)  # m + 1 and j - i
     ts = steps / float(g1)
     thetas = (b - a) * (steps[:-1] / float(g1))
-    s_lo = sigma_kappa(kap, 1.0 - ts, thetas[:, None])  # row j-i-1, column m
-    s_hi = sigma_kappa(kap, ts, thetas[:, None])
+    try:  # sinh of a strongly negative K
+        s_lo = sigma_kappa(kap, 1.0 - ts, thetas[:, None])  # row j-i-1, column m
+        s_hi = sigma_kappa(kap, ts, thetas[:, None])
+    except OverflowError:
+        raise ParameterError("the distortion coefficients of the density check "
+                             "overflow a float at these parameters") from None
     infinite = np.isinf(s_lo) | np.isinf(s_hi)
 
     # The pairs i < j in (r0, r1) order.
@@ -267,9 +254,7 @@ def sturm_bound_check(u: DensityProfile, kappa: float, r0: float,
             passed = False
         excess = (u.fn(r) - bound) / max(abs(bound), _TINY)
         max_excess = max(max_excess, excess)
-    if max_excess > INEQ_SLACK:
-        passed = False
-    return SturmReport(passed=passed, max_excess=max_excess)
+    return SturmReport(passed=passed and max_excess <= INEQ_SLACK, max_excess=max_excess)
 
 
 def density_ratio_check(needle: Needle, cd: CurvatureDimension,
@@ -280,7 +265,6 @@ def density_ratio_check(needle: Needle, cd: CurvatureDimension,
     if not profile.a < 0.0 < profile.b:
         raise DomainError("needle base must lie in the open interval")
     h0 = profile.fn(0.0)
-    max_excess = -math.inf
 
     def side_excess(h_side: Callable[[float], float], extent: float, H: float) -> float:
         if math.isinf(H):
@@ -298,10 +282,9 @@ def density_ratio_check(needle: Needle, cd: CurvatureDimension,
         return worst
 
     H_plus = one_sided_log_derivative(profile, 0.0, "plus")
-    max_excess = max(max_excess, side_excess(profile.fn, profile.b, H_plus))
-    H_reflected = -one_sided_log_derivative(profile, 0.0, "minus")
-    max_excess = max(max_excess,
-                     side_excess(lambda r: profile.fn(-r), -profile.a, H_reflected))
+    max_excess = max(side_excess(profile.fn, profile.b, H_plus),
+                     side_excess(lambda r: profile.fn(-r), -profile.a,
+                                 -one_sided_log_derivative(profile, 0.0, "minus")))
     return RatioReport(passed=max_excess <= INEQ_SLACK, H_used=H_plus,
                        max_excess=max_excess)
 

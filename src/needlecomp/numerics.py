@@ -23,6 +23,10 @@ QUAD_LIMIT = 200
 # Relative slack granted to inequality checks against the dominating side.
 INEQ_SLACK = 1e-9
 
+# One-sided derivatives: Richardson levels, and the divergence threshold.
+FD_LEVELS = 8
+FD_DIVERGE_THRESHOLD = 1e8
+
 # d1mach(4), d1mach(1) and d1mach(2).
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -443,13 +447,13 @@ def dqagse(f: Callable[[float], float], a: float, b: float, epsabs: float,
 
 
 def one_sided_derivative(fn: Callable[[float], float], r: float, side: str,
-                         base_step: float, levels: int = 8,
-                         diverge_threshold: float = 1e8) -> float:
+                         base_step: float) -> float:
     """One-sided derivative of fn at r by difference quotients with Richardson
-    extrapolation over the step sequence base_step * 2**(-k).
+    extrapolation over the step sequence base_step * 2**(-k), k < FD_LEVELS.
 
     side is "plus" or "minus".  Returns +-inf when fn is -inf at an endpoint of
-    the quotient or when the quotients exceed diverge_threshold and keep growing.
+    the quotient or when the quotients exceed FD_DIVERGE_THRESHOLD and keep
+    growing.
     """
     sign = 1.0 if side == "plus" else -1.0
     f0 = fn(r)
@@ -459,13 +463,13 @@ def one_sided_derivative(fn: Callable[[float], float], r: float, side: str,
 
     quotients = []
     growth = 0
-    for k in range(levels):
+    for k in range(FD_LEVELS):
         h = base_step * 0.5 ** k
         fk = fn(r + sign * h)
         if math.isinf(fk):
             return -math.inf if side == "plus" else math.inf
         q = (fk - f0) / (sign * h)
-        if quotients and abs(q) > diverge_threshold and abs(q) >= abs(quotients[-1]):
+        if quotients and abs(q) > FD_DIVERGE_THRESHOLD and abs(q) >= abs(quotients[-1]):
             growth += 1
             if growth >= 2:
                 return math.copysign(math.inf, q)

@@ -445,8 +445,8 @@ print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scip
 
 
 def test_numpy_is_loaded_only_by_cd_density(run_isolated):
-    # numpy serves the array paths only: the cd-density check, profile samples
-    # and grid(), and array sigma_kappa; euclidean_ball.cfg runs cd-density
+    # numpy serves the array paths only: the cd-density check and array
+    # sigma_kappa; euclidean_ball.cfg runs cd-density
     out = run_isolated(f"""
 import contextlib, io
 from pathlib import Path
@@ -625,6 +625,34 @@ def test_cd_density_overflow_is_a_typed_error(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL check=cd-density reason=ParameterError: " in out
     assert "overflow" in out and "Traceback" not in out
+
+
+def test_cd_density_power_overflow_names_the_density(capsys):
+    # K = 0, so no distortion coefficient can overflow: h**(1/(N-1)) = h**2 does
+    assert main(["run", str(CONFIGS / "truncated_interval.cfg"),
+                 "--set", "geometry.density=constant", "--set", "geometry.K=0",
+                 "--set", "geometry.N=1.5", "--set", "geometry.length=1e-200",
+                 "--set", "surface.r0=5e-201", "--set", "run.checks=cd-density",
+                 "--path", "-"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL check=cd-density reason=ParameterError: the density check's "
+            "u = h**(1/(N-1)) overflows a float") in out
+    assert "distortion" not in out and "Traceback" not in out
+
+
+@pytest.mark.parametrize("cfg, overrides", [
+    ("sphere_equator.cfg", ["geometry.n=40", "surface.r0=0.3"]),  # deviated by 4.163e-6
+    ("suspension.cfg", ["geometry.N=60"]),  # by 1.653e-5
+    ("euclidean_ball.cfg", ["geometry.n=90"]),  # by 5.981e-5
+])
+def test_minkowski_schedule_follows_the_density_in_high_dimension(capsys, cfg, overrides):
+    # a schedule scaled to the ray end alone once reported these as FAIL
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    assert main(["run", str(CONFIGS / cfg), *sets, "--set", "run.checks=minkowski",
+                 "--format", "csv", "--path", "-"]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[0] == "minkowski" and row[6] == "true"
+    assert float(row[5]) < 1e-9
 
 
 def test_equator_of_the_100_sphere_is_rigid(capsys):

@@ -14,6 +14,8 @@ from needlecomp import (CurvatureDimension, CurvatureError,
                         tube_volume)
 from needlecomp import geometry
 from needlecomp.model1d import cos_kappa, sin_kappa
+from needlecomp.numerics import extrapolate_to_zero
+from needlecomp.needle import GRID_SIZE
 
 SPHERE = RoundSphere(2, 1.0)
 BALL = EuclideanBall(3, 1.0)
@@ -245,6 +247,27 @@ def test_minkowski_schedule_validation():
         minkowski_content_from_dec(dec, epsilons=(0.1, 0.05, -0.01))
 
 
+@pytest.mark.parametrize("K", [0.0, -1.0])
+def test_minkowski_schedule_of_a_constant_density(K):
+    # H = 0 and K <= 0: the density does not vary, so the ray end sets the scale
+    dec = decompose(constant_interval(2.0, CurvatureDimension(K, 3.0)), LevelPoint(0.5))
+    assert (dec.H_plus, dec.surface_total) == (0.0, 1.0)
+    assert minkowski_content_from_dec(dec) == pytest.approx(1.0, rel=1e-12)
+    assert minkowski_content_from_dec(dec) == \
+        minkowski_content_from_dec(dec, (0.5 * 0.0025, 0.5 * 0.00125, 0.5 * 0.000625))
+
+
+def test_minkowski_integrates_only_the_tubes_it_extrapolates_from():
+    dec = decompose(SPHERE, EQUATOR)
+    eps = (0.04, 0.02, 0.01, 0.005, 0.0025)
+    want = extrapolate_to_zero(eps[-3:], [tube_volume(dec, e, "outer") / e for e in eps[-3:]])
+    with mock.patch.object(geometry, "tube_volume", wraps=geometry.tube_volume) as tube:
+        assert minkowski_content_from_dec(dec, eps) == want
+    assert [c.args[1] for c in tube.call_args_list] == list(eps[-3:])
+    with pytest.raises(ParameterError):  # every epsilon is still validated
+        minkowski_content_from_dec(dec, (0.04, 0.05, 0.01, 0.005, 0.0025))
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_minkowski_schedule_must_be_finite(bad):
     # an infinite width once gave the estimate nan, reported as a deviation of nan
@@ -349,7 +372,8 @@ def test_unrepresentable_radial_models_are_parameter_errors():
                              LevelPoint(0.5))])
 def test_needle_mode_is_where_the_density_peaks(geom, surf):
     profile = decompose(geom, surf).needle.profile
-    grid, values = profile.grid().tolist(), profile.samples.tolist()
+    grid = np.linspace(profile.a, profile.b, GRID_SIZE).tolist()
+    values = [profile.fn(r) for r in grid]
     for i in range(len(grid) - 1):
         if grid[i + 1] <= profile.mode:
             assert values[i] <= values[i + 1]

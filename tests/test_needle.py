@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -16,11 +17,12 @@ from needlecomp import (CdDensityReport, CurvatureDimension, CurvatureError,
                         laplacian_regular_part, model_interval, needle_mass,
                         one_sided_log_derivative, sigma_kappa, sturm_bound_check)
 from needlecomp import needle as needle_module
+from needlecomp.needle import GRID_SIZE, _grid_point
 from needlecomp.numerics import INEQ_SLACK
 
 
-def sin_profile(grid_size=1024):
-    return DensityProfile(0.0, math.pi, math.sin, grid_size=grid_size)
+def sin_profile():
+    return DensityProfile(0.0, math.pi, math.sin)
 
 
 # ------------------------------------------------------------ construction
@@ -35,15 +37,6 @@ def test_profile_requires_positive_interior():
         DensityProfile(-1.0, 1.0, lambda r: r)  # negative on half the interval
 
 
-def test_profile_samples_are_cached_evaluations():
-    p = sin_profile(grid_size=64)
-    grid = p.grid()
-    assert len(p.samples) == 64
-    for r, s in zip(grid, p.samples):
-        assert s == math.sin(float(r))
-    assert not p.samples.flags.writeable
-
-
 def test_profile_power_chains_derivative():
     p = DensityProfile(0.0, 2.0, lambda r: (1.0 + r) ** 3,
                        deriv=lambda r: 3.0 * (1.0 + r) ** 2)
@@ -53,12 +46,13 @@ def test_profile_power_chains_derivative():
 
 
 def test_profile_power_samples_equal_reevaluation():
-    p = DensityProfile(0.0, math.pi, lambda r: 2.0 * math.sin(r) ** 3, grid_size=257)
+    # the values power() checks are those its fn gives on the grid
+    p = DensityProfile(0.0, math.pi, lambda r: 2.0 * math.sin(r) ** 3)
+    grid = np.linspace(0.0, math.pi, GRID_SIZE).tolist()
     for exponent in (0.5, 1.0 / 3.0, 2.0):
         q = p.power(exponent)
-        assert q.samples.tolist() == [q.fn(float(r)) for r in q.grid()]
-        assert not q.samples.flags.writeable
-        assert (q.a, q.b, q.grid_size) == (p.a, p.b, p.grid_size)
+        assert q._checked == tuple(q.fn(r) for r in grid)
+        assert (q.a, q.b) == (p.a, p.b)
 
 
 def test_profile_power_validates_its_samples():
@@ -68,11 +62,15 @@ def test_profile_power_validates_its_samples():
         p.power(2.0)
 
 
-def _grid_seen_by_fn(a, b, n):
+def _grid_seen_by_fn(a, b):
     """The points a construction evaluates fn at, in order."""
     seen = []
-    DensityProfile(a, b, lambda r: seen.append(r) or 1.0, grid_size=n)
+    DensityProfile(a, b, lambda r: seen.append(r) or 1.0)
     return seen
+
+
+def _grid(a, b, n):
+    return [_grid_point(a, b, n)(i) for i in range(n)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 1024])
@@ -80,9 +78,11 @@ def _grid_seen_by_fn(a, b, n):
                                   (1e-300, 3e-300), (0.0, 5e-324), (0.0, 1e-320),
                                   (1.0, 1.0 + 2.0 ** -40), (-1e300, 1e300), (1e15, 1e300)])
 def test_profile_grid_is_numpy_linspace(a, b, n):
-    seen = _grid_seen_by_fn(a, b, n)
-    assert seen == np.linspace(a, b, n).tolist()
-    assert all(type(r) is float for r in seen)
+    grid = _grid(a, b, n)
+    assert grid == np.linspace(a, b, n).tolist()
+    assert all(type(r) is float for r in grid)
+    if n == GRID_SIZE:
+        assert _grid_seen_by_fn(a, b) == grid
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,7 +91,7 @@ def test_profile_grid_is_numpy_linspace(a, b, n):
 def test_profile_grid_is_numpy_linspace_on_random_intervals(a, width, n):
     b = a + width
     if b > a:
-        assert _grid_seen_by_fn(a, b, n) == np.linspace(a, b, n).tolist()
+        assert _grid(a, b, n) == np.linspace(a, b, n).tolist()
 
 
 def _numpy_verdict(values):
@@ -114,32 +114,27 @@ def _at(x, value, otherwise=1.0):
     return lambda r: value if r == x else otherwise
 
 
-GRID = np.linspace(0.0, 1.0, 64).tolist()
+GRID = np.linspace(0.0, 1.0, GRID_SIZE).tolist()
 VALIDATION_CASES = {
-    "positive": (lambda r: 1.0 + r, 64),
-    "nan inside": (_at(GRID[10], math.nan), 64),
-    "nan at an end": (_at(0.0, math.nan), 64),
-    "inf inside": (_at(GRID[10], math.inf), 64),
-    "-inf inside": (_at(GRID[10], -math.inf), 64),
-    "inf at an end": (_at(1.0, math.inf), 64),
-    "zero inside": (_at(GRID[10], 0.0), 64),
-    "zero at both ends": (lambda r: r * (1.0 - r), 64),
-    "negative end": (_at(0.0, -1e-300), 64),
-    "negative inside": (lambda r: r - 0.5, 64),
-    "no interior": (lambda r: 1.0, 2),
-    "no interior, zero ends": (lambda r: 0.0, 2),
-    "no interior, negative end": (_at(1.0, -1.0), 2),
-    "no interior, nan end": (_at(1.0, math.nan), 2),
-    "int values": (lambda r: 3, 64),
+    "positive": lambda r: 1.0 + r,
+    "nan inside": _at(GRID[10], math.nan),
+    "nan at an end": _at(0.0, math.nan),
+    "inf inside": _at(GRID[10], math.inf),
+    "-inf inside": _at(GRID[10], -math.inf),
+    "inf at an end": _at(1.0, math.inf),
+    "zero inside": _at(GRID[10], 0.0),
+    "zero at both ends": lambda r: r * (1.0 - r),
+    "negative end": _at(0.0, -1e-300),
+    "negative inside": lambda r: r - 0.5,
+    "int values": lambda r: 3,
 }
 
 
 @pytest.mark.parametrize("name", sorted(VALIDATION_CASES))
 def test_profile_validation_matches_numpy(name):
-    fn, n = VALIDATION_CASES[name]
-    values = [fn(r) for r in np.linspace(0.0, 1.0, n).tolist()]
-    assert _constructs(lambda: DensityProfile(0.0, 1.0, fn, grid_size=n)) == \
-        _numpy_verdict(values)
+    fn = VALIDATION_CASES[name]
+    values = [fn(r) for r in GRID]
+    assert _constructs(lambda: DensityProfile(0.0, 1.0, fn)) == _numpy_verdict(values)
 
 
 @pytest.mark.parametrize("value, exponent", [(1e-200, 2.0), (1e-200, 1.5), (1e-100, 2.0),
@@ -147,7 +142,7 @@ def test_profile_validation_matches_numpy(name):
 def test_profile_power_validation_matches_numpy(value, exponent):
     # a power that underflows to 0 in the interior is rejected
     p = DensityProfile(0.0, 1.0, lambda r: value)
-    powered = [s ** exponent for s in p.samples.tolist()]
+    powered = [p.fn(r) ** exponent for r in GRID]
     assert _constructs(lambda: p.power(exponent)) == _numpy_verdict(powered)
 
 
@@ -160,11 +155,12 @@ def _verdict(make):
     return None
 
 
-def _full_grid_verdict(a, b, fn, n, exponent=None):
+def _full_grid_verdict(a, b, fn, exponent=None):
     """The construction verdict (or power(exponent)'s) from every point of
-    np.linspace(a, b, n): the reference that a declared mode must reproduce."""
+    np.linspace(a, b, GRID_SIZE): the reference that a declared mode must
+    reproduce."""
     try:
-        values = [fn(r) for r in np.linspace(a, b, n).tolist()]
+        values = [fn(r) for r in np.linspace(a, b, GRID_SIZE).tolist()]
     except OverflowError:
         return OverflowError
     if exponent is not None:
@@ -179,28 +175,27 @@ def _full_grid_verdict(a, b, fn, n, exponent=None):
     return None if _numpy_verdict(values) else ParameterError
 
 
-def assert_mode_verdict_is_full_verdict(a, b, fn, mode, n=1024, exponent=None):
-    make = lambda: DensityProfile(a, b, fn, grid_size=n, mode=mode)
+def assert_mode_verdict_is_full_verdict(a, b, fn, mode, exponent=None):
+    make = lambda: DensityProfile(a, b, fn, mode=mode)
     got = _verdict(make)
-    assert got == _full_grid_verdict(a, b, fn, n)
+    assert got == _full_grid_verdict(a, b, fn)
     if exponent is not None and got is None:
         assert _verdict(lambda: make().power(exponent)) == \
-            _full_grid_verdict(a, b, fn, n, exponent)
+            _full_grid_verdict(a, b, fn, exponent)
 
 
 @settings(max_examples=300, deadline=None)
 @given(a=st.floats(-1e3, 1e3), width=st.floats(1e-6, 1e3), at=st.floats(-0.1, 1.1),
        steep=st.floats(0.0, 1e4), scale_exp=st.floats(-330.0, 320.0),
-       n=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 17, 1024]),
        exponent=st.sampled_from([-2.0, -0.5, 1e-3, 0.5, 1.0, 3.0, 250.0]))
-def test_mode_verdict_is_full_grid_verdict(a, width, at, steep, scale_exp, n, exponent):
+def test_mode_verdict_is_full_grid_verdict(a, width, at, steep, scale_exp, exponent):
     # a Gaussian bump, possibly centred off the interval, that underflows to 0
     # away from its mode or overflows a float near it
     b = a + width
     mode = a + at * width
     scale = 10.0 ** scale_exp if scale_exp < 308.0 else math.inf
     fn = lambda r: scale * math.exp(-steep * ((r - mode) / width) ** 2)
-    assert_mode_verdict_is_full_verdict(a, b, fn, mode, n, exponent)
+    assert_mode_verdict_is_full_verdict(a, b, fn, mode, exponent)
 
 
 @pytest.mark.parametrize("fn, mode", [
@@ -210,9 +205,8 @@ def test_mode_verdict_is_full_grid_verdict(a, width, at, steep, scale_exp, n, ex
     (lambda r: 1e300 * math.exp(800.0 * r) if r < 0.9 else 0.0, 0.9),  # fn overflows
 ])
 def test_mode_verdict_on_float_extremes(fn, mode):
-    for n in (2, 3, 1024):
-        for exponent in (0.5, 2.0):
-            assert_mode_verdict_is_full_verdict(0.0, 1.0, fn, mode, n, exponent)
+    for exponent in (0.5, 2.0):
+        assert_mode_verdict_is_full_verdict(0.0, 1.0, fn, mode, exponent)
 
 
 def _log_uniform(lo, hi):
@@ -291,11 +285,12 @@ def test_registered_densities_get_the_full_grid_verdict(geometry_and_N, where, s
 def test_mode_construction_evaluates_only_near_the_extremes():
     seen = []
     p = DensityProfile(-0.3, 1.9, lambda r: seen.append(r) or 1.0 + r * (2.0 - r), mode=1.0)
-    grid = np.linspace(-0.3, 1.9, 1024).tolist()
+    grid = np.linspace(-0.3, 1.9, GRID_SIZE).tolist()
     k = max(i for i, r in enumerate(grid) if r <= 1.0)
-    assert seen == [grid[i] for i in (0, 1, k - 1, k, k + 1, k + 2, 1022, 1023)]
-    assert p.samples.tolist() == [p.fn(r) for r in grid]  # built on first access
-    assert p.power(0.5).samples.tolist() == [p.fn(r) ** 0.5 for r in grid]
+    points = [grid[i] for i in (0, 1, k - 1, k, k + 1, k + 2, 1022, 1023)]
+    assert seen == points
+    assert p._checked == tuple(p.fn(r) for r in points)
+    assert p.power(0.5)._checked == tuple(p.fn(r) ** 0.5 for r in points)
 
 
 def test_mode_must_not_be_nan():
@@ -308,7 +303,7 @@ def test_power_keeps_a_positive_mode_and_drops_another():
     assert p.power(0.5).mode == 1.0
     q = p.power(-1.0)  # a decreasing profile
     assert q.mode is None
-    assert q.samples.tolist() == [1.0 / (1.0 + r) for r in np.linspace(0.0, 1.0, 1024)]
+    assert q._checked == tuple(v ** -1.0 for v in p._checked)
 
 
 @pytest.mark.parametrize("mode", [None, 0.5])
@@ -530,8 +525,7 @@ def test_cd_density_calls_the_density_once_per_lattice_point(grid):
     profile, cd = _kind_needle("round-sphere")
     seen = []
     fn = profile.fn
-    counted = DensityProfile(profile.a, profile.b, lambda r: seen.append(r) or fn(r),
-                             grid_size=2)
+    counted = DensityProfile(profile.a, profile.b, lambda r: seen.append(r) or fn(r))
     seen.clear()
     check_cd_density(counted, cd, grid)
     assert len(seen) == grid * grid
@@ -553,13 +547,18 @@ def test_cd_density_negative_curvature_matches_triple_loop(kind, grid):
 
 
 def test_cd_density_overflow_raises_as_the_triple_loop():
-    # sinh(sqrt(-kappa) theta) overflows a float for the wider separations
-    p = DensityProfile(0.0, 10.0, lambda r: 1.0 + r)
-    cd = CurvatureDimension(-1e4, 2.0)
-    with pytest.raises(OverflowError):
-        _reference_cd_density(p, cd, 12)
-    with pytest.raises(OverflowError):
-        check_cd_density(p, cd, 12)
+    # sinh(sqrt(-kappa) theta) overflows a float for the wider separations, and
+    # u = h^(1/(N-1)) = h^2 does although K = 0; where the triple loop
+    # overflows, the check raises its own typed error
+    for p, cd, message in [
+            (DensityProfile(0.0, 10.0, lambda r: 1.0 + r), CurvatureDimension(-1e4, 2.0),
+             "the distortion coefficients of the density check overflow a float"),
+            (DensityProfile(0.0, 1e-200, lambda r: 1e200), CurvatureDimension(0.0, 1.5),
+             "the density check's u = h**(1/(N-1)) overflows a float")]:
+        with pytest.raises(OverflowError):
+            _reference_cd_density(p, cd, 12)
+        with pytest.raises(ParameterError, match="^" + re.escape(message)):
+            check_cd_density(p, cd, 12)
 
 
 def test_cd_density_beyond_model_diameter_is_infinite():
@@ -572,9 +571,9 @@ def test_cd_density_beyond_model_diameter_is_infinite():
 
 
 def test_cd_density_skips_nan_midpoints():
-    # the 2-point validation grid sees only the endpoints
+    # with its mode at 0, validation sees only points near the ends
     fn = lambda r: math.nan if 0.3 < r < 0.6 else math.exp(-r * r)
-    p = DensityProfile(0.0, 1.0, fn, grid_size=2)
+    p = DensityProfile(0.0, 1.0, fn, mode=0.0)
     for K in (0.0, 1.0, 4.0):
         cd = CurvatureDimension(K, 3.0)
         got = check_cd_density(p, cd, grid_size=16)
@@ -583,8 +582,9 @@ def test_cd_density_skips_nan_midpoints():
 
 
 def test_cd_density_all_nan_grid():
-    p = DensityProfile(0.0, 1.0, lambda r: 1.0 if r in (0.0, 1.0) else math.nan,
-                       grid_size=2)
+    # built unchecked: validation would reject the NaN
+    p = DensityProfile.__new__(DensityProfile, 0.0, 1.0,
+                               lambda r: 1.0 if r in (0.0, 1.0) else math.nan)
     report = check_cd_density(p, CurvatureDimension(1.0, 2.0), grid_size=8)
     assert report.worst_violation == -math.inf
     assert report.witness is None
@@ -709,12 +709,6 @@ def test_needle_mass_closed_forms():
     assert needle_mass(Needle(q, 3.0)) == pytest.approx(3.0, rel=1e-12)
     m = DensityProfile(0.0, 1.0, lambda r: r * r)
     assert needle_mass(Needle(m, 1.0)) == pytest.approx(1.0 / 3.0, rel=1e-10)
-
-
-def test_needle_mass_invariant_under_grid_refinement():
-    coarse = Needle(sin_profile(grid_size=128), 1.0)
-    fine = Needle(sin_profile(grid_size=4096), 1.0)
-    assert needle_mass(coarse) == pytest.approx(needle_mass(fine), rel=1e-12)
 
 
 def test_laplacian_regular_part_radial_flat():

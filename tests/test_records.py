@@ -15,8 +15,7 @@ from needlecomp import (CdDensityReport, CurvatureDimension, DensityProfile, Euc
 from needlecomp.cli import ExperimentConfig, Row
 
 CD = CurvatureDimension(1.0, 3.0)
-EXP = ("DensityProfile(a={}, b={}, fn=<built-in function exp>, deriv=None, grid_size=1024, "
-       "mode=None)")
+EXP = "DensityProfile(a={}, b={}, fn=<built-in function exp>, deriv=None, mode=None)"
 
 
 def _decomposition():
@@ -29,9 +28,9 @@ REPRS = [
     (lambda: JacobianParams(0.5, CD),
      "JacobianParams(H=0.5, cd=CurvatureDimension(K=1.0, N=3.0))"),
     (lambda: DensityProfile(0.0, 1.0, math.exp), EXP.format(0.0, 1.0)),
-    (lambda: DensityProfile(-1.0, 2.0, math.exp, deriv=math.exp, grid_size=16, mode=2.0),
+    (lambda: DensityProfile(-1.0, 2.0, math.exp, deriv=math.exp, mode=2.0),
      "DensityProfile(a=-1.0, b=2.0, fn=<built-in function exp>, "
-     "deriv=<built-in function exp>, grid_size=16, mode=2.0)"),
+     "deriv=<built-in function exp>, mode=2.0)"),
     (lambda: Needle(DensityProfile(-1.0, 1.0, math.exp)),
      f"Needle(profile={EXP.format(-1.0, 1.0)}, weight=1.0)"),
     (lambda: WeightedInterval(1.0, DensityProfile(0.0, 1.0, math.exp),
@@ -108,9 +107,8 @@ CHECKS = [
     (Needle, dict(profile=DensityProfile(1.0, 2.0, math.exp)),
      "needle base 0 must lie in [1.0, 2.0]"),
     (DensityProfile, dict(a=1.0, b=0.0, fn=math.exp), "invalid interval [1.0, 0.0]"),
-    (DensityProfile, dict(a=0.0, b=1.0, fn=math.exp, deriv=None, grid_size=1),
-     "grid_size must be >= 2, got 1"),
-    (DensityProfile, dict(a=0.0, b=1.0, fn=math.exp, deriv=None, grid_size=8, mode=math.nan),
+    (DensityProfile, dict(a=0.0, b=math.inf, fn=math.exp), "invalid interval [0.0, inf]"),
+    (DensityProfile, dict(a=0.0, b=1.0, fn=math.exp, deriv=None, mode=math.nan),
      "mode must not be NaN"),
     (DensityProfile, dict(a=-1.0, b=1.0, fn=math.sin),
      "density must be positive on the open interval and finite, non-negative at the endpoints"),
@@ -160,8 +158,9 @@ def test_fields_of_named_tuples_cannot_be_assigned(make):
 
 def test_density_profile_is_a_checked_named_tuple():
     # it was a plain class with hand-written repr, equality and hash
-    assert P._fields == ("a", "b", "fn", "deriv", "grid_size", "mode")
-    assert P == (0.0, 1.0, math.exp, None, 1024, None)
+    assert P._fields == ("a", "b", "fn", "deriv", "mode")
+    assert P == (0.0, 1.0, math.exp, None, None)
+    assert not any(hasattr(P, name) for name in ("grid_size", "samples", "grid", "__call__"))
     for field in P._fields:
         with pytest.raises(AttributeError):
             setattr(P, field, None)
@@ -171,7 +170,7 @@ def test_density_profile_is_a_checked_named_tuple():
 
 def test_power_checks_without_calling_fn_again():
     calls = []
-    profile = DensityProfile(0.0, 1.0, lambda r: calls.append(r) or 1.0 + r, grid_size=16)
+    profile = DensityProfile(0.0, 1.0, lambda r: calls.append(r) or 1.0 + r)
     calls.clear()
     root = profile.power(0.5)
     assert calls == [] and type(root) is DensityProfile
@@ -193,9 +192,6 @@ def test_cached_properties_are_computed_once_per_instance():
     params = JacobianParams(0.5, CD)
     assert params._consts is params._consts
     assert JacobianParams(0.5, CD)._consts is not params._consts
-    calls = []
-    profile = DensityProfile(0.0, 1.0, lambda r: calls.append(r) or 1.0 + r, grid_size=16,
-                             mode=1.0)
-    calls.clear()  # construction evaluates only near the extremes
-    assert profile.samples is profile.samples
-    assert len(calls) == 16
+    dec = decompose(RoundSphere(2, 1.0), GeodesicSphere(math.pi / 2))
+    assert dec.profile_deviation is dec.profile_deviation
+    assert NeedleDecomposition(*dec).profile_deviation is not dec.profile_deviation
