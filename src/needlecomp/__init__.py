@@ -20,11 +20,10 @@ from .hk import (DEFAULT_EQUALITY_TOL, HKReport, LevyGromovReport, RigidityRepor
 from .model1d import (CurvatureDimension, JacobianParams, cos_kappa, jacobian,
                       jacobian_integral, jacobian_support, kappa_eff,
                       model_density_normalizer,
-                      model_profile, model_rhs_constant_H, pi_kappa, sigma,
-                      sigma_kappa, sin_kappa, tau, unit_sphere_volume)
+                      model_profile, model_rhs_constant_H, pi_kappa,
+                      sigma_kappa, sin_kappa, unit_sphere_volume)
 from .needle import (CdDensityReport, DensityProfile, Needle, RatioReport,
                      SturmReport, check_cd_density, density_ratio_check,
-                     laplacian_regular_part, needle_mass,
                      one_sided_log_derivative, sturm_bound_check)
 
 __version__ = "0.1.0"

@@ -31,6 +31,9 @@ CHECK_NAMES = ("cd-density", "sturm", "ratio", "hk-outer", "hk-full",
                "corollaries", "levy-gromov", "rigidity", "minkowski")
 FORMATS = ("report", "csv", "plotdata")
 MINKOWSKI_REL_TOL = 1e-6
+# The largest run.grid_size: cd-density makes grid_size**2 density calls, and at
+# 1,500 a run takes about 3 s and 185 MB.
+MAX_GRID_SIZE = 1500
 
 
 class ExperimentConfig(Checked, namedtuple("ExperimentConfig", (
@@ -58,8 +61,9 @@ class ExperimentConfig(Checked, namedtuple("ExperimentConfig", (
         if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
             raise ConfigError(f"tolerance must be finite and positive, got {tolerance}",
                               key="tolerance")
-        if self.grid_size < 1:
-            raise ConfigError(f"grid_size must be >= 1, got {self.grid_size}", key="grid_size")
+        if not 3 <= self.grid_size <= MAX_GRID_SIZE:
+            raise ConfigError(f"grid_size must be between 3 and {MAX_GRID_SIZE}, "
+                              f"got {self.grid_size}", key="grid_size")
         if self.output_format not in FORMATS:
             raise ConfigError(f"format must be report, csv or plotdata, "
                               f"got {self.output_format!r}", key="format")

@@ -6,8 +6,7 @@ profile of the positively curved one-dimensional model space.
 
 Conventions: K is the Ricci curvature lower bound, N the dimension upper
 bound, H the (outer) mean curvature at the surface crossing.  Infinite values
-are represented by math.inf; the convention 0 * inf = 0 is applied where the
-coefficient definitions require it.
+are represented by math.inf.
 """
 
 from __future__ import annotations
@@ -150,34 +149,6 @@ def _sigma_kappa_array(kappa: float, t, theta):
     if zero.any() or beyond.any():
         ratio = np.where(zero, t, np.where(beyond, math.inf, ratio))
     return ratio
-
-
-def sigma(cd: CurvatureDimension, t: float, theta: float) -> float:
-    """Distortion coefficient sigma_{K,N}^{(t)}(theta), curvature level K/N."""
-    return sigma_kappa(cd.K / cd.N, t, theta)
-
-
-def tau(cd: CurvatureDimension, t: float, theta: float) -> float:
-    """Modified distortion coefficient tau_{K,N}^{(t)}(theta).
-
-    Equals theta * inf when K > 0 and N = 1 (with 0 * inf = 0), and
-    t^{1/N} * sigma_{K,N-1}^{(t)}(theta)^{1 - 1/N} otherwise.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError(f"interpolation parameter t must lie in [0, 1], got {t}")
-    if theta < 0.0:
-        raise ParameterError(f"separation theta must be >= 0, got {theta}")
-    K, N = cd.K, cd.N
-    if N == 1.0:
-        if K > 0.0:
-            return 0.0 if theta == 0.0 else math.inf
-        return t  # the sigma factor carries exponent 0
-    if theta == 0.0 or K == 0.0:
-        return t
-    s = sigma_kappa(K / (N - 1.0), t, theta)
-    if math.isinf(s):
-        return 0.0 if t == 0.0 else math.inf
-    return t ** (1.0 / N) * s ** (1.0 - 1.0 / N)
 
 
 def jacobian(p: JacobianParams, r: float) -> float:

@@ -3,8 +3,7 @@
 A needle carries a positive one-dimensional density on an interval with the
 surface crossing at parameter 0.  This module provides one-sided logarithmic
 derivatives, the curvature-dimension density check, the mollified comparison
-bound, the density-ratio bound against the distortion profile, masses and the
-regular part of the signed-distance Laplacian.
+bound and the density-ratio bound against the distortion profile.
 """
 
 from __future__ import annotations
@@ -12,12 +11,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import namedtuple
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CurvatureError, DomainError, ParameterError
 from .model1d import (Checked, CurvatureDimension, JacobianParams, cos_kappa, jacobian,
                       sigma_kappa, sin_kappa)
-from .numerics import INEQ_SLACK, integrate, one_sided_derivative
+from .numerics import INEQ_SLACK, one_sided_derivative
 
 # Finite-difference base step, as a fraction of the interval length.
 FD_BASE_STEP_FRACTION = 1e-3
@@ -25,9 +25,6 @@ FD_BASE_STEP_FRACTION = 1e-3
 GRID_SIZE = 1024
 
 _TINY = 1e-300
-
-# Triples (r0, r1, t) per array block of check_cd_density: bounds its memory.
-_CD_BLOCK_TRIPLES = 8192
 
 
 def _grid_point(a: float, b: float, n: int) -> Callable[[int], float]:
@@ -163,22 +160,25 @@ def one_sided_log_derivative(profile: DensityProfile, r: float, side: str) -> fl
 
 def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
                      grid_size: int = 24) -> CdDensityReport:
-    """Brute-force check that profile^{1/(N-1)} satisfies the curvature-dimension
-    concavity inequality at level K/(N-1) over all grid triples (r0, r1, t).
+    """Check that u = profile^{1/(N-1)} satisfies the curvature-dimension
+    concavity inequality at level kappa = K/(N-1) on a lattice, at every
+    dyadic scale.
 
-    With G = grid_size every point lies on the lattice
-    x_q = a + (b - a) (q / (G+1)^2): the grid point i is q = (i+1)(G+1), and the
-    point at t_m = (m+1)/(G+1) between grid points i < j is
-    q = (i+1)(G+1) + (m+1)(j-i), at separation theta = (b - a) ((j-i)/(G+1)).
-    The density is evaluated once per lattice point, G^2 calls in ascending q,
-    and sigma_kappa once per side over every (j-i, m), so memory is O(G^2).
+    With G = grid_size and delta = (b - a)/(G+1)^2, u is evaluated once at each
+    lattice point x_q = a + (b - a) (q / (G+1)^2), q = G+1, ..., G(G+1): G^2
+    density calls in ascending q.  For each s = 1, 2, 4, ... with 2s < G^2, u_q
+    is compared with sigma_kappa^{(1/2)}(2 s delta) (u_{q-s} + u_{q+s}) at every
+    q whose neighbours q -+ s are on the lattice.  In one dimension the CD(K, N)
+    condition is local (u'' + kappa u <= 0), so these midpoint conditions stand
+    for every triple; the coarser scales show smooth defects that the slack
+    hides at the finest one.  The work is O(G^2 log G) and the memory O(G^2).
 
-    Violations are measured relative to the left side; the check passes when
-    the worst one does not exceed the inequality slack.  The witness is the
-    first triple in (r0, r1, t) grid order reaching the worst violation; NaN
-    violations never count.  The triples are evaluated as arrays, in blocks of
-    whole pairs (r0, r1) taken in that order.  A u or a distortion coefficient
-    that overflows a float is a ParameterError.
+    Violations are measured relative to |u_q|; the check passes when the worst
+    one does not exceed the inequality slack.  The witness (x_{q-s}, x_{q+s},
+    0.5) is the first, by s and then q, reaching the worst violation; NaN
+    violations never count, and a span of at least pi_kappa has an infinite
+    right side.  A negative density value is a ParameterError naming its point,
+    and so is a u or a distortion coefficient that overflows a float.
     """
     if grid_size < 3:
         raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
@@ -189,61 +189,59 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     expo = 1.0 / (cd.N - 1.0)
     a, b = profile.a, profile.b
     g1 = grid_size + 1
-    # The pairs j = i + 1 alone reach every q from G+1 to G(G+1), so u holds
-    # all G^2 of them; u[q - (G+1)] is the value at x_q.
+    n = grid_size * grid_size
     xs = a + (b - a) * (np.arange(g1, grid_size * g1 + 1) / float(g1 * g1))
-    fn = profile.fn
+    h = np.fromiter(map(profile.fn, xs.tolist()), float, n)
+    negative = h < 0.0
+    if negative.any():
+        raise _negative_density(float(xs[negative.argmax()]))
     try:
-        u = np.array([fn(x) ** expo for x in xs.tolist()], dtype=float)
+        u = np.fromiter(map(pow, h.tolist(), repeat(expo)), float, n)
     except OverflowError:
         raise ParameterError("the density check's u = h**(1/(N-1)) overflows a float "
                              "at these parameters") from None
 
-    steps = np.arange(1, g1)  # m + 1 and j - i
-    ts = steps / float(g1)
-    thetas = (b - a) * (steps[:-1] / float(g1))
-    try:  # sinh of a strongly negative K
-        s_lo = sigma_kappa(kap, 1.0 - ts, thetas[:, None])  # row j-i-1, column m
-        s_hi = sigma_kappa(kap, ts, thetas[:, None])
-    except OverflowError:
-        raise ParameterError("the distortion coefficients of the density check "
-                             "overflow a float at these parameters") from None
-    infinite = np.isinf(s_lo) | np.isinf(s_hi)
-
-    # The pairs i < j in (r0, r1) order.
-    lo, hi = np.triu_indices(grid_size, 1)
     worst = -math.inf
     witness = None
-    step = max(1, _CD_BLOCK_TRIPLES // grid_size)  # pairs per block
-    for p0 in range(0, lo.size, step):
-        i, j = lo[p0:p0 + step, None], hi[p0:p0 + step, None]
-        row = (j - i - 1)[:, 0]  # of the separation in the sigma tables
-        lhs = u[i * g1 + steps * (j - i)]
+    s = 1
+    while 2 * s < n:
+        try:  # sinh of a strongly negative K
+            sigma = sigma_kappa(kap, 0.5, (b - a) * (2 * s / (g1 * g1)))
+        except OverflowError:
+            raise ParameterError("the distortion coefficients of the density check "
+                                 "overflow a float at these parameters") from None
+        lhs = u[s:n - s]
         with np.errstate(invalid="ignore", over="ignore"):
-            rhs = np.where(infinite[row], math.inf,
-                           s_lo[row] * u[i * g1] + s_hi[row] * u[j * g1])
+            rhs = math.inf if math.isinf(sigma) else sigma * (u[:n - 2 * s] + u[2 * s:])
             violation = (rhs - lhs) / np.maximum(np.abs(lhs), _TINY)
-        # NaN never counts as worse; argmax takes the first (pair, t) in order.
+        # NaN never counts as worse; argmax takes the first q.
         violation[np.isnan(violation)] = -math.inf
         k = int(np.argmax(violation))
-        if violation.flat[k] > worst:
-            worst = float(violation.flat[k])
-            p, m = divmod(k, grid_size)
-            witness = (float(xs[lo[p0 + p] * g1]), float(xs[hi[p0 + p] * g1]),
-                       float(ts[m]))
+        if violation[k] > worst:
+            worst = float(violation[k])
+            witness = (float(xs[k]), float(xs[k + 2 * s]), 0.5)
+        s *= 2
     return CdDensityReport(passed=worst <= INEQ_SLACK, worst_violation=worst,
                            witness=witness)
+
+
+def _negative_density(x: float) -> ParameterError:
+    return ParameterError(f"the density is negative at {x!r}")
 
 
 def sturm_bound_check(u: DensityProfile, kappa: float, r0: float,
                       grid_size: int = 40) -> SturmReport:
     """Verify the comparison bound
     u(r) <= u(r0) cos_kappa(r - r0) + d^+u(r0) sin_kappa(r - r0) on (r0, b),
-    together with positivity of the right-hand side there.
+    together with positivity of the right-hand side there.  A negative value of
+    u, or a complex one (a negative density to a fractional power), is a
+    ParameterError naming its point.
     """
     if not u.a < r0 < u.b:
         raise DomainError(f"base point r0={r0} outside ({u.a}, {u.b})")
     u0 = u.fn(r0)
+    if type(u0) is complex or u0 < 0.0:
+        raise _negative_density(r0)
     du0 = u0 * one_sided_log_derivative(u, r0, "plus")
     max_excess = -math.inf
     passed = True
@@ -252,7 +250,10 @@ def sturm_bound_check(u: DensityProfile, kappa: float, r0: float,
         bound = u0 * cos_kappa(kappa, r - r0) + du0 * sin_kappa(kappa, r - r0)
         if bound <= 0.0:
             passed = False
-        excess = (u.fn(r) - bound) / max(abs(bound), _TINY)
+        value = u.fn(r)
+        if type(value) is complex or value < 0.0:
+            raise _negative_density(r)
+        excess = (value - bound) / max(abs(bound), _TINY)
         max_excess = max(max_excess, excess)
     return SturmReport(passed=passed and max_excess <= INEQ_SLACK, max_excess=max_excess)
 
@@ -287,17 +288,3 @@ def density_ratio_check(needle: Needle, cd: CurvatureDimension,
                                  -one_sided_log_derivative(profile, 0.0, "minus")))
     return RatioReport(passed=max_excess <= INEQ_SLACK, H_used=H_plus,
                        max_excess=max_excess)
-
-
-def needle_mass(needle: Needle) -> float:
-    """weight times the integral of the density over its interval."""
-    return needle.weight * integrate(needle.profile.fn, needle.profile.a, needle.profile.b)
-
-
-def laplacian_regular_part(needle: Needle, r: float, side: str = "plus") -> float:
-    """-(log h)'(r): density of the regular part of the signed-distance
-    Laplacian along this needle.  Uses the right derivative by default."""
-    profile = needle.profile
-    if not profile.a < r < profile.b:
-        raise DomainError(f"r={r} outside ({profile.a}, {profile.b})")
-    return -one_sided_log_derivative(profile, r, side)

@@ -26,7 +26,7 @@ from needlecomp import (CurvatureDimension, DensityProfile, EuclideanBall,
                         decompose, density_ratio_check, equality_detect,
                         equality_tolerance, hk_full, hk_outer, jacobian, levy_gromov_check,
                         minkowski_content_from_dec, model_interval,
-                        model_profile, one_sided_log_derivative, sigma,
+                        model_profile, one_sided_log_derivative, sigma_kappa,
                         sturm_bound_check, unit_sphere_volume)
 from needlecomp.hk import closed_form_bounds
 
@@ -296,7 +296,7 @@ def test_criterion_8_function_level():
         failures.append(f"J not non-decreasing in N on {bad_n}/1000 tuples")
 
     for t in np.linspace(0.0, 1.0, 21):
-        if sigma(CurvatureDimension(1.0, 2.0), float(t), 0.0) != float(t):
+        if sigma_kappa(0.5, float(t), 0.0) != float(t):
             failures.append("sigma(t, 0) != t exactly")
             break
 

@@ -8,7 +8,7 @@ from needlecomp import (ConfigError, CurvatureDimension, DensityProfile, Euclide
                         GeodesicSphere, LevelPoint, RoundSphere, SphericalSuspension,
                         WeightedInterval, decompose, equality_detect, hk_full, hk_outer,
                         model_interval)
-from needlecomp.cli import CSV_HEADER, ExperimentConfig, main, parse_config, run
+from needlecomp.cli import CSV_HEADER, MAX_GRID_SIZE, ExperimentConfig, main, parse_config, run
 from needlecomp.geometry import GEOMETRY_KINDS
 
 SPHERE_CFG = """\
@@ -324,6 +324,20 @@ def test_main_rejects_nonpositive_grid_size(capsys):
     assert "PASS" not in out
 
 
+@pytest.mark.parametrize("grid", [1, 2, MAX_GRID_SIZE + 1])
+def test_main_rejects_grid_size_outside_its_range(grid, capsys):
+    # 1 and 2 were a FAIL of the cd-density check with exit 1, and a grid above
+    # the ceiling ran for minutes to hours
+    assert main(["run", str(CONFIGS / "euclidean_ball.cfg"), "--set", "run.checks=cd-density",
+                 "--set", f"run.grid_size={grid}", "--path", "-"]) == 2
+    assert capsys.readouterr().out == (
+        f"FAIL check=config reason=ConfigError: --set #2, key 'grid_size': grid_size must "
+        f"be between 3 and {MAX_GRID_SIZE}, got {grid}\n")
+    config = parse_config(SPHERE_CFG)
+    for ok in (3, MAX_GRID_SIZE):
+        assert config._replace(grid_size=ok).grid_size == ok
+
+
 def test_main_rejects_unknown_override_section(capsys):
     assert main(["run", str(CONFIGS / "sphere_equator.cfg"), "--set", "foo.bar=1"]) == 2
     out = capsys.readouterr().out
@@ -577,7 +591,7 @@ def test_experiment_config_checks_its_values():
             ("t_values", (1.0, 0.0), "t_values", "t_values must be positive, got 0.0"),
             ("expect", "yes", "expect", "expect must be 'rigid' or 'not-rigid', got 'yes'"),
             ("tolerance", math.inf, "tolerance", "tolerance must be finite and positive, got inf"),
-            ("grid_size", 0, "grid_size", "grid_size must be >= 1, got 0"),
+            ("grid_size", 0, "grid_size", "grid_size must be between 3 and 1500, got 0"),
             ("output_format", "xml", "format",
              "format must be report, csv or plotdata, got 'xml'")]:
         for build in (lambda: config._replace(**{field: value}),
@@ -591,7 +605,7 @@ def test_failing_override_is_reported_by_position(capsys):
     assert main(["run", str(CONFIGS / "sphere_equator.cfg"),
                  "--set", "run.checks=ratio", "--set", "run.grid_size=0"]) == 2
     out = capsys.readouterr().out
-    assert "ConfigError: --set #2, key 'grid_size': grid_size must be >= 1" in out
+    assert "ConfigError: --set #2, key 'grid_size': grid_size must be between 3 and" in out
     assert "line 0" not in out
     with pytest.raises(ConfigError) as info:
         parse_config(SPHERE_CFG, overrides=["run.grid_size=0"])

@@ -9,12 +9,11 @@ from needlecomp import (CurvatureDimension, CurvatureError,
                         GeodesicSphere, LevelPoint, Needle, ParameterError,
                         RoundSphere, SphericalSuspension, WeightedInterval,
                         check_cd_density, constant_interval, decompose,
-                        inner_mass, laplacian_regular_part,
-                        minkowski_content_from_dec, model_interval, needle_mass,
-                        tube_volume)
+                        inner_mass, minkowski_content_from_dec, model_interval,
+                        one_sided_log_derivative, tube_volume)
 from needlecomp import geometry
 from needlecomp.model1d import cos_kappa, sin_kappa
-from needlecomp.numerics import extrapolate_to_zero
+from needlecomp.numerics import extrapolate_to_zero, integrate
 from needlecomp.needle import GRID_SIZE
 
 SPHERE = RoundSphere(2, 1.0)
@@ -281,7 +280,9 @@ def test_minkowski_schedule_must_be_finite(bad):
 def test_disintegration_consistency():
     for geom, surf in all_model_pairs():
         dec = decompose(geom, surf)
-        assert needle_mass(dec.needle) == pytest.approx(dec.total_mass, rel=1e-9)
+        p = dec.needle.profile
+        assert dec.needle.weight * integrate(p.fn, p.a, p.b) == \
+            pytest.approx(dec.total_mass, rel=1e-9)
 
 
 def test_every_produced_needle_satisfies_cd_density():
@@ -294,9 +295,9 @@ def test_every_produced_needle_satisfies_cd_density():
 def test_euclidean_needle_laplacian_is_classical():
     n, rho = 3, 0.5
     dec = decompose(EuclideanBall(n, 1.0), GeodesicSphere(rho))
-    needle = dec.needle
+    profile = dec.needle.profile
     for r in np.linspace(-0.4, 0.45, 9):
-        assert laplacian_regular_part(needle, float(r)) == \
+        assert -one_sided_log_derivative(profile, float(r), "plus") == \
             pytest.approx(-(n - 1) / (rho + float(r)), rel=1e-10)
 
 

@@ -11,8 +11,8 @@ from scipy.special import betaincinv
 from needlecomp import (CurvatureDimension, JacobianParams, ParameterError,
                         cos_kappa, jacobian, jacobian_support, kappa_eff,
                         model_density_normalizer, model_profile,
-                        model_rhs_constant_H, pi_kappa, sigma, sigma_kappa,
-                        sin_kappa, tau, unit_sphere_volume)
+                        model_rhs_constant_H, pi_kappa, sigma_kappa,
+                        sin_kappa, unit_sphere_volume)
 
 
 def jp(H, K, N):
@@ -63,65 +63,41 @@ def test_pi_kappa():
 
 @given(st.floats(0, 1))
 def test_sigma_at_zero_separation_is_exact(t):
-    assert sigma(CurvatureDimension(1.0, 2.0), t, 0.0) == t
-    assert sigma(CurvatureDimension(-2.0, 3.0), t, 0.0) == t
+    assert sigma_kappa(0.5, t, 0.0) == t
+    assert sigma_kappa(-2.0 / 3.0, t, 0.0) == t
 
 
 @given(st.floats(0, 1), st.floats(1e-6, 10))
 def test_sigma_flat_is_exact(t, theta):
-    assert sigma(CurvatureDimension(0.0, 2.5), t, theta) == t
+    assert sigma_kappa(0.0, t, theta) == t
 
 
 def test_sigma_closed_form_value():
-    # kappa = K/N = 1: sin(pi/4)/sin(pi/2)
+    # kappa = 1: sin(pi/4)/sin(pi/2)
     expected = math.sin(math.pi / 4) / math.sin(math.pi / 2)
-    assert sigma(CurvatureDimension(1.0, 1.0), 0.5, math.pi / 2) == \
+    assert sigma_kappa(1.0, 0.5, math.pi / 2) == \
         pytest.approx(expected, rel=1e-15)
 
 
 def test_sigma_beyond_model_diameter_is_infinite():
-    cd = CurvatureDimension(4.0, 1.0)  # kappa = 4, diameter pi/2
-    assert sigma(cd, 0.5, math.pi / 2) == math.inf
-    assert sigma(cd, 0.5, 10.0) == math.inf
-    assert sigma(cd, 0.5, math.pi / 2 - 1e-9) != math.inf
+    kappa = 4.0  # diameter pi/2
+    assert sigma_kappa(kappa, 0.5, math.pi / 2) == math.inf
+    assert sigma_kappa(kappa, 0.5, 10.0) == math.inf
+    assert sigma_kappa(kappa, 0.5, math.pi / 2 - 1e-9) != math.inf
 
 
 def test_sigma_negative_curvature_is_finite():
-    value = sigma(CurvatureDimension(-4.0, 2.0), 0.5, 50.0)
+    value = sigma_kappa(-2.0, 0.5, 50.0)
     assert 0.0 < value < 0.5
 
 
 def test_sigma_rejects_bad_parameters():
-    cd = CurvatureDimension(1.0, 2.0)
     with pytest.raises(ParameterError):
-        sigma(cd, -0.1, 1.0)
+        sigma_kappa(0.5, -0.1, 1.0)
     with pytest.raises(ParameterError):
-        sigma(cd, 1.1, 1.0)
+        sigma_kappa(0.5, 1.1, 1.0)
     with pytest.raises(ParameterError):
-        sigma(cd, 0.5, -1.0)
-
-
-def test_tau_positive_curvature_dimension_one():
-    cd = CurvatureDimension(2.0, 1.0)
-    assert tau(cd, 0.3, 1.0) == math.inf
-    assert tau(cd, 0.3, 0.0) == 0.0  # 0 * inf = 0 convention
-
-
-@given(st.floats(0, 1), st.floats(0, 5))
-def test_tau_flat_is_exact(t, theta):
-    assert tau(CurvatureDimension(0.0, 3.0), t, theta) == t
-
-
-@given(st.floats(0, 1))
-def test_tau_zero_separation(t):
-    assert tau(CurvatureDimension(1.0, 3.0), t, 0.0) == t
-
-
-def test_tau_interpolates_sigma():
-    cd = CurvatureDimension(1.0, 3.0)
-    t, theta = 0.4, 1.2
-    s = sigma_kappa(cd.K / (cd.N - 1.0), t, theta)
-    assert tau(cd, t, theta) == pytest.approx(t ** (1 / 3) * s ** (2 / 3), rel=1e-14)
+        sigma_kappa(0.5, 0.5, -1.0)
 
 
 @pytest.mark.parametrize("kappa", (4.0, 1.0, 0.3, 0.0, -0.5, -2.0))

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import tracemalloc
 from unittest import mock
@@ -14,11 +15,10 @@ from needlecomp import (CdDensityReport, CurvatureDimension, CurvatureError,
                         ParameterError, RoundSphere, SphericalSuspension,
                         WeightedInterval, check_cd_density, constant_interval,
                         decompose, density_ratio_check, geometry, jacobian,
-                        laplacian_regular_part, model_interval, needle_mass,
-                        one_sided_log_derivative, sigma_kappa, sturm_bound_check)
-from needlecomp import needle as needle_module
+                        model_interval, one_sided_log_derivative, sigma_kappa,
+                        sin_kappa, sturm_bound_check)
 from needlecomp.needle import GRID_SIZE, _grid_point
-from needlecomp.numerics import INEQ_SLACK
+from needlecomp.numerics import INEQ_SLACK, integrate
 
 
 def sin_profile():
@@ -434,6 +434,34 @@ def _reference_cd_density(profile, cd, grid_size):
                            witness=witness)
 
 
+def _reference_multiscale_cd_density(profile, cd, grid_size):
+    """The multiscale midpoint check in scalars: for each s = 1, 2, 4, ... with
+    2s < G^2 and each lattice point q with q -+ s on the lattice, u_q against
+    sigma_kappa^{(1/2)}(2 s delta) (u_{q-s} + u_{q+s}), delta = (b - a)/(G+1)^2."""
+    kap = cd.K / (cd.N - 1.0)
+    expo = 1.0 / (cd.N - 1.0)
+    a, b = profile.a, profile.b
+    g1 = grid_size + 1
+    n = grid_size * grid_size
+    xs = [a + (b - a) * (q / g1 ** 2) for q in range(g1, g1 + n)]
+    u = [profile.fn(x) ** expo for x in xs]
+    worst = -math.inf
+    witness = None
+    s = 1
+    while 2 * s < n:
+        sigma = sigma_kappa(kap, 0.5, (b - a) * (2 * s / g1 ** 2))
+        for q in range(s, n - s):
+            lhs = u[q]
+            rhs = math.inf if math.isinf(sigma) else sigma * (u[q - s] + u[q + s])
+            violation = (rhs - lhs) / max(abs(lhs), 1e-300)
+            if violation > worst:
+                worst = violation
+                witness = (xs[q - s], xs[q + s], 0.5)
+        s *= 2
+    return CdDensityReport(passed=worst <= INEQ_SLACK, worst_violation=worst,
+                           witness=witness)
+
+
 def _float_grid_cd_density(profile, cd, grid_size):
     """The triple loop on points formed in floating point as r0 + t theta."""
     kap = cd.K / (cd.N - 1.0)
@@ -492,6 +520,15 @@ def _assert_same_report(got, want):
         (want.worst_violation, want.witness, want.passed)
 
 
+def _assert_matches_references(profile, cd, grid, verdict=_reference_cd_density):
+    """The verdict of the oracle `verdict` (by default the triple loop), and the
+    worst violation and witness of the scalar multiscale reference, bit for bit."""
+    got = check_cd_density(profile, cd, grid)
+    _assert_same_report(got, _reference_multiscale_cd_density(profile, cd, grid))
+    assert got.passed == verdict(profile, cd, grid).passed
+    return got
+
+
 @pytest.mark.parametrize("grid", (3, 10, 24, 48, 70))
 @pytest.mark.parametrize("bound", ("true", "violated"))
 @pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES))
@@ -499,8 +536,7 @@ def test_cd_density_matches_triple_loop(kind, bound, grid):
     profile, cd = _kind_needle(kind)
     if bound == "violated":
         cd = CurvatureDimension(2.0 * cd.K if cd.K > 0.0 else 1.0, cd.N)
-    got = check_cd_density(profile, cd, grid)
-    _assert_same_report(got, _reference_cd_density(profile, cd, grid))
+    got = _assert_matches_references(profile, cd, grid)
     assert got.passed == (bound == "true")
 
 
@@ -508,16 +544,11 @@ def test_cd_density_matches_triple_loop(kind, bound, grid):
 @pytest.mark.parametrize("bound", ("true", "violated"))
 @pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES))
 def test_cd_density_agrees_with_the_float_grid(kind, bound, grid):
-    # the lattice moves points by rounding only: same verdict, same worst
+    # the triple loop on points rounded as r0 + t theta reaches the same verdict
     profile, cd = _kind_needle(kind)
     if bound == "violated":
         cd = CurvatureDimension(2.0 * cd.K if cd.K > 0.0 else 1.0, cd.N)
-    got = check_cd_density(profile, cd, grid)
-    want = _float_grid_cd_density(profile, cd, grid)
-    assert got.passed == want.passed
-    w = want.worst_violation
-    assert got.worst_violation == w if math.isinf(w) else \
-        abs(got.worst_violation - w) <= 1e-12 * max(1.0, abs(w))
+    _assert_matches_references(profile, cd, grid, verdict=_float_grid_cd_density)
 
 
 @pytest.mark.parametrize("grid", (24, 48))
@@ -535,15 +566,9 @@ def test_cd_density_calls_the_density_once_per_lattice_point(grid):
 @pytest.mark.parametrize("grid", (3, 24))
 @pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES))
 def test_cd_density_negative_curvature_matches_triple_loop(kind, grid):
-    # np.sinh and math.sinh may differ in the last bit
     profile, cd = _kind_needle(kind)
     for K in (-1.0, -7.5):
-        cd_neg = CurvatureDimension(K, cd.N)
-        got = check_cd_density(profile, cd_neg, grid)
-        want = _reference_cd_density(profile, cd_neg, grid)
-        assert got.passed == want.passed
-        assert abs(got.worst_violation - want.worst_violation) <= \
-            1e-12 * max(1.0, abs(want.worst_violation))
+        _assert_matches_references(profile, CurvatureDimension(K, cd.N), grid)
 
 
 def test_cd_density_overflow_raises_as_the_triple_loop():
@@ -565,8 +590,7 @@ def test_cd_density_beyond_model_diameter_is_infinite():
     # separations past pi_kappa = pi get an infinite right side
     p = DensityProfile(0.0, 10.0, lambda r: 1.0 + 0.1 * r)
     cd = CurvatureDimension(1.0, 2.0)
-    got = check_cd_density(p, cd, grid_size=12)
-    _assert_same_report(got, _reference_cd_density(p, cd, 12))
+    got = _assert_matches_references(p, cd, 12)
     assert got.worst_violation == math.inf and not got.passed
 
 
@@ -576,8 +600,7 @@ def test_cd_density_skips_nan_midpoints():
     p = DensityProfile(0.0, 1.0, fn, mode=0.0)
     for K in (0.0, 1.0, 4.0):
         cd = CurvatureDimension(K, 3.0)
-        got = check_cd_density(p, cd, grid_size=16)
-        _assert_same_report(got, _reference_cd_density(p, cd, 16))
+        got = _assert_matches_references(p, cd, 16)
         assert math.isfinite(got.worst_violation)
 
 
@@ -591,29 +614,83 @@ def test_cd_density_all_nan_grid():
     assert report.passed
 
 
-# Triples per block: one pair per block at any grid, and 7 pairs per block at
-# grid 24, which leaves 3 of its 276 pairs for the last block.
-@pytest.fixture(params=(1, 7 * 24 + 5), ids=("one-pair", "seven-pairs"))
-def small_blocks(request, monkeypatch):
-    monkeypatch.setattr(needle_module, "_CD_BLOCK_TRIPLES", request.param)
+def _kappa_line(kappa, length, c0, c1):
+    """The solution of v'' + kappa v = 0 on [0, length] with v(0) = c0 and
+    v(length) = c1; length < pi_kappa."""
+    whole = sin_kappa(kappa, length)
+    return lambda r: (c0 * sin_kappa(kappa, length - r) + c1 * sin_kappa(kappa, r)) / whole
 
 
-@pytest.mark.parametrize("bound", ("true", "violated"))
-@pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES))
-def test_cd_density_blocks_match_triple_loop(small_blocks, kind, bound):
-    test_cd_density_matches_triple_loop(kind, bound, 24)
+def _random_cd_corpus(count_per_family=3):
+    """(id, profile, cd, grid, is_cd) over K in {-1, 0, 1, 2} and N in [1.5, 8]:
+    - "min": h = (min of three kappa-lines)^(N-1), a CD(K, N) density, since
+      every line solves u'' + kappa u = 0 and a minimum adds concave kinks only;
+    - "max": the maximum of two crossing kappa-lines, with a convex kink, not CD;
+    - "shift": one line of kappa' = K'/(N-1), K' = K -+ 1e-6 ... 0.3, checked
+      at K: CD exactly when K' >= K (a line through 0 is the model density)."""
+    rng = random.Random(2606)
+    corpus = []
+    for K in (-1.0, 0.0, 1.0, 2.0):
+        for family in ("min", "max", "shift"):
+            for k in range(count_per_family):
+                N = rng.uniform(1.5, 8.0)
+                kappa = K / (N - 1.0)
+                full = math.pi / math.sqrt(kappa) if kappa > 0.0 else 3.0
+                length = rng.uniform(0.3, 0.95) * full
+                draw = lambda: rng.uniform(0.5, 2.0)
+                if family == "min":
+                    lines = [_kappa_line(kappa, length, draw(), draw()) for _ in range(3)]
+                    u, is_cd = (lambda r, ls=lines: min(f(r) for f in ls)), True
+                elif family == "max":
+                    lo, hi = sorted((draw(), draw()))
+                    lines = [_kappa_line(kappa, length, hi, lo),
+                             _kappa_line(kappa, length, lo, hi)]
+                    u, is_cd = (lambda r, ls=lines: max(f(r) for f in ls)), False
+                else:
+                    shift = math.copysign(10.0 ** rng.uniform(-6.0, math.log10(0.3)),
+                                          rng.choice((-1.0, 1.0)))
+                    kappa_shifted = (K + shift) / (N - 1.0)
+                    if kappa_shifted > 0.0:
+                        length = min(length, 0.95 * math.pi / math.sqrt(kappa_shifted))
+                    u = _kappa_line(kappa_shifted, length, 0.0 if k == 0 else draw(), draw())
+                    is_cd = shift > 0.0
+                profile = DensityProfile(0.0, length, lambda r, u=u, N=N: u(r) ** (N - 1.0))
+                corpus.append(pytest.param(profile, CurvatureDimension(K, N), (24, 48)[k % 2],
+                                           is_cd, id=f"{family}-K{K:g}-{k}"))
+    return corpus
 
 
-def test_cd_density_blocks_keep_the_first_infinite_witness(small_blocks):
-    test_cd_density_beyond_model_diameter_is_infinite()  # inf in several blocks
+@pytest.mark.parametrize("profile, cd, grid, is_cd", _random_cd_corpus())
+def test_cd_density_verdict_matches_triple_loop_on_random_densities(profile, cd, grid,
+                                                                     is_cd):
+    assert _assert_matches_references(profile, cd, grid).passed == is_cd
 
 
-def test_cd_density_blocks_of_nan_have_no_witness(small_blocks):
-    test_cd_density_all_nan_grid()
+def _negative_at(x):
+    return "^" + re.escape(f"the density is negative at {x!r}") + "$"
+
+
+def test_negative_density_between_validation_points_is_a_parameter_error():
+    # negative only between the points construction validates; it was a
+    # TypeError from the complex power
+    fn = lambda r: 1.0 if abs(r - 0.5003) > 1e-4 else -1.0
+    p = DensityProfile(0.0, 1.0, fn)
+    x = 1201 / 49 ** 2  # the first negative lattice point of grid 48
+    assert fn(x) < 0.0 and all(fn(q / 49 ** 2) > 0.0 for q in range(49, 1201))
+    with pytest.raises(ParameterError, match=_negative_at(x)):
+        check_cd_density(p, CurvatureDimension(0.0, 2.5), 48)
+    r0 = 0.25
+    r = r0 + (1.0 - r0) * 20.0 / 41.0  # the 20th point of sturm's grid of 40
+    q = DensityProfile(0.0, 1.0, lambda s: -1.0 if abs(s - r) < 1e-6 else 1.0 + s)
+    for exponent in (1.0 / 1.5, 1.0):  # a complex power, and a negative value
+        with pytest.raises(ParameterError, match=_negative_at(r)):
+            sturm_bound_check(q.power(exponent), 0.0, r0, grid_size=40)
+    with pytest.raises(ParameterError, match=_negative_at(r)):
+        sturm_bound_check(q.power(0.5), 0.0, r, grid_size=40)  # at the base point
 
 
 def test_cd_density_memory_stays_bounded():
-    # O(G^2): the lattice values and one block of triples.  One array pass over
+    # O(G^2): the lattice values and one scale's arrays.  One array pass over
     # all 54k triples of grid 48 would peak at about 5 MB, and holding every
     # triple's point (G^3/2 of them) at about 85 MB for grid 192.
     profile, cd = _kind_needle("spherical-suspension")
@@ -702,33 +779,40 @@ def test_ratio_bound_needs_interior_base():
 
 # ------------------------------------------------------- masses, laplacian
 
+def _mass(profile, weight=1.0):
+    return weight * integrate(profile.fn, profile.a, profile.b)
+
+
 def test_needle_mass_closed_forms():
-    p = sin_profile()
-    assert needle_mass(Needle(p, 1.0)) == pytest.approx(2.0, rel=1e-10)
-    q = DensityProfile(0.0, 1.0, lambda r: 1.0)
-    assert needle_mass(Needle(q, 3.0)) == pytest.approx(3.0, rel=1e-12)
+    assert _mass(sin_profile()) == pytest.approx(2.0, rel=1e-10)
+    assert _mass(DensityProfile(0.0, 1.0, lambda r: 1.0), 3.0) == pytest.approx(3.0, rel=1e-12)
     m = DensityProfile(0.0, 1.0, lambda r: r * r)
-    assert needle_mass(Needle(m, 1.0)) == pytest.approx(1.0 / 3.0, rel=1e-10)
+    assert _mass(m) == pytest.approx(1.0 / 3.0, rel=1e-10)
+
+
+def _laplacian_regular_part(profile, r):
+    """-(log h)'(r), the density of the regular part of the signed-distance
+    Laplacian along a needle."""
+    return -one_sided_log_derivative(profile, r, "plus")
 
 
 def test_laplacian_regular_part_radial_flat():
     n, rho = 4, 0.7
     p = DensityProfile(-rho, 1.0, lambda r: (rho + r) ** (n - 1),
                        deriv=lambda r: (n - 1) * (rho + r) ** (n - 2))
-    needle = Needle(p, 1.0)
     for r in np.linspace(-0.5, 0.9, 8):
-        assert laplacian_regular_part(needle, float(r)) == \
+        assert _laplacian_regular_part(p, float(r)) == \
             pytest.approx(-(n - 1) / (rho + float(r)), rel=1e-12)
 
 
 def test_laplacian_regular_part_examples():
-    const = Needle(DensityProfile(-1.0, 1.0, lambda r: 1.0, deriv=lambda r: 0.0), 1.0)
-    assert laplacian_regular_part(const, 0.3) == 0.0
+    const = DensityProfile(-1.0, 1.0, lambda r: 1.0, deriv=lambda r: 0.0)
+    assert _laplacian_regular_part(const, 0.3) == 0.0
 
     r0 = 1.1
     p = DensityProfile(-r0, math.pi - r0, lambda r: math.sin(r0 + r),
                        deriv=lambda r: math.cos(r0 + r))
-    assert laplacian_regular_part(Needle(p, 1.0), 0.0) == \
+    assert _laplacian_regular_part(p, 0.0) == \
         pytest.approx(-1.0 / math.tan(r0), rel=1e-12)
     with pytest.raises(DomainError):
-        laplacian_regular_part(Needle(p, 1.0), math.pi)
+        _laplacian_regular_part(p, math.pi)
