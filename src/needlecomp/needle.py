@@ -26,6 +26,10 @@ GRID_SIZE = 1024
 
 _TINY = 1e-300
 
+# Lattice points, or midpoint comparisons, per array pass of check_cd_density:
+# bounds the Python float lists and numpy temporaries behind its G^2 values.
+_CD_BLOCK = 16384
+
 
 def _grid_point(a: float, b: float, n: int) -> Callable[[int], float]:
     """i -> np.linspace(a, b, n)[i] as a float, bit for bit (n >= 2)."""
@@ -171,7 +175,8 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     q whose neighbours q -+ s are on the lattice.  In one dimension the CD(K, N)
     condition is local (u'' + kappa u <= 0), so these midpoint conditions stand
     for every triple; the coarser scales show smooth defects that the slack
-    hides at the finest one.  The work is O(G^2 log G) and the memory O(G^2).
+    hides at the finest one.  The work is O(G^2 log G); the memory is two
+    arrays of G^2 floats and the temporaries of one block of _CD_BLOCK points.
 
     Violations are measured relative to |u_q|; the check passes when the worst
     one does not exceed the inequality slack.  The witness (x_{q-s}, x_{q+s},
@@ -191,12 +196,17 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     g1 = grid_size + 1
     n = grid_size * grid_size
     xs = a + (b - a) * (np.arange(g1, grid_size * g1 + 1) / float(g1 * g1))
-    h = np.fromiter(map(profile.fn, xs.tolist()), float, n)
-    negative = h < 0.0
+    u = np.empty(n)  # h, then h**(1/(N-1)) in place
+    for lo in range(0, n, _CD_BLOCK):
+        u[lo:lo + _CD_BLOCK] = np.fromiter(map(profile.fn, xs[lo:lo + _CD_BLOCK].tolist()),
+                                           float)
+    negative = u < 0.0
     if negative.any():
         raise _negative_density(float(xs[negative.argmax()]))
     try:
-        u = np.fromiter(map(pow, h.tolist(), repeat(expo)), float, n)
+        for lo in range(0, n, _CD_BLOCK):
+            h = u[lo:lo + _CD_BLOCK]
+            h[:] = np.fromiter(map(pow, h.tolist(), repeat(expo)), float)
     except OverflowError:
         raise ParameterError("the density check's u = h**(1/(N-1)) overflows a float "
                              "at these parameters") from None
@@ -210,16 +220,20 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
         except OverflowError:
             raise ParameterError("the distortion coefficients of the density check "
                                  "overflow a float at these parameters") from None
-        lhs = u[s:n - s]
-        with np.errstate(invalid="ignore", over="ignore"):
-            rhs = math.inf if math.isinf(sigma) else sigma * (u[:n - 2 * s] + u[2 * s:])
-            violation = (rhs - lhs) / np.maximum(np.abs(lhs), _TINY)
-        # NaN never counts as worse; argmax takes the first q.
-        violation[np.isnan(violation)] = -math.inf
-        k = int(np.argmax(violation))
-        if violation[k] > worst:
-            worst = float(violation[k])
-            witness = (float(xs[k]), float(xs[k + 2 * s]), 0.5)
+        for lo in range(s, n - s, _CD_BLOCK):
+            hi = min(lo + _CD_BLOCK, n - s)
+            lhs = u[lo:hi]
+            with np.errstate(invalid="ignore", over="ignore"):
+                rhs = math.inf if math.isinf(sigma) else \
+                    sigma * (u[lo - s:hi - s] + u[lo + s:hi + s])
+                violation = (rhs - lhs) / np.maximum(np.abs(lhs), _TINY)
+            # NaN never counts as worse; argmax takes the first q, and a later
+            # block must be strictly worse.
+            violation[np.isnan(violation)] = -math.inf
+            k = int(np.argmax(violation))
+            if violation[k] > worst:
+                worst = float(violation[k])
+                witness = (float(xs[lo + k - s]), float(xs[lo + k + s]), 0.5)
         s *= 2
     return CdDensityReport(passed=worst <= INEQ_SLACK, worst_violation=worst,
                            witness=witness)

@@ -17,6 +17,7 @@ from needlecomp import (CdDensityReport, CurvatureDimension, CurvatureError,
                         decompose, density_ratio_check, geometry, jacobian,
                         model_interval, one_sided_log_derivative, sigma_kappa,
                         sin_kappa, sturm_bound_check)
+from needlecomp import needle as needle_module
 from needlecomp.needle import GRID_SIZE, _grid_point
 from needlecomp.numerics import INEQ_SLACK, integrate
 
@@ -614,6 +615,27 @@ def test_cd_density_all_nan_grid():
     assert report.passed
 
 
+# Midpoint comparisons (and lattice points) per block: one neighbour pair
+# (q - s, q + s) per block, and seven, which leaves a short last block at six
+# of grid 24's nine scales.
+@pytest.fixture(params=(1, 7), ids=("one-pair", "seven-pairs"))
+def small_blocks(request, monkeypatch):
+    monkeypatch.setattr(needle_module, "_CD_BLOCK", request.param)
+
+
+@pytest.mark.parametrize("bound", ("true", "violated"))
+@pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES))
+def test_cd_density_blocks_match_triple_loop(small_blocks, kind, bound):
+    test_cd_density_matches_triple_loop(kind, bound, 24)
+
+
+def test_cd_density_blocks_keep_the_first_infinite_witness(small_blocks):
+    test_cd_density_beyond_model_diameter_is_infinite()  # inf in several blocks
+
+
+def test_cd_density_blocks_of_nan_have_no_witness(small_blocks):
+    test_cd_density_all_nan_grid()
+
 def _kappa_line(kappa, length, c0, c1):
     """The solution of v'' + kappa v = 0 on [0, length] with v(0) = c0 and
     v(length) = c1; length < pi_kappa."""
@@ -690,7 +712,7 @@ def test_negative_density_between_validation_points_is_a_parameter_error():
 
 
 def test_cd_density_memory_stays_bounded():
-    # O(G^2): the lattice values and one scale's arrays.  One array pass over
+    # O(G^2): the lattice values and one block's arrays.  One array pass over
     # all 54k triples of grid 48 would peak at about 5 MB, and holding every
     # triple's point (G^3/2 of them) at about 85 MB for grid 192.
     profile, cd = _kind_needle("spherical-suspension")
