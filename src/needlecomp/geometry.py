@@ -69,8 +69,8 @@ class EuclideanBall(Checked, namedtuple("EuclideanBall", "n R")):
     __slots__ = ()
 
     def __new__(cls, n: int, R: float):
-        if n < 1:
-            raise ParameterError(f"ball dimension must be >= 1, got {n}", key="n")
+        if n < 2:
+            raise ParameterError(f"ball dimension must be >= 2, got {n}", key="n")
         if not (math.isfinite(R) and R > 0.0):
             raise ParameterError(f"ball radius must be positive, got {R}", key="R")
         return super().__new__(cls, n, R)
@@ -89,8 +89,6 @@ class SphericalSuspension(Checked, namedtuple("SphericalSuspension", "cd base_vo
     def __new__(cls, cd: CurvatureDimension, base_volume: float):
         if cd.K <= 0.0:
             raise ParameterError(f"suspension requires K > 0, got K={cd.K}", key="K")
-        if cd.N <= 1.0:
-            raise ParameterError(f"suspension requires N > 1, got N={cd.N}", key="N")
         if not (math.isfinite(base_volume) and base_volume > 0.0):
             raise ParameterError(f"base volume must be positive, got {base_volume}",
                                  key="base_volume")
@@ -115,13 +113,21 @@ class GeodesicSphere(NamedTuple):
 SurfaceSpec = Union[LevelPoint, GeodesicSphere]
 
 
-class NeedleDecomposition(namedtuple("NeedleDecomposition", (
+class NeedleDecomposition(Checked, namedtuple("NeedleDecomposition", (
         "needle", "total_mass", "diameter", "cd", "surface_total", "H_plus", "H_minus", "H"))):
     """The needle of one geometry/surface pair, which every needle through the
     surface is congruent to, with the surface measure total and the needle's
-    mean curvatures H_plus, H_minus and H = max(H_plus, -H_minus)."""
+    mean curvatures H_plus and H_minus, both finite, and H = max(H_plus, -H_minus)."""
 
     # No __slots__: the cached profile_deviation lives in the instance dict.
+
+    def __new__(cls, needle: Needle, total_mass: float, diameter: float,
+                cd: CurvatureDimension, surface_total: float, H_plus: float,
+                H_minus: float, H: float):
+        if not (math.isfinite(H_plus) and math.isfinite(H_minus)):
+            raise CurvatureError("needle has infinite one-sided curvature at its base")
+        return super().__new__(cls, needle, total_mass, diameter, cd, surface_total,
+                               H_plus, H_minus, H)
 
     @property
     def needles(self) -> tuple[Needle]:
@@ -165,9 +171,8 @@ def _sin_power(cd: CurvatureDimension, scale: float = 1.0):
 def model_interval(cd: CurvatureDimension, length: Optional[float] = None) -> WeightedInterval:
     """The 1D model geometry for K > 0: density sin_{K/(N-1)}^{N-1} on
     [0, length], with length defaulting to the full model diameter."""
-    if cd.K <= 0.0 or cd.N <= 1.0:
-        raise ParameterError("model interval requires K > 0 and N > 1",
-                             key="K" if cd.K <= 0.0 else "N")
+    if cd.K <= 0.0:
+        raise ParameterError("model interval requires K > 0", key="K")
     full = pi_kappa(cd.K / (cd.N - 1.0))
     if length is None:
         length = full
@@ -222,8 +227,8 @@ def _sphere_radial(geom: RoundSphere) -> _RadialModel:
 
 def _ball_radial(geom: EuclideanBall) -> _RadialModel:
     n, scale = geom.n, unit_sphere_volume(geom.n - 1)
-    deriv = (lambda s: 0.0) if n == 1 else (lambda s: scale * (n - 1) * s ** (n - 2))
-    return _RadialModel(geom.R, 2.0 * geom.R, lambda s: scale * s ** (n - 1), deriv, geom.R)
+    return _RadialModel(geom.R, 2.0 * geom.R, lambda s: scale * s ** (n - 1),
+                        lambda s: scale * (n - 1) * s ** (n - 2), geom.R)
 
 
 def _suspension_radial(geom: SphericalSuspension) -> _RadialModel:
@@ -297,8 +302,6 @@ def decompose(geom: GeometrySpec, surf: SurfaceSpec) -> NeedleDecomposition:
     kind = _kind_of(geom)
     with _density_overflow_is_parameter_error(kind):
         model = kind.radial(geom)
-        if geom.cd.N <= 1.0:
-            raise ParameterError(f"needle calculus requires N > 1, got N={geom.cd.N}")
         if not isinstance(surf, kind.surface):
             raise ParameterError(f"{kind.name} takes a {kind.surface.__name__} surface")
         r0 = surf.r0
@@ -319,8 +322,6 @@ def decompose(geom: GeometrySpec, surf: SurfaceSpec) -> NeedleDecomposition:
                                  mode=None if model.mode is None else model.mode - r0)
         d_plus = one_sided_log_derivative(profile, 0.0, "plus")
         d_minus = one_sided_log_derivative(profile, 0.0, "minus")
-    if math.isinf(d_plus) or math.isinf(d_minus):
-        raise CurvatureError("needle has infinite one-sided curvature at its base")
     # Inner mean curvature is the outer one of the role-swapped configuration,
     # i.e. -d^- log h(0); then H = max(H_plus, -H_minus) = max(d^+, d^-) log h(0).
     return NeedleDecomposition(

@@ -15,7 +15,7 @@ import math
 import os
 from typing import NamedTuple, Optional
 
-from .errors import CurvatureError, InequalityViolation, ParameterError
+from .errors import InequalityViolation, ParameterError
 from .geometry import NeedleDecomposition, inner_mass, tube_volume
 from .model1d import (J_OVERFLOWS, JacobianParams, jacobian_integral, jacobian_support,
                       kappa_eff, model_profile, model_rhs_constant_H,
@@ -88,18 +88,10 @@ def _build_report(statement: str, lhs: float, rhs: float, tol: float,
                     relative_gap=relative_gap, equality=relative_gap < tol, t=t)
 
 
-def _require_finite(value: float, what: str) -> None:
-    if not math.isfinite(value):
-        raise CurvatureError(f"{what} must be finite for this bound")
-
-
 def hk_outer(dec: NeedleDecomposition, t: float,
              tolerance: Optional[float] = None) -> HKReport:
     """Outer tube bound at width t: mass of the outer t-tube on the left,
     the surface-weighted integral of J_{H_plus} over [0, t] on the right."""
-    if not t > 0.0:
-        raise ParameterError(f"tube width t must be positive, got {t}")
-    _require_finite(dec.H_plus, "outer mean curvature")
     tol = equality_tolerance(tolerance)
     lhs = tube_volume(dec, t, "outer")
     rhs = dec.surface_total * jacobian_integral(JacobianParams(dec.H_plus, dec.cd), 0.0, t)
@@ -110,8 +102,6 @@ def hk_full(dec: NeedleDecomposition,
             tolerance: Optional[float] = None) -> HKReport:
     """Two-sided bound: total mass against the surface-weighted integral of
     J_H over [-D, D] with D the diameter and H = max(H_plus, -H_minus)."""
-    _require_finite(dec.H_plus, "outer mean curvature")
-    _require_finite(dec.H_minus, "inner mean curvature")
     tol = equality_tolerance(tolerance)
     D = dec.diameter
     rhs = dec.surface_total * jacobian_integral(JacobianParams(dec.H, dec.cd), -D, D)
@@ -129,8 +119,6 @@ def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
     overflows a float.
     """
     tol = equality_tolerance(tolerance)
-    _require_finite(dec.H_plus, "outer mean curvature")
-    _require_finite(dec.H_minus, "inner mean curvature")
     cd, D, H = dec.cd, dec.diameter, dec.H
     weight = dec.surface_total
 

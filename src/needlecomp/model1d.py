@@ -34,15 +34,15 @@ class Checked:
 
 
 class CurvatureDimension(Checked, namedtuple("CurvatureDimension", "K N")):
-    """Curvature bound K (units 1/length^2) and dimension bound N (>= 1)."""
+    """Curvature bound K (units 1/length^2) and dimension bound N (J needs N above 1)."""
 
     __slots__ = ()
 
     def __new__(cls, K: float, N: float):
         if not math.isfinite(K):
             raise ParameterError(f"curvature bound K must be finite, got {K}", key="K")
-        if not (math.isfinite(N) and N >= 1.0):
-            raise ParameterError(f"dimension bound N must be finite and >= 1, got {N}",
+        if not (math.isfinite(N) and N > 1.0):
+            raise ParameterError(f"dimension bound N must be finite and > 1, got {N}",
                                  key="N")
         return super().__new__(cls, K, N)
 
@@ -61,8 +61,6 @@ class JacobianParams(Checked, namedtuple("JacobianParams", "H cd")):
     def _consts(self) -> tuple[float, float, float, float]:
         """(kappa, sqrt|kappa|, H/(N-1), N-1) with kappa = K/(N-1), for jacobian."""
         m = self.cd.N - 1.0
-        if m <= 0.0:
-            raise ParameterError(f"the distortion profile requires N > 1, got N={self.cd.N}")
         kappa = self.cd.K / m
         return kappa, math.sqrt(abs(kappa)), self.H / m, m
 
@@ -102,18 +100,12 @@ def pi_kappa(kappa: float) -> float:
     return math.pi / math.sqrt(kappa)
 
 
-def sigma_kappa(kappa: float, t, theta):
+def sigma_kappa(kappa: float, t: float, theta: float) -> float:
     """Distortion coefficient at curvature level kappa:
     sin_kappa(t * theta) / sin_kappa(theta) for theta in [0, pi_kappa), else inf.
 
     sigma(t, 0) = t by the limit convention; for kappa = 0 the ratio is t exactly.
-    t and theta may be ndarrays, broadcast together; the result is then an
-    ndarray holding the same expression elementwise.
     """
-    # No ndarray exists before numpy is imported, and only arrays need it.
-    np = sys.modules.get("numpy")
-    if np is not None and (isinstance(t, np.ndarray) or isinstance(theta, np.ndarray)):
-        return _sigma_kappa_array(kappa, t, theta)
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"interpolation parameter t must lie in [0, 1], got {t}")
     if theta < 0.0:
@@ -123,32 +115,6 @@ def sigma_kappa(kappa: float, t, theta):
     if theta >= pi_kappa(kappa):
         return math.inf
     return sin_kappa(kappa, t * theta) / sin_kappa(kappa, theta)
-
-
-def _sigma_kappa_array(kappa: float, t, theta):
-    import numpy as np
-    t = np.asarray(t, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    bad_t = ~((0.0 <= t) & (t <= 1.0))
-    if bad_t.any():
-        raise ParameterError(f"interpolation parameter t must lie in [0, 1], "
-                             f"got {t[bad_t][0]}")
-    if (theta < 0.0).any():
-        raise ParameterError(f"separation theta must be >= 0, got {theta[theta < 0.0][0]}")
-    if kappa == 0.0:
-        return np.broadcast_to(t, np.broadcast_shapes(t.shape, theta.shape)).copy()
-    sin = np.sin if kappa > 0.0 else np.sinh
-    rt = math.sqrt(abs(kappa))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        whole = sin(rt * theta)
-        if kappa < 0.0 and (np.isinf(whole) & np.isfinite(theta)).any():
-            raise OverflowError("math range error")  # as math.sinh raises
-        ratio = np.asarray((sin(rt * (t * theta)) / rt) / (whole / rt))
-    zero = theta == 0.0
-    beyond = theta >= pi_kappa(kappa)
-    if zero.any() or beyond.any():
-        ratio = np.where(zero, t, np.where(beyond, math.inf, ratio))
-    return ratio
 
 
 def jacobian(p: JacobianParams, r: float) -> float:
@@ -190,15 +156,13 @@ def jacobian_support(p: JacobianParams) -> tuple[float, float]:
 
 def kappa_eff(p: JacobianParams) -> float:
     """K/(N-1) + (H/(N-1))^2, the conserved energy of the base of J."""
-    lam = p.H / (p.cd.N - 1.0)
-    return p.cd.K / (p.cd.N - 1.0) + lam * lam
+    kappa, _, lam, _ = p._consts
+    return kappa + lam * lam
 
 
 def _require_positive_curvature(cd: CurvatureDimension) -> float:
     if cd.K <= 0.0:
         raise ParameterError(f"positive curvature bound required, got K={cd.K}")
-    if cd.N <= 1.0:
-        raise ParameterError(f"dimension bound N > 1 required, got N={cd.N}")
     return cd.K / (cd.N - 1.0)
 
 

@@ -187,8 +187,6 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     """
     if grid_size < 3:
         raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
-    if cd.N <= 1.0:
-        raise ParameterError(f"density check requires N > 1, got N={cd.N}")
     import numpy as np
     kap = cd.K / (cd.N - 1.0)
     expo = 1.0 / (cd.N - 1.0)

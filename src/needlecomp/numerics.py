@@ -58,7 +58,7 @@ def integrate(fn: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive quadrature of fn over [a, b] (0 unless b > a)."""
     if not (b > a):
         return 0.0
-    return dqagse(fn, a, b, QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_LIMIT)[0]
+    return dqagse(fn, a, b)[0]
 
 
 def _dqk21(f, a, b):
@@ -108,7 +108,7 @@ def _dqk21(f, a, b):
     return result, abserr, resabs, resasc
 
 
-def _dqpsrt(limit, last, maxerr, elist, iord, nrmax):
+def _dqpsrt(last, maxerr, elist, iord, nrmax):
     """Keep iord (1-based) listing the error estimates in descending order;
     return the interval to bisect next as (maxerr, its error, nrmax)."""
     if last <= 2:
@@ -124,8 +124,8 @@ def _dqpsrt(limit, last, maxerr, elist, iord, nrmax):
         iord[nrmax] = isucc
         nrmax -= 1
     jupbn = last
-    if last > limit // 2 + 2:
-        jupbn = limit + 3 - last
+    if last > QUAD_LIMIT // 2 + 2:
+        jupbn = QUAD_LIMIT + 3 - last
     errmin = elist[last]
     jbnd = jupbn - 1
     for i in range(nrmax + 1, jbnd + 1):
@@ -238,16 +238,14 @@ def _quotient(x: float, y: float) -> float:
     return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
-def dqagse(f: Callable[[float], float], a: float, b: float, epsabs: float,
-           epsrel: float, limit: int) -> tuple[float, float, int, int]:
-    """QUADPACK dqagse: (result, abserr, neval, ier) for the integral of f
-    over [a, b], bisecting at most limit - 1 times.  ier is 0 on success and
-    otherwise the QUADPACK code (1 limit reached, 2 roundoff, 3 bad
-    integrand, 4 no convergence of the extrapolation, 5 divergent, 6 input).
+def dqagse(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, int, int]:
+    """QUADPACK dqagse at the targets QUAD_ABS_TOL and QUAD_REL_TOL: (result,
+    abserr, neval, ier) for the integral of f over [a, b], bisecting at most
+    QUAD_LIMIT - 1 times.  ier is 0 on success and otherwise the QUADPACK code
+    (1 limit reached, 2 roundoff, 3 bad integrand, 4 no convergence of the
+    extrapolation, 5 divergent).
     """
     ier = 0
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
-        return 0.0, 0.0, 0, 6
     if a == b:
         return 0.0, 0.0, 0, 0  # as scipy, which evaluates nothing here
 
@@ -255,22 +253,20 @@ def dqagse(f: Callable[[float], float], a: float, b: float, epsabs: float,
     ierro = 0
     result, abserr, defabs, resabs = _dqk21(f, a, b)
     dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
+    errbnd = max(QUAD_ABS_TOL, QUAD_REL_TOL * dres)
     last = 1
     if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
         ier = 2
-    if limit == 1:
-        ier = 1
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
         return result, abserr, 42 * last - 21, ier
 
     # 1-based work arrays, as in the Fortran; allocated once one rule is
     # not enough
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
+    alist = [0.0] * (QUAD_LIMIT + 1)
+    blist = [0.0] * (QUAD_LIMIT + 1)
+    rlist = [0.0] * (QUAD_LIMIT + 1)
+    elist = [0.0] * (QUAD_LIMIT + 1)
+    iord = [0] * (QUAD_LIMIT + 1)
     rlist2 = [0.0] * 53
     res3la = [0.0] * 4
     alist[1] = a
@@ -297,7 +293,7 @@ def dqagse(f: Callable[[float], float], a: float, b: float, epsabs: float,
         ksgn = 1
 
     sum_list = False  # leave through the sum of the interval list
-    for last in range(2, limit + 1):
+    for last in range(2, QUAD_LIMIT + 1):
         # bisect the subinterval with the nrmax-th largest error estimate
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
@@ -321,12 +317,12 @@ def dqagse(f: Callable[[float], float], a: float, b: float, epsabs: float,
                 iroff3 += 1
         rlist[maxerr] = area1
         rlist[last] = area2
-        errbnd = max(epsabs, epsrel * abs(area))
+        errbnd = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(area))
         if iroff1 + iroff2 >= 10 or iroff3 >= 20:
             ier = 2
         if iroff2 >= 5:
             ierro = 3
-        if last == limit:
+        if last == QUAD_LIMIT:
             ier = 1
         if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
             ier = 4
@@ -344,7 +340,7 @@ def dqagse(f: Callable[[float], float], a: float, b: float, epsabs: float,
             blist[last] = b2
             elist[maxerr] = error1
             elist[last] = error2
-        maxerr, errmax, nrmax = _dqpsrt(limit, last, maxerr, elist, iord, nrmax)
+        maxerr, errmax, nrmax = _dqpsrt(last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
             sum_list = True
             break
@@ -371,8 +367,8 @@ def dqagse(f: Callable[[float], float], a: float, b: float, epsabs: float,
             # the smallest interval has the largest error: before bisecting,
             # decrease the error sum over the larger intervals (erlarg)
             jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
+            if last > 2 + QUAD_LIMIT // 2:
+                jupbnd = QUAD_LIMIT + 3 - last
             larger = False
             for _ in range(nrmax, jupbnd + 1):
                 maxerr = iord[nrmax]
@@ -395,7 +391,7 @@ def dqagse(f: Callable[[float], float], a: float, b: float, epsabs: float,
             abserr = abseps
             result = reseps
             correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
+            ertest = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(reseps))
             if abserr <= ertest:
                 break
         # prepare bisection of the smallest interval

@@ -572,6 +572,30 @@ def test_constant_interval_length_names_its_key(capsys, length):
         f"line 7, key 'length': interval length must be positive, got {float(length)}"
 
 
+@pytest.mark.parametrize("config, overrides, expected", [
+    ("truncated_interval", ["geometry.density=constant", "geometry.K=0", "geometry.N=1",
+                            "geometry.length=2", "surface.r0=1"],
+     "--set #3, key 'N': dimension bound N must be finite and > 1, got 1.0"),
+    ("suspension", ["geometry.N=1"],
+     "--set #1, key 'N': dimension bound N must be finite and > 1, got 1.0"),
+    ("euclidean_ball", ["geometry.n=1"], "--set #1, key 'n': ball dimension must be >= 2, got 1"),
+])
+def test_dimension_one_is_a_config_error(capsys, config, overrides, expected):
+    # refused where N and n are checked, not later by decompose (check=decompose)
+    args = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["run", str(CONFIGS / f"{config}.cfg"), *args, "--path", "-"]) == 2
+    assert capsys.readouterr().out == f"FAIL check=config reason=ConfigError: {expected}\n"
+
+
+@pytest.mark.parametrize("args", [["jacobian", "--H", "1", "--K", "0", "--N", "1", "--r", "0.5"],
+                                  ["profile", "--K", "1", "--N", "1", "--v", "0.5"]])
+def test_subcommands_refuse_dimension_one_where_N_is_checked(capsys, args):
+    # each once named N = 1 in its own words, from the function that needed N > 1
+    assert main(args) == 2
+    assert capsys.readouterr().out == ("FAIL check=cli reason=ParameterError: dimension bound "
+                                       "N must be finite and > 1, got 1.0\n")
+
+
 @pytest.mark.parametrize("override, checks", [
     ("run.t_values=nan", "hk-outer"), ("run.epsilons=nan,0.01,0.005", "minkowski"),
     ("run.t_values=0.5,nan", "hk-outer"), ("run.H0=nan", "corollaries")])

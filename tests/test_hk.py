@@ -126,13 +126,12 @@ def test_violation_guard_raises():
 def test_infinite_curvature_is_rejected():
     from needlecomp import CurvatureError
 
+    # the decomposition's constructor refuses it, so no bound sees it
     dec = decompose(BALL, GeodesicSphere(0.5))
-    outer_inf = dec._replace(H_plus=math.inf)
-    with pytest.raises(CurvatureError):
-        hk_outer(outer_inf, 0.25)
-    inner_inf = dec._replace(H_minus=-math.inf)
-    with pytest.raises(CurvatureError):
-        hk_full(inner_inf)
+    for field, value in (("H_plus", math.inf), ("H_minus", -math.inf), ("H_minus", math.nan)):
+        with pytest.raises(CurvatureError,
+                           match="^needle has infinite one-sided curvature at its base$"):
+            dec._replace(**{field: value})
 
 
 # -------------------------------------------------------------- corollaries

@@ -100,44 +100,9 @@ def test_sigma_rejects_bad_parameters():
         sigma_kappa(0.5, 0.5, -1.0)
 
 
-@pytest.mark.parametrize("kappa", (4.0, 1.0, 0.3, 0.0, -0.5, -2.0))
-def test_sigma_kappa_array_matches_scalar(kappa):
-    ts = np.concatenate(([0.0, 1.0], np.linspace(0.0, 1.0, 23)[1:-1]))
-    thetas = np.concatenate(([0.0], np.linspace(0.05, 4.0, 31),
-                             [pi_kappa(kappa) if kappa > 0.0 else 9.0]))[:, None]
-    got = sigma_kappa(kappa, ts, thetas)
-    assert isinstance(got, np.ndarray) and got.shape == (thetas.size, ts.size)
-    want = np.array([[sigma_kappa(kappa, float(t), float(th)) for t in ts]
-                     for th in thetas[:, 0]])
-    if kappa >= 0.0:
-        # the elementwise expression is the scalar one: equal bit for bit
-        assert got.tolist() == want.tolist()
-    else:
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-    if kappa > 0.0:
-        assert np.isinf(got[-1]).all() and np.isinf(got[thetas[:, 0] >= pi_kappa(kappa)]).all()
-    assert (got[0] == ts).all()  # theta = 0 gives t
-
-
-def test_sigma_kappa_array_broadcasts_and_keeps_scalar_path():
+def test_sigma_kappa_scalar_path():
     assert type(sigma_kappa(1.0, 0.5, 1.0)) is float
     assert sigma_kappa(1.0, np.float64(0.5), 1.0) == sigma_kappa(1.0, 0.5, 1.0)
-    got = sigma_kappa(1.0, 0.25, np.array([0.0, 1.0, 5.0]))
-    assert got.tolist() == [0.25, sigma_kappa(1.0, 0.25, 1.0), math.inf]
-    assert sigma_kappa(0.0, np.array([0.1, 0.9]), 2.0).tolist() == [0.1, 0.9]
-
-
-@pytest.mark.parametrize("t, theta", [
-    (np.array([0.5, 1.5]), 1.0),
-    (np.array([-0.1, 0.5]), np.array([1.0, 1.0])),
-    (np.array([0.5, math.nan]), 1.0),
-    (0.5, np.array([1.0, -1e-9])),
-    (np.array([0.2, 0.4]), np.array([[0.5], [-2.0]])),
-])
-def test_sigma_kappa_array_rejects_bad_parameters(t, theta):
-    for kappa in (1.0, 0.0, -1.0):
-        with pytest.raises(ParameterError):
-            sigma_kappa(kappa, t, theta)
 
 
 # ------------------------------------------------------ distortion profile

@@ -87,7 +87,7 @@ def test_unequal_values_differ():
 P = DensityProfile(0.0, 1.0, math.exp)
 CHECKS = [
     (CurvatureDimension, dict(K=math.inf, N=2.0), "curvature bound K must be finite, got inf"),
-    (CurvatureDimension, dict(K=0.0, N=0.5), "dimension bound N must be finite and >= 1, got 0.5"),
+    (CurvatureDimension, dict(K=0.0, N=0.5), "dimension bound N must be finite and > 1, got 0.5"),
     (JacobianParams, dict(H=math.nan, cd=CD), "mean curvature H must be finite, got nan"),
     (WeightedInterval, dict(length=0.0, density=P, cd=CD),
      "interval length must be positive, got 0.0"),
@@ -95,12 +95,12 @@ CHECKS = [
      "interval density must live on [0, length]"),
     (RoundSphere, dict(n=1, radius=1.0), "sphere dimension must be >= 2, got 1"),
     (RoundSphere, dict(n=2, radius=-1.0), "sphere radius must be positive, got -1.0"),
-    (EuclideanBall, dict(n=0, R=1.0), "ball dimension must be >= 1, got 0"),
+    (EuclideanBall, dict(n=1, R=1.0), "ball dimension must be >= 2, got 1"),
     (EuclideanBall, dict(n=2, R=math.inf), "ball radius must be positive, got inf"),
     (SphericalSuspension, dict(cd=CurvatureDimension(0.0, 3.0), base_volume=1.0),
      "suspension requires K > 0, got K=0.0"),
-    (SphericalSuspension, dict(cd=CurvatureDimension(1.0, 1.0), base_volume=1.0),
-     "suspension requires N > 1, got N=1.0"),
+    (SphericalSuspension, dict(cd=CurvatureDimension(-1.0, 3.0), base_volume=1.0),
+     "suspension requires K > 0, got K=-1.0"),
     (SphericalSuspension, dict(cd=CD, base_volume=0.0), "base volume must be positive, got 0.0"),
     (Needle, dict(profile=DensityProfile(-1.0, 1.0, math.exp), weight=-1.0),
      "needle weight must be finite and >= 0, got -1.0"),
@@ -112,6 +112,7 @@ CHECKS = [
      "mode must not be NaN"),
     (DensityProfile, dict(a=-1.0, b=1.0, fn=math.sin),
      "density must be positive on the open interval and finite, non-negative at the endpoints"),
+    (CurvatureDimension, dict(K=1.0, N=1.0), "dimension bound N must be finite and > 1, got 1.0"),
 ]
 
 
@@ -140,7 +141,7 @@ def test_replace_reruns_the_constructor_checks(cls, kwargs, message):
 def test_replace_builds_the_checked_type():
     replaced = RoundSphere(2, 1.0)._replace(radius=2.0)
     assert type(replaced) is RoundSphere and replaced == RoundSphere(2, 2.0)
-    with pytest.raises(ParameterError, match="^dimension bound N must be finite and >= 1, "
+    with pytest.raises(ParameterError, match="^dimension bound N must be finite and > 1, "
                                              "got 0.5$"):
         CurvatureDimension(1.0, 3.0)._replace(N=0.5)
     with pytest.raises(ParameterError, match="^sphere radius must be positive, got -1.0$"):
