@@ -27,8 +27,6 @@ from .model1d import Checked, CurvatureDimension, JacobianParams, jacobian, mode
 from .needle import check_cd_density, density_ratio_check, sturm_bound_check
 from .numerics import INEQ_SLACK
 
-CHECK_NAMES = ("cd-density", "sturm", "ratio", "hk-outer", "hk-full",
-               "corollaries", "levy-gromov", "rigidity", "minkowski")
 FORMATS = ("report", "csv", "plotdata")
 MINKOWSKI_REL_TOL = 1e-6
 # The largest run.grid_size: cd-density makes grid_size**2 density calls, and at
@@ -37,8 +35,8 @@ MAX_GRID_SIZE = 1500
 
 
 class ExperimentConfig(Checked, namedtuple("ExperimentConfig", (
-        "geometry surface checks t_values tolerance expect grid_size H0 epsilons "
-        "output_format output_path"), defaults=((), None, None, 24, None, None, "report", None))):
+        "geometry surface checks t_values tolerance expect grid_size H0 "
+        "output_format output_path"), defaults=((), None, None, 24, None, "report", None))):
     """One experiment: the geometry/surface pair, the checks to run on it and
     how to emit them.  A bad value is a ConfigError naming its config key."""
 
@@ -48,9 +46,9 @@ class ExperimentConfig(Checked, namedtuple("ExperimentConfig", (
         if not self.checks:
             raise ConfigError("checks must name at least one check", key="checks")
         for name in self.checks:
-            if name not in CHECK_NAMES:
+            if name not in CHECKS:
                 raise ConfigError(f"unknown check {name!r}; expected one of "
-                                  f"{', '.join(CHECK_NAMES)}", key="checks")
+                                  f"{', '.join(CHECKS)}", key="checks")
         for t in self.t_values:
             if not t > 0.0:
                 raise ConfigError(f"t_values must be positive, got {t}", key="t_values")
@@ -61,6 +59,8 @@ class ExperimentConfig(Checked, namedtuple("ExperimentConfig", (
         if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
             raise ConfigError(f"tolerance must be finite and positive, got {tolerance}",
                               key="tolerance")
+        if self.H0 is not None and not math.isfinite(self.H0):
+            raise ConfigError(f"H0 must be finite, got {self.H0}", key="H0")
         if not 3 <= self.grid_size <= MAX_GRID_SIZE:
             raise ConfigError(f"grid_size must be between 3 and {MAX_GRID_SIZE}, "
                               f"got {self.grid_size}", key="grid_size")
@@ -85,13 +85,12 @@ class Row(NamedTuple):
     H: Optional[float] = None
 
 
-class CheckOutcome:
-    def __init__(self, name: str, rows: Optional[list[Row]] = None, passed: bool = True,
-                 messages: Optional[list[str]] = None):
-        self.name = name
-        self.rows = [] if rows is None else rows
-        self.passed = passed
-        self.messages = [] if messages is None else messages
+class CheckOutcome(NamedTuple):
+    """A check's rows and failure messages; it fails when it has a message."""
+
+    name: str
+    rows: list[Row]
+    messages: list[str]
 
 
 # ----------------------------------------------------------------- parsing
@@ -128,8 +127,7 @@ _FIELDS = {
     "surface": {"r0": ("r0", _as_float)},
     "run": {"checks": ("checks", _as_items), "t_values": ("t_values", _as_float_list),
             "expect": ("expect", str), "tolerance": ("tolerance", _as_float),
-            "grid_size": ("grid_size", _as_int), "H0": ("H0", _as_float),
-            "epsilons": ("epsilons", _as_float_list)},
+            "grid_size": ("grid_size", _as_int), "H0": ("H0", _as_float)},
     "output": {"format": ("output_format", str), "path": ("output_path", str)},
 }
 _SECTIONS = ("geometry", *_FIELDS)
@@ -270,128 +268,127 @@ def _hk_rows(report, dec: NeedleDecomposition) -> list[Row]:
                 relative_gap=report.relative_gap, equality=report.equality)]
 
 
-def _add_needle_row(out: CheckOutcome, dec: NeedleDecomposition, worst: float,
-                    passed: bool, failure: str) -> None:
-    """The needle's row of a needle check, against the slack INEQ_SLACK; a
-    failed check also records the failure message."""
-    out.rows.append(Row(statement=out.name, kind="needle", lhs=worst, rhs=INEQ_SLACK,
-                        equality=passed, H_plus=dec.H_plus, H_minus=dec.H_minus, H=dec.H))
-    if not passed:
-        out.passed = False
-        out.messages.append(f"needle 0: {failure}")
+def _needle_check(name: str, dec: NeedleDecomposition, worst: float, passed: bool,
+                  failure: str) -> tuple[list[Row], list[str]]:
+    """The needle's row of a needle check, against the slack INEQ_SLACK, and
+    the failure message of a failed check."""
+    row = Row(statement=name, kind="needle", lhs=worst, rhs=INEQ_SLACK, equality=passed,
+              H_plus=dec.H_plus, H_minus=dec.H_minus, H=dec.H)
+    return [row], [] if passed else [f"needle 0: {failure}"]
 
 
-def _expectation_misses(expect: Optional[str], report) -> list[str]:
-    if expect == "rigid" and not report.rigid:
-        return [f"expected rigid but conditions failed: {report.failed_conditions}"]
-    if expect == "not-rigid" and report.rigid:
-        return ["expected not-rigid but rigidity was detected"]
-    return []
+# Each check takes (config, dec) and returns its rows and its failure messages.
+
+def _cd_density(config: ExperimentConfig, dec: NeedleDecomposition):
+    report = check_cd_density(dec.needle.profile, dec.cd, config.grid_size)
+    return _needle_check("cd-density", dec, report.worst_violation, report.passed,
+                         f"density inequality violated by {report.worst_violation:.3e} "
+                         f"at {report.witness}")
 
 
-def _run_check(name: str, config: ExperimentConfig,
-               dec: NeedleDecomposition) -> CheckOutcome:
-    out = CheckOutcome(name=name)
-    tol = config.tolerance
-    if name == "hk-outer":
-        if not config.t_values:
-            out.rows.append(Row(statement="hk-outer", kind="summary"))
-        for t in config.t_values:
-            out.rows.extend(_hk_rows(hk_outer(dec, t, tolerance=tol), dec))
-    elif name == "hk-full":
-        out.rows.extend(_hk_rows(hk_full(dec, tolerance=tol), dec))
-    elif name == "corollaries":
-        for report in closed_form_bounds(dec, H0=config.H0, tolerance=tol):
-            out.rows.extend(_hk_rows(report, dec))
-    elif name == "levy-gromov":
-        report = levy_gromov_check(dec, tolerance=tol)
-        out.rows.append(Row(statement="levy-gromov", kind="summary",
-                            lhs=report.profile_value, rhs=report.content,
-                            gap=report.gap,
-                            relative_gap=report.gap / max(report.content, 1e-300),
-                            equality=report.equality))
-        if not report.passed:
-            out.passed = False
-            out.messages.append("isoperimetric comparison failed")
-    elif name == "rigidity":
-        report = equality_detect(dec, tolerance=tol)
-        out.rows.append(Row(statement="rigidity", kind="summary", gap=report.gap,
-                            relative_gap=report.relative_gap, equality=report.rigid))
-        out.messages.extend(_expectation_misses(config.expect, report))
-        out.passed = not out.messages
-    elif name == "minkowski":
-        content = minkowski_content_from_dec(dec, config.epsilons)
-        deviation = abs(content - dec.surface_total) / dec.surface_total
-        agree = deviation <= MINKOWSKI_REL_TOL
-        out.rows.append(Row(statement="minkowski", kind="summary", lhs=content,
-                            rhs=dec.surface_total, gap=dec.surface_total - content,
-                            relative_gap=deviation, equality=agree))
-        if not agree:
-            out.passed = False
-            out.messages.append(
-                f"tube extrapolation {content!r} deviates from surface total "
-                f"{dec.surface_total!r} by {deviation:.3e}")
-    elif name == "cd-density":
-        report = check_cd_density(dec.needle.profile, dec.cd, config.grid_size)
-        _add_needle_row(out, dec, report.worst_violation, report.passed,
-                        f"density inequality violated by {report.worst_violation:.3e} "
-                        f"at {report.witness}")
-    elif name == "sturm":
-        kap = dec.cd.K / (dec.cd.N - 1.0)
-        u = dec.needle.profile.power(1.0 / (dec.cd.N - 1.0))
-        worst = -math.inf
-        ok = True
-        for j in range(10):
-            r0 = u.a + (u.b - u.a) * (j + 1.0) / 11.0
-            report = sturm_bound_check(u, kap, r0, grid_size=config.grid_size)
-            worst = max(worst, report.max_excess)
-            ok = ok and report.passed
-        _add_needle_row(out, dec, worst, ok, f"comparison bound exceeded by {worst:.3e}")
-    else:  # ratio: ExperimentConfig admits no name outside CHECK_NAMES
-        report = density_ratio_check(dec.needle, dec.cd, grid_size=config.grid_size)
-        _add_needle_row(out, dec, report.max_excess, report.passed,
-                        f"density ratio exceeds the distortion profile "
-                        f"by {report.max_excess:.3e}")
-    return out
+def _sturm(config: ExperimentConfig, dec: NeedleDecomposition):
+    kap = dec.cd.K / (dec.cd.N - 1.0)
+    u = dec.needle.profile.power(1.0 / (dec.cd.N - 1.0))
+    reports = [sturm_bound_check(u, kap, u.a + (u.b - u.a) * (j + 1.0) / 11.0,
+                                 grid_size=config.grid_size) for j in range(10)]
+    worst = max(report.max_excess for report in reports)
+    return _needle_check("sturm", dec, worst, all(report.passed for report in reports),
+                         f"comparison bound exceeded by {worst:.3e}")
+
+
+def _ratio(config: ExperimentConfig, dec: NeedleDecomposition):
+    report = density_ratio_check(dec.needle, dec.cd, grid_size=config.grid_size)
+    return _needle_check("ratio", dec, report.max_excess, report.passed,
+                         f"density ratio exceeds the distortion profile "
+                         f"by {report.max_excess:.3e}")
+
+
+def _hk_outer(config: ExperimentConfig, dec: NeedleDecomposition):
+    rows = [row for t in config.t_values
+            for row in _hk_rows(hk_outer(dec, t, tolerance=config.tolerance), dec)]
+    return rows or [Row(statement="hk-outer", kind="summary")], []
+
+
+def _hk_full(config: ExperimentConfig, dec: NeedleDecomposition):
+    return _hk_rows(hk_full(dec, tolerance=config.tolerance), dec), []
+
+
+def _corollaries(config: ExperimentConfig, dec: NeedleDecomposition):
+    reports = closed_form_bounds(dec, H0=config.H0, tolerance=config.tolerance)
+    return [row for report in reports for row in _hk_rows(report, dec)], []
+
+
+def _levy_gromov(config: ExperimentConfig, dec: NeedleDecomposition):
+    report = levy_gromov_check(dec, tolerance=config.tolerance)
+    row = Row(statement="levy-gromov", kind="summary", lhs=report.profile_value,
+              rhs=report.content, gap=report.gap,
+              relative_gap=report.gap / max(report.content, 1e-300), equality=report.equality)
+    return [row], [] if report.passed else ["isoperimetric comparison failed"]
+
+
+def _rigidity(config: ExperimentConfig, dec: NeedleDecomposition):
+    report = equality_detect(dec, tolerance=config.tolerance)
+    row = Row(statement="rigidity", kind="summary", gap=report.gap,
+              relative_gap=report.relative_gap, equality=report.rigid)
+    if config.expect == "rigid" and not report.rigid:
+        return [row], [f"expected rigid but conditions failed: {report.failed_conditions}"]
+    if config.expect == "not-rigid" and report.rigid:
+        return [row], ["expected not-rigid but rigidity was detected"]
+    return [row], []
+
+
+def _minkowski(config: ExperimentConfig, dec: NeedleDecomposition):
+    content = minkowski_content_from_dec(dec)
+    deviation = abs(content - dec.surface_total) / dec.surface_total
+    agree = deviation <= MINKOWSKI_REL_TOL
+    row = Row(statement="minkowski", kind="summary", lhs=content, rhs=dec.surface_total,
+              gap=dec.surface_total - content, relative_gap=deviation, equality=agree)
+    return [row], [] if agree else [
+        f"tube extrapolation {content!r} deviates from surface total "
+        f"{dec.surface_total!r} by {deviation:.3e}"]
+
+
+# The checks a configuration can name, in the order the README lists them.  Each
+# value calls the library through this module's globals, where a tracer can rebind it.
+CHECKS = {"cd-density": _cd_density, "sturm": _sturm, "ratio": _ratio,
+          "hk-outer": _hk_outer, "hk-full": _hk_full, "corollaries": _corollaries,
+          "levy-gromov": _levy_gromov, "rigidity": _rigidity, "minkowski": _minkowski}
+
+
+def _outcome(name: str, check: Callable, config: ExperimentConfig,
+             dec: NeedleDecomposition) -> CheckOutcome:
+    """check's outcome; a NeedlecompError it raises is its one failure message."""
+    try:
+        return CheckOutcome(name, *check(config, dec))
+    except NeedlecompError as exc:
+        return CheckOutcome(name, [], [f"{type(exc).__name__}: {exc}"])
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute the configured checks, emit artifacts, return the exit status."""
-    outcomes: list[CheckOutcome] = []
     try:
         dec = decompose(config.geometry, config.surface)
     except NeedlecompError as exc:
         print(f"FAIL check=decompose reason={type(exc).__name__}: {exc}")
         # parameters the model cannot represent are a configuration error
         return 2 if isinstance(exc, ParameterError) else 1
-    for name in config.checks:
-        try:
-            outcomes.append(_run_check(name, config, dec))
-        except NeedlecompError as exc:
-            failed = CheckOutcome(name=name, passed=False,
-                                  messages=[f"{type(exc).__name__}: {exc}"])
-            outcomes.append(failed)
+    outcomes = [_outcome(name, CHECKS[name], config, dec) for name in config.checks]
     if config.expect is not None and "rigidity" not in config.checks:
         # The expectation holds whether or not the rigidity rows were asked
-        # for; only a miss shows, as a failed "expect" check.
-        try:
-            misses = _expectation_misses(config.expect,
-                                         equality_detect(dec, tolerance=config.tolerance))
-        except NeedlecompError as exc:
-            misses = [f"{type(exc).__name__}: {exc}"]
-        if misses:
-            outcomes.append(CheckOutcome(name="expect", passed=False, messages=misses))
+        # for; only a miss shows, as a failed "expect" check without rows.
+        expect = _outcome("expect", _rigidity, config, dec)
+        if expect.messages:
+            outcomes.append(expect._replace(rows=[]))
 
     rows = [row for outcome in outcomes for row in outcome.rows]
     try:
-        emit(rows, config.output_format, config.output_path, outcomes=outcomes)
+        emit(rows, config.output_format, config.output_path, outcomes)
     except OSError as exc:
         print(f"FAIL check=output reason=cannot write {config.output_path}: "
               f"{exc.strerror or exc}")
         return 2
 
-    failures = [(o.name, msg) for o in outcomes if not o.passed
-                for msg in (o.messages or ["failed"])]
+    failures = [(o.name, msg) for o in outcomes for msg in o.messages]
     for name, msg in failures:
         print(f"FAIL check={name} reason={msg}")
     return 1 if failures else 0
@@ -448,14 +445,11 @@ def _render_plotdata(rows: Sequence[Row]) -> str:
     return "\n".join(chunks).rstrip("\n") + "\n"
 
 
-def _render_report(rows: Sequence[Row], outcomes) -> str:
+def _render_report(rows: Sequence[Row], outcomes: Sequence[CheckOutcome]) -> str:
     lines = ["needlecomp report"]
-    if outcomes is not None:
-        for outcome in outcomes:
-            status = "PASS" if outcome.passed else "FAIL"
-            lines.append(f"check {outcome.name}: {status}")
-            for msg in outcome.messages:
-                lines.append(f"  note: {msg}")
+    for outcome in outcomes:
+        lines.append(f"check {outcome.name}: {'FAIL' if outcome.messages else 'PASS'}")
+        lines.extend(f"  note: {msg}" for msg in outcome.messages)
     for row in rows:
         parts = [f"statement={row.statement}", f"kind={row.kind}"]
         for label in COLUMNS[1:]:
@@ -467,7 +461,7 @@ def _render_report(rows: Sequence[Row], outcomes) -> str:
 
 
 def emit(rows: Sequence[Row], format: str, path: Optional[str],
-         outcomes=None) -> None:
+         outcomes: Sequence[CheckOutcome]) -> None:
     """Write rows in the requested format; files are written atomically."""
     if format == "csv":
         text = _render_csv(rows)

@@ -15,18 +15,13 @@ import math
 import sys
 from contextlib import contextmanager
 from collections import namedtuple
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (ConfigError, CurvatureError, DegenerateSurfaceError,
                      ParameterError)
-from .model1d import (J_OVERFLOWS, Checked, CurvatureDimension, JacobianParams,
-                      jacobian, pi_kappa, unit_sphere_volume)
+from .model1d import Checked, CurvatureDimension, pi_kappa, unit_sphere_volume
 from .needle import DensityProfile, Needle, one_sided_log_derivative
 from .numerics import extrapolate_to_zero, integrate
-
-# Interior points at which a needle density is compared with h(0) J_H.
-PROFILE_MATCH_POINTS = 200
 
 
 def _check_length(length: float) -> None:
@@ -119,7 +114,7 @@ class NeedleDecomposition(Checked, namedtuple("NeedleDecomposition", (
     surface is congruent to, with the surface measure total and the needle's
     mean curvatures H_plus and H_minus, both finite, and H = max(H_plus, -H_minus)."""
 
-    # No __slots__: the cached profile_deviation lives in the instance dict.
+    __slots__ = ()
 
     def __new__(cls, needle: Needle, total_mass: float, diameter: float,
                 cd: CurvatureDimension, surface_total: float, H_plus: float,
@@ -133,22 +128,6 @@ class NeedleDecomposition(Checked, namedtuple("NeedleDecomposition", (
     def needles(self) -> tuple[Needle]:
         """(needle,), for perfbench/worker.py, which reads needles[0]."""
         return (self.needle,)
-
-    @cached_property
-    def profile_deviation(self) -> float:
-        """max |h(r)/h(0) - J_H(r)| / max(J_H(r), 1e-12) over PROFILE_MATCH_POINTS
-        interior points of the needle; computed on first use.  A J that
-        overflows a float there is a ParameterError."""
-        params, p = JacobianParams(self.H, self.cd), self.needle.profile
-        h0, worst = p.fn(0.0), 0.0
-        try:
-            for i in range(PROFILE_MATCH_POINTS):
-                r = p.a + (p.b - p.a) * (i + 1.0) / (PROFILE_MATCH_POINTS + 1.0)
-                bound = jacobian(params, r)
-                worst = max(worst, abs(p.fn(r) / h0 - bound) / max(bound, 1e-12))
-        except OverflowError:
-            raise ParameterError(J_OVERFLOWS) from None
-        return worst
 
 
 class _RadialModel(NamedTuple):
@@ -358,29 +337,17 @@ def inner_mass(dec: NeedleDecomposition) -> float:
     return tube_volume(dec, dec.diameter, "inner")
 
 
-def minkowski_content_from_dec(dec: NeedleDecomposition,
-                               epsilons: Optional[tuple[float, ...]] = None) -> float:
-    """Outer Minkowski content estimate: tube_volume(eps)/eps along a decreasing
-    schedule, Richardson-extrapolated to 0 from the last three values.
+def minkowski_content_from_dec(dec: NeedleDecomposition) -> float:
+    """Outer Minkowski content estimate: tube_volume(eps)/eps at three halving
+    widths eps, Richardson-extrapolated to 0.
 
     Quadratic extrapolation leaves an error of order eps1*eps2*eps3 relative to
-    the cube of the local density-variation scale, so the default schedule is
-    small against that scale: the distance from the surface to the nearest ray
-    end, and 1/rate with rate = max(|H_plus|, sqrt(K (N-1))), the rate at which
-    the density varies at the surface.  Every epsilon is validated; only the
-    last three tubes are integrated."""
-    if epsilons is None:
-        p = dec.needle.profile
-        rate = max(abs(dec.H_plus), math.sqrt(max(dec.cd.K, 0.0) * (dec.cd.N - 1.0)))
-        scale = min(dec.diameter, -p.a, p.b, 1.0 / rate if rate > 0.0 else math.inf)
-        epsilons = (0.0025 * scale, 0.00125 * scale, 0.000625 * scale)
-    eps = [float(e) for e in epsilons]
-    if len(eps) < 3:
-        raise ParameterError(f"need at least 3 epsilons, got {len(eps)}")
-    if not all(map(math.isfinite, eps)):
-        raise ParameterError(f"epsilons must be finite, got {tuple(eps)}")
-    if any(e <= 0.0 for e in eps) or any(later >= earlier
-                                         for later, earlier in zip(eps[1:], eps[:-1])):
-        raise ParameterError("epsilons must be positive and strictly decreasing")
-    eps = eps[-3:]
+    the cube of the local density-variation scale, so the widths are small
+    against that scale: the distance from the surface to the nearest ray end,
+    and 1/rate with rate = max(|H_plus|, sqrt(K (N-1))), the rate at which the
+    density varies at the surface."""
+    p = dec.needle.profile
+    rate = max(abs(dec.H_plus), math.sqrt(max(dec.cd.K, 0.0) * (dec.cd.N - 1.0)))
+    scale = min(dec.diameter, -p.a, p.b, 1.0 / rate if rate > 0.0 else math.inf)
+    eps = (0.0025 * scale, 0.00125 * scale, 0.000625 * scale)
     return extrapolate_to_zero(eps, [tube_volume(dec, e, "outer") / e for e in eps])

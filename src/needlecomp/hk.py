@@ -17,13 +17,15 @@ from typing import NamedTuple, Optional
 
 from .errors import InequalityViolation, ParameterError
 from .geometry import NeedleDecomposition, inner_mass, tube_volume
-from .model1d import (J_OVERFLOWS, JacobianParams, jacobian_integral, jacobian_support,
-                      kappa_eff, model_profile, model_rhs_constant_H,
+from .model1d import (J_OVERFLOWS, JacobianParams, jacobian, jacobian_integral,
+                      jacobian_support, kappa_eff, model_profile, model_rhs_constant_H,
                       unit_sphere_volume)
 from .numerics import INEQ_SLACK
 
 DEFAULT_EQUALITY_TOL = 1e-8
 TOLERANCE_ENV_VAR = "NEEDLECOMP_TOL"
+# Interior points at which a needle density is compared with h(0) J_H.
+PROFILE_MATCH_POINTS = 200
 
 _TINY = 1e-300
 
@@ -191,6 +193,22 @@ def levy_gromov_check(dec: NeedleDecomposition,
                             equality=abs(gap) < tol * scale, gap=gap)
 
 
+def _profile_deviation(dec: NeedleDecomposition) -> float:
+    """max |h(r)/h(0) - J_H(r)| / max(J_H(r), 1e-12) over PROFILE_MATCH_POINTS
+    interior points of the needle.  A J that overflows a float there is a
+    ParameterError."""
+    params, p = JacobianParams(dec.H, dec.cd), dec.needle.profile
+    h0, worst = p.fn(0.0), 0.0
+    try:
+        for i in range(PROFILE_MATCH_POINTS):
+            r = p.a + (p.b - p.a) * (i + 1.0) / (PROFILE_MATCH_POINTS + 1.0)
+            bound = jacobian(params, r)
+            worst = max(worst, abs(p.fn(r) / h0 - bound) / max(bound, 1e-12))
+    except OverflowError:
+        raise ParameterError(J_OVERFLOWS) from None
+    return worst
+
+
 def equality_detect(dec: NeedleDecomposition,
                     tolerance: Optional[float] = None) -> RigidityReport:
     """Detect the sharp equality configuration (K > 0): the two-sided bound is
@@ -200,7 +218,7 @@ def equality_detect(dec: NeedleDecomposition,
         raise ParameterError(f"rigidity detection requires K > 0, got K={dec.cd.K}")
     tol = equality_tolerance(tolerance)
     full = hk_full(dec, tolerance=tol)
-    profile_match = dec.profile_deviation <= tol
+    profile_match = _profile_deviation(dec) <= tol
     span_tol = tol * max(1.0, dec.diameter)
     lo, hi = jacobian_support(JacobianParams(dec.H, dec.cd))
     p = dec.needle.profile

@@ -457,7 +457,7 @@ def one_sided_derivative(fn: Callable[[float], float], r: float, side: str,
         # log of a vanishing density: the quotient jumps from -inf upward.
         return math.inf if side == "plus" else -math.inf
 
-    quotients = []
+    steps, quotients = [], []
     growth = 0
     for k in range(FD_LEVELS):
         h = base_step * 0.5 ** k
@@ -471,16 +471,10 @@ def one_sided_derivative(fn: Callable[[float], float], r: float, side: str,
                 return math.copysign(math.inf, q)
         else:
             growth = 0
+        steps.append(h)
         quotients.append(q)
-
-    # Richardson table for a first-order method (error expansion in powers of h).
-    table = list(quotients)
-    n = len(table)
-    for j in range(1, n):
-        factor = 2.0 ** j
-        for i in range(n - 1, j - 1, -1):
-            table[i] = (factor * table[i] - table[i - 1]) / (factor - 1.0)
-    return table[n - 1]
+    # The error of a difference quotient is a power series in h.
+    return extrapolate_to_zero(steps, quotients)
 
 
 def extrapolate_to_zero(xs: Sequence[float], ys: Sequence[float]) -> float:

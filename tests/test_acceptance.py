@@ -28,7 +28,7 @@ from needlecomp import (CurvatureDimension, DensityProfile, EuclideanBall,
                         minkowski_content_from_dec, model_interval,
                         model_profile, one_sided_log_derivative, sigma_kappa,
                         sturm_bound_check, unit_sphere_volume)
-from needlecomp.hk import closed_form_bounds
+from needlecomp.hk import _profile_deviation, closed_form_bounds
 
 SPHERE = RoundSphere(2, 1.0)
 CAP_RADII = (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3)
@@ -133,7 +133,7 @@ def test_criterion_3_euclidean_concentric_balls():
                 failures.append(f"{where}: rhs={full.rhs:.6g} expected={full_rhs:.6g}")
             if full.equality:
                 failures.append(f"{where}: two-sided bound reported as an equality")
-            if not dec.profile_deviation <= equality_tolerance():
+            if not _profile_deviation(dec) <= equality_tolerance():
                 failures.append(f"{where}: needle density is not h(0) J")
             if off(outer.lhs, annulus) or off(outer.rhs, annulus):
                 failures.append(f"{where}: outer lhs={outer.lhs:.6g} "

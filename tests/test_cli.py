@@ -8,7 +8,8 @@ from needlecomp import (ConfigError, CurvatureDimension, DensityProfile, Euclide
                         GeodesicSphere, LevelPoint, RoundSphere, SphericalSuspension,
                         WeightedInterval, decompose, equality_detect, hk_full, hk_outer,
                         model_interval)
-from needlecomp.cli import CSV_HEADER, MAX_GRID_SIZE, ExperimentConfig, main, parse_config, run
+from needlecomp.cli import (CHECKS, CSV_HEADER, MAX_GRID_SIZE, ExperimentConfig, main,
+                            parse_config, run)
 from needlecomp.geometry import GEOMETRY_KINDS
 
 SPHERE_CFG = """\
@@ -66,7 +67,19 @@ def test_parse_unknown_section_and_check():
         parse_config(SPHERE_CFG + "\n[plots]\nx = 1\n")
     with pytest.raises(ConfigError) as err:
         parse_config(SPHERE_CFG.replace("hk-full", "hk-fill"))
-    assert "hk-fill" in str(err.value)
+    assert str(err.value) == (
+        "line 10, key 'checks': unknown check 'hk-fill'; expected one of cd-density, sturm, "
+        "ratio, hk-outer, hk-full, corollaries, levy-gromov, rigidity, minkowski")
+
+
+def test_epsilons_is_an_unknown_key(tmp_path, capsys):
+    # the Minkowski widths follow the density's scale; a configured list once
+    # replaced them, and the README's own list made minkowski FAIL on a 90-ball
+    path = tmp_path / "epsilons.cfg"
+    path.write_text(SPHERE_CFG + "epsilons = 0.01, 0.005, 0.0025\n")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().out == ("FAIL check=config reason=ConfigError: line 11, "
+                                       "key 'epsilons': unknown key in [run]\n")
 
 
 def test_parse_duplicate_key():
@@ -597,8 +610,8 @@ def test_subcommands_refuse_dimension_one_where_N_is_checked(capsys, args):
 
 
 @pytest.mark.parametrize("override, checks", [
-    ("run.t_values=nan", "hk-outer"), ("run.epsilons=nan,0.01,0.005", "minkowski"),
-    ("run.t_values=0.5,nan", "hk-outer"), ("run.H0=nan", "corollaries")])
+    ("run.t_values=nan", "hk-outer"), ("run.t_values=0.5,nan", "hk-outer"),
+    ("run.H0=nan", "corollaries")])
 def test_nan_is_a_config_error_in_lists_too(capsys, override, checks):
     # a NaN in a list once reached the checks: FAIL, exit 1, "t must be positive"
     assert main(["run", str(CONFIGS / "sphere_equator.cfg"), "--set", override,
@@ -606,6 +619,15 @@ def test_nan_is_a_config_error_in_lists_too(capsys, override, checks):
     key = override.split("=")[0].split(".")[1]
     assert capsys.readouterr().out == (f"FAIL check=config reason=ConfigError: --set #1, "
                                        f"key '{key}': NaN is not a valid value\n")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_infinite_H0_is_a_config_error(capsys, value):
+    # it once reached closed_form_bounds: FAIL check=corollaries, exit 1
+    assert main(["run", str(CONFIGS / "sphere_equator.cfg"), "--set", f"run.H0={value}",
+                 "--set", "run.checks=corollaries"]) == 2
+    assert capsys.readouterr().out == (f"FAIL check=config reason=ConfigError: --set #1, "
+                                       f"key 'H0': H0 must be finite, got {float(value)}\n")
 
 
 def test_experiment_config_checks_its_values():
@@ -616,6 +638,7 @@ def test_experiment_config_checks_its_values():
             ("expect", "yes", "expect", "expect must be 'rigid' or 'not-rigid', got 'yes'"),
             ("tolerance", math.inf, "tolerance", "tolerance must be finite and positive, got inf"),
             ("grid_size", 0, "grid_size", "grid_size must be between 3 and 1500, got 0"),
+            ("H0", -math.inf, "H0", "H0 must be finite, got -inf"),
             ("output_format", "xml", "format",
              "format must be report, csv or plotdata, got 'xml'")]:
         for build in (lambda: config._replace(**{field: value}),
@@ -823,11 +846,17 @@ def test_readme_config_block_parses(tmp_path, capsys):
     assert len(blocks) == 1
     config = parse_config(blocks[0])
     assert config.geometry == RoundSphere(2, 1.0) and config.expect == "rigid"
-    assert config.epsilons == (0.01, 0.005, 0.0025) and config.output_path == "out.txt"
+    assert config.output_path == "out.txt"
     path = tmp_path / "readme.cfg"
     path.write_text(blocks[0])
     assert main(["run", str(path), "--path", "-"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_readme_config_block_lists_every_check_in_order():
+    block = re.findall(r"^```ini\n(.*?)^```", README.read_text(), re.S | re.M)[0]
+    listed = re.search(r"^# from:(.*?)^checks =", block, re.S | re.M).group(1)
+    assert tuple(listed.replace("#", " ").split()) == tuple(CHECKS)
 
 
 def test_tube_curve_recipe_matches_hk_outer(capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import pytest
 
@@ -83,7 +84,7 @@ def test_hk_full_flat_ball_has_strict_gap():
     assert report.lhs == pytest.approx(4 * math.pi / 3, rel=1e-10)
     assert report.gap > 1.0
     assert not report.equality
-    assert dec.profile_deviation <= DEFAULT_EQUALITY_TOL
+    assert hk._profile_deviation(dec) <= DEFAULT_EQUALITY_TOL
 
 
 def test_hk_full_truncated_interval_gap():
@@ -252,7 +253,7 @@ def profile_match_cases():
 
 def test_profile_match_flags_equal_reference():
     for dec in profile_match_cases():
-        deviation = dec.profile_deviation
+        deviation = hk._profile_deviation(dec)
         assert deviation > 0.0
         for tol in (DEFAULT_EQUALITY_TOL, 0.5 * deviation, 2.0 * deviation):
             expected = reference_profile_match(dec.needle, JacobianParams(dec.H, dec.cd), tol)
@@ -264,27 +265,27 @@ def test_profile_match_flags_equal_reference():
 
 def test_hk_bounds_leave_the_profile_match_uncomputed():
     # only the rigidity statement reads the profile match
-    for dec in profile_match_cases():
-        hk_outer(dec, 0.5 * dec.needle.profile.b)
-        hk_full(dec)
-        closed_form_bounds(dec, H0=dec.H + 1.0)
-        assert "profile_deviation" not in dec.__dict__
+    with mock.patch.object(hk, "_profile_deviation") as deviation:
+        for dec in profile_match_cases():
+            hk_outer(dec, 0.5 * dec.needle.profile.b)
+            hk_full(dec)
+            closed_form_bounds(dec, H0=dec.H + 1.0)
+    deviation.assert_not_called()
 
 
-def test_profile_deviation_is_per_decomposition():
+def test_profile_deviation_of_a_wrong_H():
     dec = decompose(SPHERE, GeodesicSphere(1.0))
-    assert dec.profile_deviation is dec.profile_deviation
     assert equality_detect(dec).profile_match
     # a wrong H makes J vanish before the needle ends: near r = -1 for a
     # larger H, near its far end for a smaller one
     for bump in (0.5, -0.5):
         shifted = dec._replace(H=dec.H + bump)
-        deviation = shifted.profile_deviation
+        deviation = hk._profile_deviation(shifted)
         assert deviation > 0.1
         for tol in (DEFAULT_EQUALITY_TOL, 0.5 * deviation, 2.0 * deviation):
             expected = reference_profile_match(
                 shifted.needle, JacobianParams(shifted.H, dec.cd), tol)
-            assert (shifted.profile_deviation <= tol) == expected == (tol > deviation)
+            assert expected == (tol > deviation)
 
 
 # -------------------------------------------------------------- levy-gromov
@@ -368,7 +369,7 @@ def test_equality_implies_profile_match():
                 decompose(BALL, GeodesicSphere(0.5))):
         report = hk_full(dec)
         if report.equality:
-            assert dec.profile_deviation <= DEFAULT_EQUALITY_TOL
+            assert hk._profile_deviation(dec) <= DEFAULT_EQUALITY_TOL
 
 
 # ---------------------------------------------------------------- tolerance
