@@ -15,6 +15,7 @@ import math
 import sys
 from contextlib import contextmanager
 from collections import namedtuple
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (ConfigError, CurvatureError, DegenerateSurfaceError,
@@ -136,15 +137,31 @@ class _RadialModel(NamedTuple):
     density: Callable[[float], float]
     density_deriv: Optional[Callable[[float], float]]
     mode: Optional[float]  # where the density peaks, as DensityProfile.mode
+    values: Optional[Callable]  # the density's array form, as DensityProfile.values
+
+
+def _power_form(base: Callable, expo: float, scale: float) -> Callable:
+    """The array form of r -> scale * max(base(r), 0.0) ** expo, given base as
+    (numpy, array) -> array: the power is Python's float pow elementwise, since
+    np.power differs from it in the last bit, and the clamp keeps max's NaN and
+    -0.0, which np.maximum does not."""
+    def values(rs):
+        import numpy as np
+        m = base(np, rs)
+        m = np.where(m < 0.0, 0.0, m)
+        return scale * np.fromiter(map(pow, m.tolist(), repeat(expo)), float, m.size)
+    return values
 
 
 def _sin_power(cd: CurvatureDimension, scale: float = 1.0):
-    """scale * sin_{K/(N-1)}^{N-1} and its derivative, clamped at 0 past pi_kappa."""
+    """scale * sin_{K/(N-1)}^{N-1}, its derivative and its array form, clamped
+    at 0 past pi_kappa."""
     expo = cd.N - 1.0
     rt = math.sqrt(cd.K / expo)  # sin_kappa(kap, r) is math.sin(rt * r) / rt
     return (lambda r: scale * max(math.sin(rt * r) / rt, 0.0) ** expo,
             lambda r: (scale * expo * max(math.sin(rt * r) / rt, 0.0) ** (expo - 1.0)
-                       * math.cos(rt * r)))
+                       * math.cos(rt * r)),
+            _power_form(lambda np, r: np.sin(rt * r) / rt, expo, scale))
 
 
 def model_interval(cd: CurvatureDimension, length: Optional[float] = None) -> WeightedInterval:
@@ -157,9 +174,10 @@ def model_interval(cd: CurvatureDimension, length: Optional[float] = None) -> We
         length = full
     if not 0.0 < length <= full:
         raise ParameterError(f"length must lie in (0, {full}], got {length}", key="length")
-    fn, deriv = _sin_power(cd)
+    fn, deriv, values = _sin_power(cd)
     try:
-        profile = DensityProfile(0.0, length, fn, deriv=deriv, mode=min(length, 0.5 * full))
+        profile = DensityProfile(0.0, length, fn, deriv=deriv, mode=min(length, 0.5 * full),
+                                 values=values)
     except OverflowError:
         raise ParameterError("the model interval's density overflows a float") from None
     return WeightedInterval(length=length, density=profile, cd=cd)
@@ -172,7 +190,8 @@ def constant_interval(length: float, cd: CurvatureDimension) -> WeightedInterval
         raise ParameterError(f"a constant density satisfies CD(K, N) only for K <= 0, "
                              f"got K={cd.K}", key="K")
     _check_length(length)  # before DensityProfile, whose check names no key
-    profile = DensityProfile(0.0, length, lambda r: 1.0, deriv=lambda r: 0.0, mode=0.0)
+    profile = DensityProfile(0.0, length, lambda r: 1.0, deriv=lambda r: 0.0, mode=0.0,
+                             values=_power_form(lambda np, r: r, 0, 1.0))  # r ** 0 is 1.0
     return WeightedInterval(length=length, density=profile, cd=cd)
 
 
@@ -191,7 +210,7 @@ def _configured_interval(K: float, N: float, density: str = "model",
 
 def _interval_radial(geom: WeightedInterval) -> _RadialModel:
     p = geom.density
-    return _RadialModel(geom.length, geom.length, p.fn, p.deriv, p.mode)
+    return _RadialModel(geom.length, geom.length, p.fn, p.deriv, p.mode, p.values)
 
 
 def _sphere_radial(geom: RoundSphere) -> _RadialModel:
@@ -201,19 +220,21 @@ def _sphere_radial(geom: RoundSphere) -> _RadialModel:
     deriv = lambda s: (scale * (n - 1) * max(math.sin(s / radius), 0.0) ** (n - 2)
                        * math.cos(s / radius) / radius)
     return _RadialModel(math.pi * radius, math.pi * radius, density, deriv,
-                        0.5 * math.pi * radius)
+                        0.5 * math.pi * radius,
+                        _power_form(lambda np, s: np.sin(s / radius), n - 1, scale))
 
 
 def _ball_radial(geom: EuclideanBall) -> _RadialModel:
     n, scale = geom.n, unit_sphere_volume(geom.n - 1)
     return _RadialModel(geom.R, 2.0 * geom.R, lambda s: scale * s ** (n - 1),
-                        lambda s: scale * (n - 1) * s ** (n - 2), geom.R)
+                        lambda s: scale * (n - 1) * s ** (n - 2), geom.R,
+                        _power_form(lambda np, s: s, n - 1, scale))  # s >= 0: the clamp is a no-op
 
 
 def _suspension_radial(geom: SphericalSuspension) -> _RadialModel:
     top = pi_kappa(geom.cd.K / (geom.cd.N - 1.0))
-    density, deriv = _sin_power(geom.cd, geom.base_volume)
-    return _RadialModel(top, top, density, deriv, 0.5 * top)
+    density, deriv, values = _sin_power(geom.cd, geom.base_volume)
+    return _RadialModel(top, top, density, deriv, 0.5 * top, values)
 
 
 class GeometryKind(NamedTuple):
@@ -297,8 +318,11 @@ def decompose(geom: GeometrySpec, surf: SurfaceSpec) -> NeedleDecomposition:
         deriv = None
         if density_deriv is not None:
             deriv = lambda r: density_deriv(r0 + r) / total
-        profile = DensityProfile(-r0, model.length - r0, fn, deriv=deriv,
-                                 mode=None if model.mode is None else model.mode - r0)
+        array_form = model.values
+        profile = DensityProfile(
+            -r0, model.length - r0, fn, deriv=deriv,
+            mode=None if model.mode is None else model.mode - r0,
+            values=None if array_form is None else lambda xs: array_form(r0 + xs) / total)
         d_plus = one_sided_log_derivative(profile, 0.0, "plus")
         d_minus = one_sided_log_derivative(profile, 0.0, "minus")
     # Inner mean curvature is the outer one of the role-swapped configuration,

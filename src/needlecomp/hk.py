@@ -61,7 +61,6 @@ class HKReport(NamedTuple):
 class LevyGromovReport(NamedTuple):
     content: float
     profile_value: float
-    passed: bool
     equality: bool
     gap: float
 
@@ -171,7 +170,9 @@ def levy_gromov_check(dec: NeedleDecomposition,
 
     On these model surfaces the Minkowski content equals the surface measure
     total, which is used exactly here; the tube-width extrapolation estimate
-    is validated against it separately.
+    is validated against it separately.  A model profile that overflows a
+    float (where K/(N-1) does) is a ParameterError, and content below the
+    profile beyond slack is an InequalityViolation.
     """
     if dec.cd.K <= 0.0:
         raise ParameterError(f"isoperimetric comparison requires K > 0, got K={dec.cd.K}")
@@ -182,6 +183,9 @@ def levy_gromov_check(dec: NeedleDecomposition,
     smaller = min(inner_mass(dec), tube_volume(dec, dec.diameter, "outer"))
     fraction = smaller / dec.total_mass
     profile_value = model_profile(dec.cd, min(max(fraction, 0.0), 1.0))
+    if math.isinf(profile_value):
+        raise ParameterError("the model isoperimetric profile overflows a float "
+                             "at these parameters")
     gap = content - profile_value
     scale = max(abs(content), abs(profile_value), _TINY)
     if gap < -INEQ_SLACK * scale:
@@ -189,7 +193,6 @@ def levy_gromov_check(dec: NeedleDecomposition,
             f"levy-gromov: content {content!r} fell below the model profile "
             f"{profile_value!r} beyond slack")
     return LevyGromovReport(content=content, profile_value=profile_value,
-                            passed=gap >= -INEQ_SLACK * scale,
                             equality=abs(gap) < tol * scale, gap=gap)
 
 

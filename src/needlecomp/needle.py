@@ -15,8 +15,7 @@ from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CurvatureError, DomainError, ParameterError
-from .model1d import (Checked, CurvatureDimension, JacobianParams, cos_kappa, jacobian,
-                      sigma_kappa, sin_kappa)
+from .model1d import Checked, CurvatureDimension, JacobianParams, jacobian, sigma_kappa
 from .numerics import INEQ_SLACK, one_sided_derivative
 
 # Finite-difference base step, as a fraction of the interval length.
@@ -39,8 +38,8 @@ def _grid_point(a: float, b: float, n: int) -> Callable[[int], float]:
     return lambda i: i * step + a if i < n - 1 else b
 
 
-class DensityProfile(Checked, namedtuple("DensityProfile", "a b fn deriv mode",
-                                         defaults=(None, None))):
+class DensityProfile(Checked, namedtuple("DensityProfile", "a b fn deriv mode values",
+                                         defaults=(None, None, None))):
     """Positive density on [a, b], validated on a uniform grid of GRID_SIZE points.
 
     fn must be positive on the open interval and extend continuously to the
@@ -49,7 +48,10 @@ class DensityProfile(Checked, namedtuple("DensityProfile", "a b fn deriv mode",
     mode, when given, declares fn non-decreasing on [a, mode] and non-increasing
     on [mode, b].  Construction validates fn on the grid in pure Python, given a
     mode only where the grid's extremes can lie (both ends, their interior
-    neighbours, the points around the mode).
+    neighbours, the points around the mode).  values, when given, is fn's array
+    form: a numpy array of points in [a, b] to the array of fn at each, the same
+    floats bit for bit (or the same error) with numpy's overflow and invalid
+    warnings off; check_cd_density fills its lattice from it.
     """
 
     # No __slots__: the checked values live in the instance dict.  The checks
@@ -57,7 +59,7 @@ class DensityProfile(Checked, namedtuple("DensityProfile", "a b fn deriv mode",
     # installs one) sees every checked construction.
 
     def __init__(self, *args, **kwargs):
-        a, b, fn, unused_deriv, mode = self
+        a, b, fn, unused_deriv, mode, unused_values = self
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ParameterError(f"invalid interval [{a}, {b}]")
         if mode is not None and math.isnan(mode):
@@ -169,8 +171,9 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     dyadic scale.
 
     With G = grid_size and delta = (b - a)/(G+1)^2, u is evaluated once at each
-    lattice point x_q = a + (b - a) (q / (G+1)^2), q = G+1, ..., G(G+1): G^2
-    density calls in ascending q.  For each s = 1, 2, 4, ... with 2s < G^2, u_q
+    lattice point x_q = a + (b - a) (q / (G+1)^2), q = G+1, ..., G(G+1): from
+    the profile's array form where it has one, else by G^2 density calls in
+    ascending q.  For each s = 1, 2, 4, ... with 2s < G^2, u_q
     is compared with sigma_kappa^{(1/2)}(2 s delta) (u_{q-s} + u_{q+s}) at every
     q whose neighbours q -+ s are on the lattice.  In one dimension the CD(K, N)
     condition is local (u'' + kappa u <= 0), so these midpoint conditions stand
@@ -194,10 +197,13 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     g1 = grid_size + 1
     n = grid_size * grid_size
     xs = a + (b - a) * (np.arange(g1, grid_size * g1 + 1) / float(g1 * g1))
+    fill = profile.values
+    if fill is None:
+        fill = lambda x: np.fromiter(map(profile.fn, x.tolist()), float, x.size)
     u = np.empty(n)  # h, then h**(1/(N-1)) in place
-    for lo in range(0, n, _CD_BLOCK):
-        u[lo:lo + _CD_BLOCK] = np.fromiter(map(profile.fn, xs[lo:lo + _CD_BLOCK].tolist()),
-                                           float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as Python floats
+        for lo in range(0, n, _CD_BLOCK):
+            u[lo:lo + _CD_BLOCK] = fill(xs[lo:lo + _CD_BLOCK])
     negative = u < 0.0
     if negative.any():
         raise _negative_density(float(xs[negative.argmax()]))
@@ -255,18 +261,29 @@ def sturm_bound_check(u: DensityProfile, kappa: float, r0: float,
     if type(u0) is complex or u0 < 0.0:
         raise _negative_density(r0)
     du0 = u0 * one_sided_log_derivative(u, r0, "plus")
+    # cos_kappa(kappa, t) and sin_kappa(kappa, t) as cs(rt t) and sn(rt t) / rt,
+    # the same floats; for kappa = 0 they are 1.0 and t / 1.0 = t
+    if kappa > 0.0:
+        rt, sn, cs = math.sqrt(kappa), math.sin, math.cos
+    elif kappa < 0.0:
+        rt, sn, cs = math.sqrt(-kappa), math.sinh, math.cosh
+    else:
+        rt, sn, cs = 1.0, float, lambda t: 1.0
+    fn, b = u.fn, u.b
     max_excess = -math.inf
     passed = True
     for i in range(grid_size):
-        r = r0 + (u.b - r0) * (i + 1.0) / (grid_size + 1.0)
-        bound = u0 * cos_kappa(kappa, r - r0) + du0 * sin_kappa(kappa, r - r0)
+        r = r0 + (b - r0) * (i + 1.0) / (grid_size + 1.0)
+        t = rt * (r - r0)
+        bound = u0 * cs(t) + du0 * (sn(t) / rt)
         if bound <= 0.0:
             passed = False
-        value = u.fn(r)
+        value = fn(r)
         if type(value) is complex or value < 0.0:
             raise _negative_density(r)
         excess = (value - bound) / max(abs(bound), _TINY)
-        max_excess = max(max_excess, excess)
+        if excess > max_excess:
+            max_excess = excess
     return SturmReport(passed=passed and max_excess <= INEQ_SLACK, max_excess=max_excess)
 
 

@@ -472,8 +472,8 @@ print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scip
 
 
 def test_numpy_is_loaded_only_by_cd_density(run_isolated):
-    # numpy serves the array paths only: the cd-density check and array
-    # sigma_kappa; euclidean_ball.cfg runs cd-density
+    # numpy serves the cd-density check only: euclidean_ball.cfg runs it, and
+    # the sturm and ratio checks stay in Python floats
     out = run_isolated(f"""
 import contextlib, io
 from pathlib import Path
@@ -484,6 +484,8 @@ configs = Path({str(CONFIGS)!r})
 calls = [["version"],
          ["profile", "--K", "1", "--N", "3", "--v", "0.3"],
          ["jacobian", "--H", "1", "--K", "1", "--N", "3", "--r", "0.5"]]
+calls += [["run", str(configs / "sphere_equator.cfg"), "--set", "run.checks=" + check,
+           "--path", "-"] for check in ("sturm", "ratio")]
 calls += [["run", str(configs / name), "--path", "-"]
           for name in ("sphere_equator.cfg", "suspension.cfg", "truncated_interval.cfg",
                        "euclidean_ball.cfg")]
@@ -494,8 +496,9 @@ with contextlib.redirect_stdout(io.StringIO()):
         loaded.append("numpy" in sys.modules)
 print(codes, loaded)
 """)
-    assert out.strip() == ("[0, 0, 0, 0, 0, 0, 0] "
-                           "[False, False, False, False, False, False, False, True]")
+    assert out.strip() == ("[0, 0, 0, 0, 0, 0, 0, 0, 0] "
+                           "[False, False, False, False, False, False, False, False, False, "
+                           "True]")
 
 
 def test_no_command_loads_dataclasses(run_isolated):

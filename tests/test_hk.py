@@ -4,10 +4,10 @@ from unittest import mock
 
 import pytest
 
-from needlecomp import (CurvatureDimension, DEFAULT_EQUALITY_TOL, EuclideanBall,
-                        GeodesicSphere, InequalityViolation, JacobianParams,
-                        LevelPoint, ParameterError, RoundSphere,
-                        SphericalSuspension, closed_form_bounds, decompose,
+from needlecomp import (CurvatureDimension, DEFAULT_EQUALITY_TOL, DensityProfile,
+                        EuclideanBall, GeodesicSphere, InequalityViolation,
+                        JacobianParams, LevelPoint, ParameterError, RoundSphere,
+                        SphericalSuspension, WeightedInterval, closed_form_bounds, decompose,
                         equality_detect, equality_tolerance, hk_full, hk_outer,
                         jacobian, levy_gromov_check, model_interval)
 from needlecomp import hk
@@ -294,7 +294,7 @@ def test_levy_gromov_equator():
     report = levy_gromov_check(decompose(SPHERE, EQUATOR))
     assert report.content == pytest.approx(0.5, rel=1e-10)
     assert report.profile_value == pytest.approx(0.5, rel=1e-8)
-    assert report.passed and report.equality
+    assert report.equality
 
 
 def test_levy_gromov_cap():
@@ -316,8 +316,22 @@ def test_levy_gromov_large_sphere_terminates(run_isolated):
     out = run_isolated(
         "from needlecomp import GeodesicSphere, RoundSphere, decompose, levy_gromov_check\n"
         "report = levy_gromov_check(decompose(RoundSphere(3, 1e4), GeodesicSphere(1e4)))\n"
-        "print(report.passed, report.equality)")
-    assert out.split() == ["True", "True"]
+        "print(report.equality)")
+    assert out.split() == ["True"]
+
+
+@pytest.mark.parametrize("at_surface", (1.0, math.inf))
+def test_levy_gromov_infinite_model_profile_is_a_parameter_error(at_surface):
+    # K/(N-1) overflows, so the model profile is inf: against a finite content
+    # the gap was -inf and passed the slack test, and against an infinite one
+    # (the density is inf at the surface) it was NaN
+    profile = DensityProfile(0.0, 1.0, lambda r: at_surface if r == 0.3 else 1.0,
+                             deriv=lambda r: 0.0)
+    cd = CurvatureDimension(1e308, 1.0000001)
+    dec = decompose(WeightedInterval(1.0, profile, cd), LevelPoint(0.3))
+    assert dec.surface_total == at_surface
+    with pytest.raises(ParameterError, match="^the model isoperimetric profile overflows"):
+        levy_gromov_check(dec)
 
 
 def test_levy_gromov_requires_positive_curvature():

@@ -6,17 +6,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from needlecomp import (CdDensityReport, CurvatureDimension, CurvatureError,
                         DensityProfile, DomainError, EuclideanBall, GeodesicSphere,
                         JacobianParams, LevelPoint, Needle, NeedlecompError,
-                        ParameterError, RoundSphere, SphericalSuspension,
+                        ParameterError, RoundSphere, SphericalSuspension, SturmReport,
                         WeightedInterval, check_cd_density, constant_interval,
-                        decompose, density_ratio_check, geometry, jacobian,
-                        model_interval, one_sided_log_derivative, sigma_kappa,
-                        sin_kappa, sturm_bound_check)
+                        cos_kappa, decompose, density_ratio_check, geometry,
+                        jacobian, model_interval, one_sided_log_derivative,
+                        sigma_kappa, sin_kappa, sturm_bound_check)
 from needlecomp import needle as needle_module
 from needlecomp.needle import GRID_SIZE, _grid_point
 from needlecomp.numerics import INEQ_SLACK, integrate
@@ -636,6 +636,105 @@ def test_cd_density_blocks_keep_the_first_infinite_witness(small_blocks):
 def test_cd_density_blocks_of_nan_have_no_witness(small_blocks):
     test_cd_density_all_nan_grid()
 
+
+def _outcome(call, *args):
+    """repr(call(*args)), which tells floats apart bit for bit short of NaN
+    payloads, or the type and message of the error it raises."""
+    try:
+        return repr(call(*args))
+    except (NeedlecompError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _bits(call):
+    """The floats call() returns as integers, bit for bit, computed with
+    numpy's overflow and invalid warnings off; or the type and message of the
+    error it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.array(call(), dtype=float).view(np.int64).tolist()
+    except (NeedlecompError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def built_in_needles(draw):
+    """The decomposition of a built-in kind: n or N up to 400; radius, R, K,
+    base volume and length in [1e-4, 1e4]; the surface inside the radial
+    range or within 1e-6 of either end.  Draws that decompose refuses are
+    rejected."""
+    kind = draw(st.sampled_from(("sphere", "ball", "suspension", "model", "constant")))
+    n = draw(st.integers(2, 400))
+    size = draw(_log_uniform(1e-4, 1e4))  # radius, R, K or length
+    N = 1.0 + draw(_log_uniform(1e-6, 399.0))
+    try:
+        if kind == "sphere":
+            geom = RoundSphere(n, size)
+        elif kind == "ball":
+            geom = EuclideanBall(n, size)
+        elif kind == "suspension":
+            geom = SphericalSuspension(CurvatureDimension(size, N),
+                                       draw(_log_uniform(1e-4, 1e4)))
+        elif kind == "model":
+            cd = CurvatureDimension(size, N)
+            full = math.pi / math.sqrt(cd.K / (cd.N - 1.0))
+            share = draw(st.one_of(st.none(), st.floats(0.01, 1.0)))
+            geom = model_interval(cd, None if share is None else min(share * full, full))
+        else:
+            K = -draw(st.sampled_from((0.0, 1.0))) * draw(_log_uniform(1e-4, 1e4))
+            geom = constant_interval(size, CurvatureDimension(K, N))
+        length = geometry.radial_model(geom).length
+        offset = draw(_log_uniform(1e-12, 1e-6))
+        r0 = draw(st.sampled_from((draw(st.floats(0.001, 0.999)) * length,
+                                   offset, length - offset)))
+        return decompose(geom, LevelPoint(r0) if isinstance(geom, WeightedInterval)
+                         else GeodesicSphere(r0))
+    except NeedlecompError:
+        assume(False)
+
+
+def _assert_array_form_is_the_density(dec, grid):
+    """On check_cd_density's lattice and at both (often vanishing) ends, the
+    needle's array form gives fn's floats bit for bit, or fn's error; and
+    check_cd_density reports the same from it as from fn alone."""
+    p = dec.needle.profile
+    assert p.values is not None
+    g1 = grid + 1
+    xs = p.a + (p.b - p.a) * (np.arange(g1, grid * g1 + 1) / float(g1 * g1))
+    xs = np.concatenate(([p.a], xs, [p.b]))
+    assert _bits(lambda: p.values(xs)) == _bits(lambda: [p.fn(x) for x in xs.tolist()])
+    assert _outcome(check_cd_density, p, dec.cd, grid) == \
+        _outcome(check_cd_density, p._replace(values=None), dec.cd, grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dec=built_in_needles(), grid=st.integers(3, 48))
+def test_array_form_is_the_scalar_density_bit_for_bit(dec, grid):
+    _assert_array_form_is_the_density(dec, grid)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dec=built_in_needles(), grid=st.integers(3, 12))
+def test_array_form_is_the_scalar_density_across_block_seams(small_blocks, dec, grid):
+    _assert_array_form_is_the_density(dec, grid)
+
+
+def test_power_form_clamps_as_max_does():
+    # max(x, 0.0) keeps NaN and -0.0, and (-0.0) ** 3 is -0.0; a float power
+    # raises OverflowError where a float product gives inf
+    values = geometry._power_form(lambda np_, r: r, 3, 1e300)
+    for xs in ([-0.0, math.nan, -1.5, 0.0, 2.5, 1e10], [1.0, 1e200]):
+        assert _bits(lambda: values(np.array(xs))) == \
+            _bits(lambda: [1e300 * max(x, 0.0) ** 3 for x in xs])
+
+
+def test_api_densities_have_no_array_form():
+    dec = decompose(WeightedInterval(1.0, DensityProfile(0.0, 1.0, lambda r: 1.0 + r),
+                                     CurvatureDimension(0.0, 2.0)), LevelPoint(0.5))
+    assert dec.needle.profile.values is None
+    assert sin_profile().power(0.5).values is None
+
 def _kappa_line(kappa, length, c0, c1):
     """The solution of v'' + kappa v = 0 on [0, length] with v(0) = c0 and
     v(length) = c1; length < pi_kappa."""
@@ -704,11 +803,12 @@ def test_negative_density_between_validation_points_is_a_parameter_error():
     r0 = 0.25
     r = r0 + (1.0 - r0) * 20.0 / 41.0  # the 20th point of sturm's grid of 40
     q = DensityProfile(0.0, 1.0, lambda s: -1.0 if abs(s - r) < 1e-6 else 1.0 + s)
-    for exponent in (1.0 / 1.5, 1.0):  # a complex power, and a negative value
+    for check in (sturm_bound_check, _reference_sturm_bound_check):
+        for exponent in (1.0 / 1.5, 1.0):  # a complex power, and a negative value
+            with pytest.raises(ParameterError, match=_negative_at(r)):
+                check(q.power(exponent), 0.0, r0, grid_size=40)
         with pytest.raises(ParameterError, match=_negative_at(r)):
-            sturm_bound_check(q.power(exponent), 0.0, r0, grid_size=40)
-    with pytest.raises(ParameterError, match=_negative_at(r)):
-        sturm_bound_check(q.power(0.5), 0.0, r, grid_size=40)  # at the base point
+            check(q.power(0.5), 0.0, r, grid_size=40)  # at the base point
 
 
 def test_cd_density_memory_stays_bounded():
@@ -753,6 +853,64 @@ def test_sturm_bound_affine_is_tight():
 def test_sturm_bound_domain_error():
     with pytest.raises(DomainError):
         sturm_bound_check(sin_profile(), 1.0, -0.5)
+
+
+def _reference_sturm_bound_check(u, kappa, r0, grid_size=40):
+    """sturm_bound_check as one cos_kappa and one sin_kappa call per point."""
+    if not u.a < r0 < u.b:
+        raise DomainError(f"base point r0={r0} outside ({u.a}, {u.b})")
+    u0 = u.fn(r0)
+    if type(u0) is complex or u0 < 0.0:
+        raise needle_module._negative_density(r0)
+    du0 = u0 * one_sided_log_derivative(u, r0, "plus")
+    max_excess = -math.inf
+    passed = True
+    for i in range(grid_size):
+        r = r0 + (u.b - r0) * (i + 1.0) / (grid_size + 1.0)
+        bound = u0 * cos_kappa(kappa, r - r0) + du0 * sin_kappa(kappa, r - r0)
+        if bound <= 0.0:
+            passed = False
+        value = u.fn(r)
+        if type(value) is complex or value < 0.0:
+            raise needle_module._negative_density(r)
+        excess = (value - bound) / max(abs(bound), 1e-300)
+        max_excess = max(max_excess, excess)
+    return SturmReport(passed=passed and max_excess <= INEQ_SLACK, max_excess=max_excess)
+
+
+def _assert_sturm_matches_reference(profile, cd, grid):
+    """At the ten base points of the CLI's sturm check, the same report bit
+    for bit as the reference loop, or the same error; returns their reprs."""
+    kappa = cd.K / (cd.N - 1.0)
+    u = profile.power(1.0 / (cd.N - 1.0))
+    reports = []
+    for j in range(10):
+        r0 = u.a + (u.b - u.a) * (j + 1.0) / 11.0
+        got = _outcome(sturm_bound_check, u, kappa, r0, grid)
+        assert got == _outcome(_reference_sturm_bound_check, u, kappa, r0, grid)
+        reports.append(got)
+    return reports
+
+
+@pytest.mark.parametrize("K", ("own", "larger", "zero", "negative"))
+@pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES) + ["constant-interval"])
+def test_sturm_matches_the_reference_loop(kind, K):
+    if kind == "constant-interval":
+        dec = decompose(constant_interval(2.0, CurvatureDimension(-1.5, 3.0)), LevelPoint(0.7))
+        profile, cd = dec.needle.profile, dec.cd
+    else:
+        profile, cd = _kind_needle(kind)
+    K = {"own": cd.K, "larger": 2.0 * cd.K if cd.K > 0.0 else 1.0, "zero": 0.0,
+         "negative": -7.5}[K]
+    for grid in (3, 40):
+        _assert_sturm_matches_reference(profile, CurvatureDimension(K, cd.N), grid)
+
+
+@pytest.mark.parametrize("profile, cd, grid, is_cd", _random_cd_corpus())
+def test_sturm_matches_the_reference_loop_on_random_densities(profile, cd, grid, is_cd):
+    # and passes at every base point exactly on the true CD(K, N) densities
+    reports = _assert_sturm_matches_reference(profile, cd, grid)
+    assert all(report.startswith("SturmReport(passed=True,") for report in reports) == is_cd
 
 
 # ------------------------------------------------------ density ratio bound

@@ -16,7 +16,8 @@ from needlecomp.cli import ExperimentConfig, Row
 from needlecomp.hk import _profile_deviation
 
 CD = CurvatureDimension(1.0, 3.0)
-EXP = "DensityProfile(a={}, b={}, fn=<built-in function exp>, deriv=None, mode=None)"
+EXP = ("DensityProfile(a={}, b={}, fn=<built-in function exp>, deriv=None, mode=None, "
+       "values=None)")
 
 
 def _decomposition():
@@ -31,7 +32,7 @@ REPRS = [
     (lambda: DensityProfile(0.0, 1.0, math.exp), EXP.format(0.0, 1.0)),
     (lambda: DensityProfile(-1.0, 2.0, math.exp, deriv=math.exp, mode=2.0),
      "DensityProfile(a=-1.0, b=2.0, fn=<built-in function exp>, "
-     "deriv=<built-in function exp>, mode=2.0)"),
+     "deriv=<built-in function exp>, mode=2.0, values=None)"),
     (lambda: Needle(DensityProfile(-1.0, 1.0, math.exp)),
      f"Needle(profile={EXP.format(-1.0, 1.0)}, weight=1.0)"),
     (lambda: WeightedInterval(1.0, DensityProfile(0.0, 1.0, math.exp),
@@ -56,8 +57,8 @@ REPRS = [
     (lambda: HKReport("hk-full", 1.0, 1.0, 0.0, 0.0, True),
      "HKReport(statement='hk-full', lhs=1.0, rhs=1.0, gap=0.0, relative_gap=0.0, "
      "equality=True, t=None)"),
-    (lambda: LevyGromovReport(0.5, 0.5, True, True, 0.0),
-     "LevyGromovReport(content=0.5, profile_value=0.5, passed=True, equality=True, gap=0.0)"),
+    (lambda: LevyGromovReport(0.5, 0.5, True, 0.0),
+     "LevyGromovReport(content=0.5, profile_value=0.5, equality=True, gap=0.0)"),
     (lambda: RigidityReport(False, False, 0.5, 0.25, ("profile",)),
      "RigidityReport(rigid=False, profile_match=False, gap=0.5, relative_gap=0.25, "
      "failed_conditions=('profile',))"),
@@ -160,8 +161,8 @@ def test_fields_of_named_tuples_cannot_be_assigned(make):
 
 def test_density_profile_is_a_checked_named_tuple():
     # it was a plain class with hand-written repr, equality and hash
-    assert P._fields == ("a", "b", "fn", "deriv", "mode")
-    assert P == (0.0, 1.0, math.exp, None, None)
+    assert P._fields == ("a", "b", "fn", "deriv", "mode", "values")
+    assert P == (0.0, 1.0, math.exp, None, None, None)
     assert not any(hasattr(P, name) for name in ("grid_size", "samples", "grid", "__call__"))
     for field in P._fields:
         with pytest.raises(AttributeError):
