@@ -25,6 +25,13 @@ from .needle import DensityProfile, Needle, one_sided_log_derivative
 from .numerics import extrapolate_to_zero, integrate
 
 
+def _check_sine_curvature(cd: CurvatureDimension) -> None:
+    """A K > 0 so small that K/(N-1) underflows to 0 has no sine-power density."""
+    if cd.K / (cd.N - 1.0) == 0.0:
+        raise ParameterError(f"K={cd.K} is too small for N={cd.N}: K/(N-1) underflows to 0",
+                             key="K")
+
+
 def _check_length(length: float) -> None:
     if not (math.isfinite(length) and length > 0.0):
         raise ParameterError(f"interval length must be positive, got {length}", key="length")
@@ -85,6 +92,7 @@ class SphericalSuspension(Checked, namedtuple("SphericalSuspension", "cd base_vo
     def __new__(cls, cd: CurvatureDimension, base_volume: float):
         if cd.K <= 0.0:
             raise ParameterError(f"suspension requires K > 0, got K={cd.K}", key="K")
+        _check_sine_curvature(cd)
         if not (math.isfinite(base_volume) and base_volume > 0.0):
             raise ParameterError(f"base volume must be positive, got {base_volume}",
                                  key="base_volume")
@@ -153,12 +161,28 @@ def _power_form(base: Callable, expo: float, scale: float) -> Callable:
     return values
 
 
+def _rebased(builder: Callable[[float, float], Callable[[float], float]]) -> Callable:
+    """The radial density h = builder(0.0, 1.0), carrying builder as its rebased
+    attribute.  builder(r0, total) is r -> h(r0 + r) / total written out as one
+    closure, the same floats (0.0 + s is s for every s but -0.0, and x / 1.0 is
+    x), so that decompose's needle density is one Python frame per call."""
+    h = builder(0.0, 1.0)
+    h.rebased = builder
+    return h
+
+
 def _sin_power(cd: CurvatureDimension, scale: float = 1.0):
-    """scale * sin_{K/(N-1)}^{N-1}, its derivative and its array form, clamped
-    at 0 past pi_kappa."""
+    """scale * sin_{K/(N-1)}^{N-1} as a rebased density (_rebased), its
+    derivative and its array form, clamped at 0 past pi_kappa."""
     expo = cd.N - 1.0
     rt = math.sqrt(cd.K / expo)  # sin_kappa(kap, r) is math.sin(rt * r) / rt
-    return (lambda r: scale * max(math.sin(rt * r) / rt, 0.0) ** expo,
+
+    def density(r0: float, total: float) -> Callable[[float], float]:
+        def fn(r):
+            x = math.sin(rt * (r0 + r)) / rt
+            return scale * (0.0 if 0.0 > x else x) ** expo / total  # max(x, 0.0)
+        return fn
+    return (_rebased(density),
             lambda r: (scale * expo * max(math.sin(rt * r) / rt, 0.0) ** (expo - 1.0)
                        * math.cos(rt * r)),
             _power_form(lambda np, r: np.sin(rt * r) / rt, expo, scale))
@@ -169,6 +193,7 @@ def model_interval(cd: CurvatureDimension, length: Optional[float] = None) -> We
     [0, length], with length defaulting to the full model diameter."""
     if cd.K <= 0.0:
         raise ParameterError("model interval requires K > 0", key="K")
+    _check_sine_curvature(cd)
     full = pi_kappa(cd.K / (cd.N - 1.0))
     if length is None:
         length = full
@@ -190,7 +215,8 @@ def constant_interval(length: float, cd: CurvatureDimension) -> WeightedInterval
         raise ParameterError(f"a constant density satisfies CD(K, N) only for K <= 0, "
                              f"got K={cd.K}", key="K")
     _check_length(length)  # before DensityProfile, whose check names no key
-    profile = DensityProfile(0.0, length, lambda r: 1.0, deriv=lambda r: 0.0, mode=0.0,
+    profile = DensityProfile(0.0, length, _rebased(lambda r0, total: lambda r: 1.0 / total),
+                             deriv=lambda r: 0.0, mode=0.0,
                              values=_power_form(lambda np, r: r, 0, 1.0))  # r ** 0 is 1.0
     return WeightedInterval(length=length, density=profile, cd=cd)
 
@@ -216,19 +242,27 @@ def _interval_radial(geom: WeightedInterval) -> _RadialModel:
 def _sphere_radial(geom: RoundSphere) -> _RadialModel:
     n, radius = geom.n, geom.radius
     scale = unit_sphere_volume(n - 1) * radius ** (n - 1)
-    density = lambda s: scale * max(math.sin(s / radius), 0.0) ** (n - 1)
+    expo = n - 1
+
+    def density(r0: float, total: float) -> Callable[[float], float]:
+        def fn(r):
+            x = math.sin((r0 + r) / radius)
+            return scale * (0.0 if 0.0 > x else x) ** expo / total  # max(x, 0.0)
+        return fn
     deriv = lambda s: (scale * (n - 1) * max(math.sin(s / radius), 0.0) ** (n - 2)
                        * math.cos(s / radius) / radius)
-    return _RadialModel(math.pi * radius, math.pi * radius, density, deriv,
+    return _RadialModel(math.pi * radius, math.pi * radius, _rebased(density), deriv,
                         0.5 * math.pi * radius,
-                        _power_form(lambda np, s: np.sin(s / radius), n - 1, scale))
+                        _power_form(lambda np, s: np.sin(s / radius), expo, scale))
 
 
 def _ball_radial(geom: EuclideanBall) -> _RadialModel:
     n, scale = geom.n, unit_sphere_volume(geom.n - 1)
-    return _RadialModel(geom.R, 2.0 * geom.R, lambda s: scale * s ** (n - 1),
+    expo = n - 1
+    density = lambda r0, total: lambda r: scale * (r0 + r) ** expo / total
+    return _RadialModel(geom.R, 2.0 * geom.R, _rebased(density),
                         lambda s: scale * (n - 1) * s ** (n - 2), geom.R,
-                        _power_form(lambda np, s: s, n - 1, scale))  # s >= 0: the clamp is a no-op
+                        _power_form(lambda np, s: s, expo, scale))  # s >= 0: the clamp is a no-op
 
 
 def _suspension_radial(geom: SphericalSuspension) -> _RadialModel:
@@ -314,7 +348,9 @@ def decompose(geom: GeometrySpec, surf: SurfaceSpec) -> NeedleDecomposition:
         total = integrate(density, 0.0, model.length)
         if total == 0.0:
             raise ParameterError(f"the total mass of {kind.name} underflows to 0")
-        fn = lambda r: density(r0 + r) / total
+        rebased = getattr(density, "rebased", None)  # a built-in density's one frame
+        fn = (rebased(r0, total) if rebased is not None
+              else lambda r: density(r0 + r) / total)
         deriv = None
         if density_deriv is not None:
             deriv = lambda r: density_deriv(r0 + r) / total

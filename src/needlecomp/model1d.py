@@ -305,11 +305,16 @@ def model_profile(cd: CurvatureDimension, v: float) -> float:
     Closed form (DLMF 8.17): sqrt(kappa) x^{(N-1)/2} / B(N/2, 1/2) with
     x = I^{-1}(2 min(v, 1 - v); N/2, 1/2), I the regularized incomplete beta
     (inverse_regularized_beta).
-    Concave in v, symmetric about v = 1/2 and zero at v in {0, 1}.
+    Concave in v, symmetric about v = 1/2 and zero at v in {0, 1}.  A kappa
+    that overflows a float is a ParameterError; with kappa finite, the
+    profile is below sqrt(kappa) / B(N/2, 1/2) < 1e155.
     """
     kap = _require_positive_curvature(cd)
     if not 0.0 <= v <= 1.0:
         raise ParameterError(f"volume fraction v must lie in [0, 1], got {v}")
+    if math.isinf(kap):
+        raise ParameterError("the model isoperimetric profile overflows a float "
+                             "at these parameters")
     if v == 0.0 or v == 1.0:
         return 0.0
     x = inverse_regularized_beta(0.5 * cd.N, 0.5, 2.0 * min(v, 1.0 - v))

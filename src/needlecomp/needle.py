@@ -178,8 +178,10 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     q whose neighbours q -+ s are on the lattice.  In one dimension the CD(K, N)
     condition is local (u'' + kappa u <= 0), so these midpoint conditions stand
     for every triple; the coarser scales show smooth defects that the slack
-    hides at the finest one.  The work is O(G^2 log G); the memory is two
-    arrays of G^2 floats and the temporaries of one block of _CD_BLOCK points.
+    hides at the finest one.  The work is O(G^2 log G).  The memory is two
+    arrays of G^2 floats (the lattice points, which then hold max(|u_q|, _TINY),
+    and u) and one buffer of _CD_BLOCK points, in which each scale's
+    violations are computed in place, block by block.
 
     Violations are measured relative to |u_q|; the check passes when the worst
     one does not exceed the inequality slack.  The witness (x_{q-s}, x_{q+s},
@@ -215,30 +217,40 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
         raise ParameterError("the density check's u = h**(1/(N-1)) overflows a float "
                              "at these parameters") from None
 
+    x_at = lambda q: float(a + (b - a) * ((q + g1) / float(g1 * g1)))  # xs[q], bit for bit
+    block = np.empty(min(_CD_BLOCK, n))
     worst = -math.inf
     witness = None
     s = 1
-    while 2 * s < n:
-        try:  # sinh of a strongly negative K
-            sigma = sigma_kappa(kap, 0.5, (b - a) * (2 * s / (g1 * g1)))
-        except OverflowError:
-            raise ParameterError("the distortion coefficients of the density check "
-                                 "overflow a float at these parameters") from None
-        for lo in range(s, n - s, _CD_BLOCK):
-            hi = min(lo + _CD_BLOCK, n - s)
-            lhs = u[lo:hi]
-            with np.errstate(invalid="ignore", over="ignore"):
-                rhs = math.inf if math.isinf(sigma) else \
-                    sigma * (u[lo - s:hi - s] + u[lo + s:hi + s])
-                violation = (rhs - lhs) / np.maximum(np.abs(lhs), _TINY)
-            # NaN never counts as worse; argmax takes the first q, and a later
-            # block must be strictly worse.
-            violation[np.isnan(violation)] = -math.inf
-            k = int(np.argmax(violation))
-            if violation[k] > worst:
-                worst = float(violation[k])
-                witness = (float(xs[lo + k - s]), float(xs[lo + k + s]), 0.5)
-        s *= 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = np.maximum(np.abs(u, out=xs), _TINY, out=xs)  # xs is spent: reuse it
+        while 2 * s < n:
+            try:  # sinh of a strongly negative K
+                sigma = sigma_kappa(kap, 0.5, (b - a) * (2 * s / (g1 * g1)))
+            except OverflowError:
+                raise ParameterError("the distortion coefficients of the density check "
+                                     "overflow a float at these parameters") from None
+            for lo in range(s, n - s, _CD_BLOCK):
+                hi = min(lo + _CD_BLOCK, n - s)
+                # (rhs - lhs) / max(|lhs|, _TINY), rhs = sigma (u_{q-s} + u_{q+s})
+                violation = block[:hi - lo]
+                if math.isinf(sigma):
+                    violation.fill(math.inf)
+                else:
+                    np.add(u[lo - s:hi - s], u[lo + s:hi + s], out=violation)
+                    violation *= sigma
+                violation -= u[lo:hi]
+                violation /= scale[lo:hi]
+                # NaN never counts as worse: argmax takes the first NaN, if there
+                # is one, else the first q; a later block must be strictly worse.
+                k = int(violation.argmax())
+                if math.isnan(violation[k]):
+                    violation[np.isnan(violation)] = -math.inf
+                    k = int(violation.argmax())
+                if violation[k] > worst:
+                    worst = float(violation[k])
+                    witness = (x_at(lo + k - s), x_at(lo + k + s), 0.5)
+            s *= 2
     return CdDensityReport(passed=worst <= INEQ_SLACK, worst_violation=worst,
                            witness=witness)
 
@@ -262,26 +274,29 @@ def sturm_bound_check(u: DensityProfile, kappa: float, r0: float,
         raise _negative_density(r0)
     du0 = u0 * one_sided_log_derivative(u, r0, "plus")
     # cos_kappa(kappa, t) and sin_kappa(kappa, t) as cs(rt t) and sn(rt t) / rt,
-    # the same floats; for kappa = 0 they are 1.0 and t / 1.0 = t
+    # the same floats; for kappa = 0, u0 * 1.0 + du0 * (t / 1.0) is u0 + du0 * t
+    flat = kappa == 0.0
     if kappa > 0.0:
         rt, sn, cs = math.sqrt(kappa), math.sin, math.cos
     elif kappa < 0.0:
         rt, sn, cs = math.sqrt(-kappa), math.sinh, math.cosh
-    else:
-        rt, sn, cs = 1.0, float, lambda t: 1.0
-    fn, b = u.fn, u.b
+    fn, span, g1 = u.fn, u.b - r0, grid_size + 1.0
     max_excess = -math.inf
     passed = True
     for i in range(grid_size):
-        r = r0 + (b - r0) * (i + 1.0) / (grid_size + 1.0)
-        t = rt * (r - r0)
-        bound = u0 * cs(t) + du0 * (sn(t) / rt)
+        r = r0 + span * (i + 1.0) / g1
+        if flat:
+            bound = u0 + du0 * (r - r0)
+        else:
+            t = rt * (r - r0)
+            bound = u0 * cs(t) + du0 * (sn(t) / rt)
         if bound <= 0.0:
             passed = False
         value = fn(r)
         if type(value) is complex or value < 0.0:
             raise _negative_density(r)
-        excess = (value - bound) / max(abs(bound), _TINY)
+        scale = abs(bound)
+        excess = (value - bound) / (_TINY if _TINY > scale else scale)  # max(scale, _TINY)
         if excess > max_excess:
             max_excess = excess
     return SturmReport(passed=passed and max_excess <= INEQ_SLACK, max_excess=max_excess)
@@ -296,24 +311,30 @@ def density_ratio_check(needle: Needle, cd: CurvatureDimension,
         raise DomainError("needle base must lie in the open interval")
     h0 = profile.fn(0.0)
 
-    def side_excess(h_side: Callable[[float], float], extent: float, H: float) -> float:
+    fn, g1 = profile.fn, grid_size + 1.0
+
+    def side_excess(sign: float, extent: float, H: float) -> float:
+        """The worst excess of h(sign r)/h(0) over J_H(r) on (0, extent); sign
+        r is r or -r exactly.  `if x > worst` keeps max(worst, x)'s floats."""
         if math.isinf(H):
             raise CurvatureError("one-sided log derivative at the base is infinite")
         params = JacobianParams(H, cd)
         worst = -math.inf
         for i in range(grid_size):
-            r = extent * (i + 1.0) / (grid_size + 1.0)
-            ratio = h_side(r) / h0
+            r = extent * (i + 1.0) / g1
+            ratio = fn(sign * r) / h0
             bound = jacobian(params, r)
             if bound <= 0.0:
-                worst = max(worst, math.inf if ratio > INEQ_SLACK else 0.0)
+                excess = math.inf if ratio > INEQ_SLACK else 0.0
             else:
-                worst = max(worst, (ratio - bound) / bound)
+                excess = (ratio - bound) / bound
+            if excess > worst:
+                worst = excess
         return worst
 
     H_plus = one_sided_log_derivative(profile, 0.0, "plus")
-    max_excess = max(side_excess(profile.fn, profile.b, H_plus),
-                     side_excess(lambda r: profile.fn(-r), -profile.a,
+    max_excess = max(side_excess(1.0, profile.b, H_plus),
+                     side_excess(-1.0, -profile.a,
                                  -one_sided_log_derivative(profile, 0.0, "minus")))
     return RatioReport(passed=max_excess <= INEQ_SLACK, H_used=H_plus,
                        max_excess=max_excess)

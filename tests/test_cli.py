@@ -774,6 +774,25 @@ def test_unrepresentable_sphere_is_a_typed_error(capsys, n, radius, r0, where, w
     assert what in out and "Traceback" not in out
 
 
+@pytest.mark.parametrize("config", ["suspension.cfg", "truncated_interval.cfg"])
+def test_curvature_ratio_that_underflows_is_a_config_error(capsys, config):
+    # K/(N-1) = 5e-324/2 rounds to 0, and the sine-power density divided by
+    # sqrt(K/(N-1)): an untyped ZeroDivisionError
+    assert main(["run", str(CONFIGS / config), "--set", "geometry.K=5e-324",
+                 "--set", "geometry.N=3", "--path", "-"]) == 2
+    out = capsys.readouterr().out
+    assert out == ("FAIL check=config reason=ConfigError: --set #1, key 'K': K=5e-324 is "
+                   "too small for N=3.0: K/(N-1) underflows to 0\n")
+
+
+def test_model_profile_that_overflows_is_a_typed_error(capsys):
+    # K/(N-1) = 1e308/1e-7 overflows; the profile command printed inf
+    assert main(["profile", "--K", "1e308", "--N", "1.0000001", "--v", "0.3"]) == 2
+    assert capsys.readouterr().out == ("FAIL check=cli reason=ParameterError: the model "
+                                       "isoperimetric profile overflows a float at these "
+                                       "parameters\n")
+
+
 def test_overflowing_distortion_profile_is_a_typed_failure(capsys):
     # H = 31 cot(1e-5) is about 3.1e6 at this small cap of the 63-sphere, and
     # J = (cos + H/62 sin)^62 overflows a float in the corollary-positive-K

@@ -248,6 +248,14 @@ def test_model_profile_closed_form_n2():
         assert model_profile(cd, v) == pytest.approx(math.sqrt(v * (1 - v)), abs=1e-10)
 
 
+@pytest.mark.parametrize("K, N, v", [(1e308, 1.0000001, 0.3), (1e308, 1.0000001, 0.0),
+                                     (1e300, 1.0 + 1e-10, 0.5)])
+def test_model_profile_overflow_is_a_parameter_error(K, N, v):
+    # K/(N-1) overflows a float: the profile was inf (or 0.0 at v = 0)
+    with pytest.raises(ParameterError, match="^the model isoperimetric profile overflows"):
+        model_profile(CurvatureDimension(K, N), v)
+
+
 def test_model_profile_symmetry():
     for K, N in [(2.0, 3.0), (1.0, 4.5)]:
         cd = CurvatureDimension(K, N)

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from needlecomp import (CdDensityReport, CurvatureDimension, CurvatureError,
                         DensityProfile, DomainError, EuclideanBall, GeodesicSphere,
                         JacobianParams, LevelPoint, Needle, NeedlecompError,
-                        ParameterError, RoundSphere, SphericalSuspension, SturmReport,
-                        WeightedInterval, check_cd_density, constant_interval,
+                        ParameterError, RatioReport, RoundSphere, SphericalSuspension,
+                        SturmReport, WeightedInterval, check_cd_density, constant_interval,
                         cos_kappa, decompose, density_ratio_check, geometry,
                         jacobian, model_interval, one_sided_log_derivative,
                         sigma_kappa, sin_kappa, sturm_bound_check)
@@ -508,6 +509,10 @@ _KIND_NEEDLES = {
 }
 
 
+# A constant interval under a negative curvature bound, with its surface.
+_CONSTANT_NEEDLE = (constant_interval(2.0, CurvatureDimension(-1.5, 3.0)), LevelPoint(0.7))
+
+
 def _kind_needle(kind):
     dec = decompose(*_KIND_NEEDLES[kind])
     return dec.needle.profile, dec.cd
@@ -658,11 +663,11 @@ def _bits(call):
 
 
 @st.composite
-def built_in_needles(draw):
-    """The decomposition of a built-in kind: n or N up to 400; radius, R, K,
-    base volume and length in [1e-4, 1e4]; the surface inside the radial
-    range or within 1e-6 of either end.  Draws that decompose refuses are
-    rejected."""
+def built_in_needles(draw, with_geometry=False):
+    """The decomposition of a built-in kind, or (geometry, decomposition) with
+    with_geometry: n or N up to 400; radius, R, K, base volume and length in
+    [1e-4, 1e4]; the surface inside the radial range or within 1e-6 of either
+    end.  Draws that decompose refuses are rejected."""
     kind = draw(st.sampled_from(("sphere", "ball", "suspension", "model", "constant")))
     n = draw(st.integers(2, 400))
     size = draw(_log_uniform(1e-4, 1e4))  # radius, R, K or length
@@ -687,10 +692,11 @@ def built_in_needles(draw):
         offset = draw(_log_uniform(1e-12, 1e-6))
         r0 = draw(st.sampled_from((draw(st.floats(0.001, 0.999)) * length,
                                    offset, length - offset)))
-        return decompose(geom, LevelPoint(r0) if isinstance(geom, WeightedInterval)
-                         else GeodesicSphere(r0))
+        dec = decompose(geom, LevelPoint(r0) if isinstance(geom, WeightedInterval)
+                        else GeodesicSphere(r0))
     except NeedlecompError:
         assume(False)
+    return (geom, dec) if with_geometry else dec
 
 
 def _assert_array_form_is_the_density(dec, grid):
@@ -729,10 +735,92 @@ def test_power_form_clamps_as_max_does():
             _bits(lambda: [1e300 * max(x, 0.0) ** 3 for x in xs])
 
 
+def _reference_radial_density(geom):
+    """The radial density of a built-in geometry as r -> float, written as
+    its own lambda, with max for the clamp."""
+    if isinstance(geom, RoundSphere):
+        n, radius = geom.n, geom.radius
+        scale = geometry.unit_sphere_volume(n - 1) * radius ** (n - 1)
+        return lambda s: scale * max(math.sin(s / radius), 0.0) ** (n - 1)
+    if isinstance(geom, EuclideanBall):
+        n, scale = geom.n, geometry.unit_sphere_volume(geom.n - 1)
+        return lambda s: scale * s ** (n - 1)
+    if isinstance(geom, WeightedInterval) and geom.cd.K <= 0.0:
+        return lambda s: 1.0
+    cd, scale = geom.cd, getattr(geom, "base_volume", 1.0)
+    expo = cd.N - 1.0
+    rt = math.sqrt(cd.K / expo)
+    return lambda s: scale * max(math.sin(rt * s) / rt, 0.0) ** expo
+
+
+@settings(max_examples=150, deadline=None)
+@given(geom_and_dec=built_in_needles(with_geometry=True), grid=st.integers(3, 48),
+       extra=st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_needle_density_is_the_rebased_radial_density_bit_for_bit(geom_and_dec, grid, extra):
+    # one closure per built-in needle density: the floats of the generic
+    # h(r0 + r) / total on the cd-density lattice, both ends and random points
+    geom, dec = geom_and_dec
+    p = dec.needle.profile
+    density, r0, total = _reference_radial_density(geom), -p.a, dec.total_mass
+    assert total == integrate(density, 0.0, geometry.radial_model(geom).length)
+    g1 = grid + 1
+    rs = (p.a + (p.b - p.a) * (np.arange(g1, grid * g1 + 1) / float(g1 * g1))).tolist()
+    rs += [p.a, 0.0, p.b] + [p.a + (p.b - p.a) * x for x in extra]
+    assert _bits(lambda: [p.fn(r) for r in rs]) == \
+        _bits(lambda: [density(r0 + r) / total for r in rs])
+
+
+@pytest.mark.parametrize("make, at_minus_tiny", [
+    (lambda: RoundSphere(4, 3.0), "-0.0"),  # an odd power keeps the sine's -0.0
+    (lambda: RoundSphere(3, 0.5), "0.0"),
+    (lambda: SphericalSuspension(CurvatureDimension(0.09, 2.0), 1.5), "-0.0"),  # power 1
+    (lambda: model_interval(CurvatureDimension(2.0, 3.5), 1.0), "0.0"),
+], ids=("sphere-odd", "sphere-even", "suspension", "model-interval"))
+def test_sine_power_densities_clamp_as_max_does(make, at_minus_tiny):
+    # 0.0 if 0.0 > x else x keeps max(x, 0.0)'s NaN and -0.0: a NaN point, a
+    # sine that rounds to -0.0 just below 0, and negative sines on both sides
+    geom = make()
+    density = _reference_radial_density(geom)
+    model = geometry.radial_model(geom)
+    rs = [math.nan, -0.0, 0.0, -5e-324, -1e-310, -0.5, 1.0, model.length,
+          model.length + 0.25]
+    assert repr(density(-5e-324)) == at_minus_tiny
+    for r0, total in ((0.0, 1.0), (0.25, 3.0), (0.0, 0.7)):
+        fn = model.density.rebased(r0, total)
+        assert _bits(lambda: [fn(r) for r in rs]) == \
+            _bits(lambda: [density(r0 + r) / total for r in rs])
+
+
+def _python_calls(fn, x):
+    """The Python functions that fn(x) calls, fn itself included, as
+    sys.setprofile's call events see them (calls into C are c_call events)."""
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)
+                   if event == "call" else None)
+    try:
+        fn(x)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES) + ["constant-interval"])
+def test_built_in_needle_density_is_one_python_call(kind):
+    geom, surf = _KIND_NEEDLES.get(kind, _CONSTANT_NEEDLE)
+    p = decompose(geom, surf).needle.profile
+    r = 0.5 * p.b
+    assert len(_python_calls(p.fn, r)) == 1
+    assert len(_python_calls(geometry.radial_model(geom).density, surf.r0 + r)) == 1
+    assert len(_python_calls(p.power(0.5).fn, r)) == 2  # power's wrapper, then fn
+
+
 def test_api_densities_have_no_array_form():
     dec = decompose(WeightedInterval(1.0, DensityProfile(0.0, 1.0, lambda r: 1.0 + r),
                                      CurvatureDimension(0.0, 2.0)), LevelPoint(0.5))
     assert dec.needle.profile.values is None
+    # nor a rebased closure: decompose's wrapper calls the density
+    assert len(_python_calls(dec.needle.profile.fn, 0.25)) == 2
+    assert dec.needle.profile.fn(0.25) == (1.0 + (0.5 + 0.25)) / dec.total_mass
     assert sin_profile().power(0.5).values is None
 
 def _kappa_line(kappa, length, c0, c1):
@@ -955,6 +1043,62 @@ def test_ratio_bound_needs_interior_base():
     p = DensityProfile(0.0, 1.0, lambda r: 1.0)
     with pytest.raises(DomainError):
         density_ratio_check(Needle(p, 1.0), CurvatureDimension(0.0, 2.0))
+
+
+def _reference_density_ratio_check(needle, cd, grid_size=60):
+    """density_ratio_check with a wrapper for the left side and max at every
+    point."""
+    profile = needle.profile
+    if not profile.a < 0.0 < profile.b:
+        raise DomainError("needle base must lie in the open interval")
+    h0 = profile.fn(0.0)
+
+    def side_excess(h_side, extent, H):
+        if math.isinf(H):
+            raise CurvatureError("one-sided log derivative at the base is infinite")
+        params = JacobianParams(H, cd)
+        worst = -math.inf
+        for i in range(grid_size):
+            r = extent * (i + 1.0) / (grid_size + 1.0)
+            ratio = h_side(r) / h0
+            bound = jacobian(params, r)
+            if bound <= 0.0:
+                worst = max(worst, math.inf if ratio > INEQ_SLACK else 0.0)
+            else:
+                worst = max(worst, (ratio - bound) / bound)
+        return worst
+
+    H_plus = one_sided_log_derivative(profile, 0.0, "plus")
+    max_excess = max(side_excess(profile.fn, profile.b, H_plus),
+                     side_excess(lambda r: profile.fn(-r), -profile.a,
+                                 -one_sided_log_derivative(profile, 0.0, "minus")))
+    return RatioReport(passed=max_excess <= INEQ_SLACK, H_used=H_plus,
+                       max_excess=max_excess)
+
+
+def _assert_ratio_matches_reference(needle, cd):
+    for grid in (3, 60):
+        assert _outcome(density_ratio_check, needle, cd, grid) == \
+            _outcome(_reference_density_ratio_check, needle, cd, grid)
+
+
+@pytest.mark.parametrize("K", ("own", "larger", "zero", "negative"))
+@pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES) + ["constant-interval"])
+def test_ratio_matches_the_reference_loop(kind, K):
+    dec = decompose(*_KIND_NEEDLES.get(kind, _CONSTANT_NEEDLE))
+    cd = dec.cd
+    K = {"own": cd.K, "larger": 2.0 * cd.K if cd.K > 0.0 else 1.0, "zero": 0.0,
+         "negative": -7.5}[K]
+    _assert_ratio_matches_reference(dec.needle, CurvatureDimension(K, cd.N))
+
+
+@pytest.mark.parametrize("profile, cd, grid, is_cd", _random_cd_corpus())
+def test_ratio_matches_the_reference_loop_on_random_densities(profile, cd, grid, is_cd):
+    # the needles with base at a quarter, a half and three quarters of the interval
+    for share in (0.25, 0.5, 0.75):
+        c = share * profile.b
+        needle = Needle(DensityProfile(-c, profile.b - c, lambda r: profile.fn(c + r)))
+        _assert_ratio_matches_reference(needle, cd)
 
 
 # ------------------------------------------------------- masses, laplacian
