@@ -30,7 +30,7 @@ from .numerics import INEQ_SLACK
 FORMATS = ("report", "csv", "plotdata")
 MINKOWSKI_REL_TOL = 1e-6
 # The largest run.grid_size: cd-density makes grid_size**2 density calls, and at
-# 1,500 a run takes about 3 s and 185 MB.
+# 1,500 a run takes about 1 s and 66 MB on a 2-CPU host.
 MAX_GRID_SIZE = 1500
 
 

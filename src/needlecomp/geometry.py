@@ -171,21 +171,36 @@ def _rebased(builder: Callable[[float, float], Callable[[float], float]]) -> Cal
     return h
 
 
-def _sin_power(cd: CurvatureDimension, scale: float = 1.0):
-    """scale * sin_{K/(N-1)}^{N-1} as a rebased density (_rebased), its
-    derivative and its array form, clamped at 0 past pi_kappa."""
-    expo = cd.N - 1.0
-    rt = math.sqrt(cd.K / expo)  # sin_kappa(kap, r) is math.sin(rt * r) / rt
+def _model_diameter(cd: CurvatureDimension) -> float:
+    """pi_kappa of kappa = K/(N-1): the diameter of the K > 0 model interval."""
+    return pi_kappa(cd.K / (cd.N - 1.0))
 
-    def density(r0: float, total: float) -> Callable[[float], float]:
-        def fn(r):
-            x = math.sin(rt * (r0 + r)) / rt
-            return scale * (0.0 if 0.0 > x else x) ** expo / total  # max(x, 0.0)
-        return fn
-    return (_rebased(density),
-            lambda r: (scale * expo * max(math.sin(rt * r) / rt, 0.0) ** (expo - 1.0)
-                       * math.cos(rt * r)),
-            _power_form(lambda np, r: np.sin(rt * r) / rt, expo, scale))
+
+def _sin_power(cd: CurvatureDimension, scale: float, length: float,
+               diameter: float) -> _RadialModel:
+    """The radial model of scale * sin_kappa^{N-1} on [0, length], kappa =
+    K/(N-1): the density as a rebased closure (_rebased), clamped at 0 past
+    pi_kappa, its derivative, its array form and its mode.  kappa = 0 gives
+    scale * r^{N-1}, the flat ball's density."""
+    expo = cd.N - 1.0
+    kappa = cd.K / expo
+    if kappa == 0.0:
+        density = lambda r0, total: lambda r: scale * (r0 + r) ** expo / total
+        deriv = lambda r: scale * expo * r ** (expo - 1.0)
+        base = lambda np, r: r  # r >= 0: the array form's clamp is a no-op
+    else:
+        rt = math.sqrt(kappa)  # sin_kappa(kappa, r) is math.sin(rt * r) / rt
+
+        def density(r0: float, total: float) -> Callable[[float], float]:
+            def fn(r):
+                x = math.sin(rt * (r0 + r)) / rt
+                return scale * (0.0 if 0.0 > x else x) ** expo / total  # max(x, 0.0)
+            return fn
+        deriv = lambda r: (scale * expo * max(math.sin(rt * r) / rt, 0.0) ** (expo - 1.0)
+                           * math.cos(rt * r))
+        base = lambda np, r: np.sin(rt * r) / rt
+    return _RadialModel(length, diameter, _rebased(density), deriv,
+                        min(length, 0.5 * pi_kappa(kappa)), _power_form(base, expo, scale))
 
 
 def model_interval(cd: CurvatureDimension, length: Optional[float] = None) -> WeightedInterval:
@@ -194,15 +209,15 @@ def model_interval(cd: CurvatureDimension, length: Optional[float] = None) -> We
     if cd.K <= 0.0:
         raise ParameterError("model interval requires K > 0", key="K")
     _check_sine_curvature(cd)
-    full = pi_kappa(cd.K / (cd.N - 1.0))
+    full = _model_diameter(cd)
     if length is None:
         length = full
     if not 0.0 < length <= full:
         raise ParameterError(f"length must lie in (0, {full}], got {length}", key="length")
-    fn, deriv, values = _sin_power(cd)
+    model = _sin_power(cd, 1.0, length, length)
     try:
-        profile = DensityProfile(0.0, length, fn, deriv=deriv, mode=min(length, 0.5 * full),
-                                 values=values)
+        profile = DensityProfile(0.0, length, model.density, deriv=model.density_deriv,
+                                 mode=model.mode, values=model.values)
     except OverflowError:
         raise ParameterError("the model interval's density overflows a float") from None
     return WeightedInterval(length=length, density=profile, cd=cd)
@@ -239,38 +254,6 @@ def _interval_radial(geom: WeightedInterval) -> _RadialModel:
     return _RadialModel(geom.length, geom.length, p.fn, p.deriv, p.mode, p.values)
 
 
-def _sphere_radial(geom: RoundSphere) -> _RadialModel:
-    n, radius = geom.n, geom.radius
-    scale = unit_sphere_volume(n - 1) * radius ** (n - 1)
-    expo = n - 1
-
-    def density(r0: float, total: float) -> Callable[[float], float]:
-        def fn(r):
-            x = math.sin((r0 + r) / radius)
-            return scale * (0.0 if 0.0 > x else x) ** expo / total  # max(x, 0.0)
-        return fn
-    deriv = lambda s: (scale * (n - 1) * max(math.sin(s / radius), 0.0) ** (n - 2)
-                       * math.cos(s / radius) / radius)
-    return _RadialModel(math.pi * radius, math.pi * radius, _rebased(density), deriv,
-                        0.5 * math.pi * radius,
-                        _power_form(lambda np, s: np.sin(s / radius), expo, scale))
-
-
-def _ball_radial(geom: EuclideanBall) -> _RadialModel:
-    n, scale = geom.n, unit_sphere_volume(geom.n - 1)
-    expo = n - 1
-    density = lambda r0, total: lambda r: scale * (r0 + r) ** expo / total
-    return _RadialModel(geom.R, 2.0 * geom.R, _rebased(density),
-                        lambda s: scale * (n - 1) * s ** (n - 2), geom.R,
-                        _power_form(lambda np, s: s, expo, scale))  # s >= 0: the clamp is a no-op
-
-
-def _suspension_radial(geom: SphericalSuspension) -> _RadialModel:
-    top = pi_kappa(geom.cd.K / (geom.cd.N - 1.0))
-    density, deriv, values = _sin_power(geom.cd, geom.base_volume)
-    return _RadialModel(top, top, density, deriv, 0.5 * top, values)
-
-
 class GeometryKind(NamedTuple):
     """One geometry kind: its configuration keys and how they build it, the
     surface class it takes, and its radial model."""
@@ -289,13 +272,18 @@ GEOMETRY_KINDS = {kind.name: kind for kind in (
     GeometryKind("weighted-interval", WeightedInterval, ("K", "N"), ("density", "length"),
                  _configured_interval, LevelPoint, "boundary", _interval_radial),
     GeometryKind("round-sphere", RoundSphere, ("n", "radius"), (), RoundSphere,
-                 GeodesicSphere, "pole", _sphere_radial),
+                 GeodesicSphere, "pole",
+                 lambda g: _sin_power(g.cd, unit_sphere_volume(g.n - 1), math.pi * g.radius,
+                                      math.pi * g.radius)),
     GeometryKind("euclidean-ball", EuclideanBall, ("n", "R"), (), EuclideanBall,
-                 GeodesicSphere, "boundary", _ball_radial),
+                 GeodesicSphere, "boundary",
+                 lambda g: _sin_power(g.cd, unit_sphere_volume(g.n - 1), g.R, 2.0 * g.R)),
     GeometryKind("spherical-suspension", SphericalSuspension, ("K", "N", "base_volume"), (),
                  lambda K, N, base_volume: SphericalSuspension(CurvatureDimension(K, N),
                                                                base_volume),
-                 GeodesicSphere, "pole", _suspension_radial),
+                 GeodesicSphere, "pole",
+                 lambda g: _sin_power(g.cd, g.base_volume, _model_diameter(g.cd),
+                                      _model_diameter(g.cd))),
 )}
 _KIND_OF_CLASS = {kind.cls: kind for kind in GEOMETRY_KINDS.values()}
 
@@ -331,7 +319,8 @@ def decompose(geom: GeometrySpec, surf: SurfaceSpec) -> NeedleDecomposition:
     normalized; its weight is the total mass.  Raises DegenerateSurfaceError
     when r0 sits at the boundary of the radial range (needle base at an
     interval endpoint), CurvatureError when the base curvature is infinite,
-    and ParameterError when the density overflows or its mass underflows a float.
+    and ParameterError when the density or its mass overflows a float or the
+    mass underflows to 0.
     """
     kind = _kind_of(geom)
     with _density_overflow_is_parameter_error(kind):
@@ -348,6 +337,8 @@ def decompose(geom: GeometrySpec, surf: SurfaceSpec) -> NeedleDecomposition:
         total = integrate(density, 0.0, model.length)
         if total == 0.0:
             raise ParameterError(f"the total mass of {kind.name} underflows to 0")
+        if not math.isfinite(total):
+            raise ParameterError(f"the total mass of {kind.name} overflows a float")
         rebased = getattr(density, "rebased", None)  # a built-in density's one frame
         fn = (rebased(r0, total) if rebased is not None
               else lambda r: density(r0 + r) / total)

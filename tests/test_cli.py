@@ -763,7 +763,7 @@ def test_area_of_a_400_ball_no_longer_overflows(capsys):
 
 
 @pytest.mark.parametrize("n, radius, r0, where, what", [
-    (400, 1e4, 100.0, "config", "overflows"),  # Gamma(200) in the sphere's area
+    (400, 1e4, 100.0, "decompose", "overflows"),  # (R sin(s/R))^399 in the sphere's density
     (210, 0.01, 0.01, "decompose", "underflows"),  # the total mass is below 1e-324
 ])
 def test_unrepresentable_sphere_is_a_typed_error(capsys, n, radius, r0, where, what):
@@ -772,6 +772,15 @@ def test_unrepresentable_sphere_is_a_typed_error(capsys, n, radius, r0, where, w
     out = capsys.readouterr().out
     assert out.startswith(f"FAIL check={where} reason=ParameterError: ")
     assert what in out and "Traceback" not in out
+
+
+def test_total_mass_that_overflows_is_a_typed_error(capsys):
+    # the density is finite but its integral is inf, so every needle value was
+    # 0 and the run blamed the density's sign
+    assert main(["run", str(CONFIGS / "suspension.cfg"), "--set", "geometry.base_volume=5e307",
+                 "--path", "-"]) == 2
+    assert capsys.readouterr().out == ("FAIL check=decompose reason=ParameterError: the total "
+                                       "mass of spherical-suspension overflows a float\n")
 
 
 @pytest.mark.parametrize("config", ["suspension.cfg", "truncated_interval.cfg"])

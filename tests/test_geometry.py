@@ -1,8 +1,11 @@
 import math
+import sys
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from needlecomp import (CurvatureDimension, CurvatureError,
                         DegenerateSurfaceError, DensityProfile, EuclideanBall,
@@ -342,9 +345,31 @@ def test_inlined_model_densities_equal_the_sin_kappa_forms(K, N):
         assert suspension.density_deriv(r) == 2.5 * expo * s ** (expo - 1.0) * c
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 60), log_radius=st.floats(-3.0, 3.0),
+       share=st.floats(0.0, 0.9, exclude_min=True))
+def test_sphere_density_is_accurate(n, log_radius, share):
+    # |S^{n-1}| (R sin(s/R))^{n-1} for s in (0, 0.9 pi R], against 40-digit mpmath,
+    # where it is a normal float.
+    # The sine's argument rt * s carries rt = sqrt(K/(N-1))'s rounding errors,
+    # which |theta cot theta - 1| <= 9.7 amplifies at theta = 0.9 pi: at most 18
+    # epsilon in R sin(s/R), which the power multiplies by n - 1; the area
+    # |S^{n-1}| and the last products add at most 16 epsilon.
+    radius = 10.0 ** log_radius
+    s = share * math.pi * radius
+    got = geometry.radial_model(RoundSphere(n, radius)).density(s)
+    with mp.workdps(40):
+        R = mp.mpf(radius)
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        exact = area * (R * mp.sin(mp.mpf(s) / R)) ** (n - 1)
+        assume(exact >= sys.float_info.min)  # a subnormal density has no relative accuracy
+        relative = abs(mp.mpf(got) - exact) / exact
+    assert relative <= (18 * (n - 1) + 16) * sys.float_info.epsilon
+
+
 def test_unrepresentable_radial_models_are_parameter_errors():
     with pytest.raises(ParameterError, match="overflows"):
-        decompose(RoundSphere(400, 1e4), GeodesicSphere(100.0))  # Gamma(200) overflows
+        decompose(RoundSphere(400, 1e4), GeodesicSphere(100.0))  # R^399 overflows
     with pytest.raises(ParameterError, match="underflows"):
         decompose(RoundSphere(210, 0.01), GeodesicSphere(0.01))  # the mass is below 1e-324
 

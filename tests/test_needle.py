@@ -738,22 +738,33 @@ def test_power_form_clamps_as_max_does():
 def _reference_radial_density(geom):
     """The radial density of a built-in geometry as r -> float, written as
     its own lambda, with max for the clamp."""
-    if isinstance(geom, RoundSphere):
-        n, radius = geom.n, geom.radius
-        scale = geometry.unit_sphere_volume(n - 1) * radius ** (n - 1)
-        return lambda s: scale * max(math.sin(s / radius), 0.0) ** (n - 1)
     if isinstance(geom, EuclideanBall):
         n, scale = geom.n, geometry.unit_sphere_volume(geom.n - 1)
         return lambda s: scale * s ** (n - 1)
     if isinstance(geom, WeightedInterval) and geom.cd.K <= 0.0:
         return lambda s: 1.0
     cd, scale = geom.cd, getattr(geom, "base_volume", 1.0)
+    if isinstance(geom, RoundSphere):
+        scale = geometry.unit_sphere_volume(geom.n - 1)
     expo = cd.N - 1.0
     rt = math.sqrt(cd.K / expo)
     return lambda s: scale * max(math.sin(rt * s) / rt, 0.0) ** expo
 
 
+def _with_decomposition(geom, surf):
+    return geom, decompose(geom, surf)
+
+
 @settings(max_examples=150, deadline=None)
+# moderate parameters, a sphere with R != 1 among them, which the strategy rarely draws
+@example(geom_and_dec=_with_decomposition(*_KIND_NEEDLES["round-sphere"]), grid=24, extra=[])
+@example(geom_and_dec=_with_decomposition(RoundSphere(6, 0.37), GeodesicSphere(0.9)),
+         grid=7, extra=[0.3, 0.95])
+@example(geom_and_dec=_with_decomposition(*_KIND_NEEDLES["euclidean-ball"]), grid=24, extra=[])
+@example(geom_and_dec=_with_decomposition(*_KIND_NEEDLES["spherical-suspension"]), grid=24,
+         extra=[])
+@example(geom_and_dec=_with_decomposition(*_KIND_NEEDLES["weighted-interval"]), grid=24,
+         extra=[])  # a truncated model interval
 @given(geom_and_dec=built_in_needles(with_geometry=True), grid=st.integers(3, 48),
        extra=st.lists(st.floats(0.0, 1.0), max_size=8))
 def test_needle_density_is_the_rebased_radial_density_bit_for_bit(geom_and_dec, grid, extra):
