@@ -287,9 +287,8 @@ def _cd_density(config: ExperimentConfig, dec: NeedleDecomposition):
 
 
 def _sturm(config: ExperimentConfig, dec: NeedleDecomposition):
-    kap = dec.cd.K / (dec.cd.N - 1.0)
     u = dec.needle.profile.power(1.0 / (dec.cd.N - 1.0))
-    reports = [sturm_bound_check(u, kap, u.a + (u.b - u.a) * (j + 1.0) / 11.0,
+    reports = [sturm_bound_check(u, dec.cd.kappa, u.a + (u.b - u.a) * (j + 1.0) / 11.0,
                                  grid_size=config.grid_size) for j in range(10)]
     worst = max(report.max_excess for report in reports)
     return _needle_check("sturm", dec, worst, all(report.passed for report in reports),

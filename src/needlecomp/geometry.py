@@ -20,16 +20,10 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (ConfigError, CurvatureError, DegenerateSurfaceError,
                      ParameterError)
-from .model1d import Checked, CurvatureDimension, pi_kappa, unit_sphere_volume
+from .model1d import (Checked, CurvatureDimension, check_sine_curvature, kappa_trig, pi_kappa,
+                      unit_sphere_volume)
 from .needle import DensityProfile, Needle, one_sided_log_derivative
 from .numerics import extrapolate_to_zero, integrate
-
-
-def _check_sine_curvature(cd: CurvatureDimension) -> None:
-    """A K > 0 so small that K/(N-1) underflows to 0 has no sine-power density."""
-    if cd.K / (cd.N - 1.0) == 0.0:
-        raise ParameterError(f"K={cd.K} is too small for N={cd.N}: K/(N-1) underflows to 0",
-                             key="K")
 
 
 def _check_length(length: float) -> None:
@@ -59,6 +53,13 @@ class RoundSphere(Checked, namedtuple("RoundSphere", "n radius")):
             raise ParameterError(f"sphere dimension must be >= 2, got {n}", key="n")
         if not (math.isfinite(radius) and radius > 0.0):
             raise ParameterError(f"sphere radius must be positive, got {radius}", key="radius")
+        try:
+            K = (n - 1) / radius ** 2
+        except (OverflowError, ZeroDivisionError):
+            K = 0.0
+        if not 0.0 < K < math.inf:
+            raise ParameterError(f"sphere radius must give a positive finite curvature "
+                                 f"(n-1)/radius^2, got radius={radius}", key="radius")
         return super().__new__(cls, n, radius)
 
     @property
@@ -92,7 +93,7 @@ class SphericalSuspension(Checked, namedtuple("SphericalSuspension", "cd base_vo
     def __new__(cls, cd: CurvatureDimension, base_volume: float):
         if cd.K <= 0.0:
             raise ParameterError(f"suspension requires K > 0, got K={cd.K}", key="K")
-        _check_sine_curvature(cd)
+        check_sine_curvature(cd)
         if not (math.isfinite(base_volume) and base_volume > 0.0):
             raise ParameterError(f"base volume must be positive, got {base_volume}",
                                  key="base_volume")
@@ -171,34 +172,29 @@ def _rebased(builder: Callable[[float, float], Callable[[float], float]]) -> Cal
     return h
 
 
-def _model_diameter(cd: CurvatureDimension) -> float:
-    """pi_kappa of kappa = K/(N-1): the diameter of the K > 0 model interval."""
-    return pi_kappa(cd.K / (cd.N - 1.0))
-
-
 def _sin_power(cd: CurvatureDimension, scale: float, length: float,
                diameter: float) -> _RadialModel:
     """The radial model of scale * sin_kappa^{N-1} on [0, length], kappa =
     K/(N-1): the density as a rebased closure (_rebased), clamped at 0 past
     pi_kappa, its derivative, its array form and its mode.  kappa = 0 gives
     scale * r^{N-1}, the flat ball's density."""
-    expo = cd.N - 1.0
-    kappa = cd.K / expo
-    if kappa == 0.0:
+    expo, kappa = cd.N - 1.0, cd.kappa
+    trig = kappa_trig(kappa)
+    if trig is None:
         density = lambda r0, total: lambda r: scale * (r0 + r) ** expo / total
         deriv = lambda r: scale * expo * r ** (expo - 1.0)
         base = lambda np, r: r  # r >= 0: the array form's clamp is a no-op
     else:
-        rt = math.sqrt(kappa)  # sin_kappa(kappa, r) is math.sin(rt * r) / rt
+        rt, sn, cs = trig  # sin_kappa(kappa, r) is sn(rt * r) / rt
 
         def density(r0: float, total: float) -> Callable[[float], float]:
             def fn(r):
-                x = math.sin(rt * (r0 + r)) / rt
+                x = sn(rt * (r0 + r)) / rt
                 return scale * (0.0 if 0.0 > x else x) ** expo / total  # max(x, 0.0)
             return fn
-        deriv = lambda r: (scale * expo * max(math.sin(rt * r) / rt, 0.0) ** (expo - 1.0)
-                           * math.cos(rt * r))
-        base = lambda np, r: np.sin(rt * r) / rt
+        deriv = lambda r: (scale * expo * max(sn(rt * r) / rt, 0.0) ** (expo - 1.0)
+                           * cs(rt * r))
+        base = lambda np, r: getattr(np, sn.__name__)(rt * r) / rt  # np.sin for math.sin
     return _RadialModel(length, diameter, _rebased(density), deriv,
                         min(length, 0.5 * pi_kappa(kappa)), _power_form(base, expo, scale))
 
@@ -208,8 +204,8 @@ def model_interval(cd: CurvatureDimension, length: Optional[float] = None) -> We
     [0, length], with length defaulting to the full model diameter."""
     if cd.K <= 0.0:
         raise ParameterError("model interval requires K > 0", key="K")
-    _check_sine_curvature(cd)
-    full = _model_diameter(cd)
+    check_sine_curvature(cd)
+    full = pi_kappa(cd.kappa)
     if length is None:
         length = full
     if not 0.0 < length <= full:
@@ -282,8 +278,8 @@ GEOMETRY_KINDS = {kind.name: kind for kind in (
                  lambda K, N, base_volume: SphericalSuspension(CurvatureDimension(K, N),
                                                                base_volume),
                  GeodesicSphere, "pole",
-                 lambda g: _sin_power(g.cd, g.base_volume, _model_diameter(g.cd),
-                                      _model_diameter(g.cd))),
+                 lambda g: _sin_power(g.cd, g.base_volume, pi_kappa(g.cd.kappa),
+                                      pi_kappa(g.cd.kappa))),
 )}
 _KIND_OF_CLASS = {kind.cls: kind for kind in GEOMETRY_KINDS.values()}
 

@@ -129,23 +129,24 @@ def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
         return _build_report(statement, dec.total_mass, rhs, tol)
 
     # Sign and dominance preconditions tolerate float noise around equality
-    # (cot of a numerically represented half-diameter is ~1e-16, not 0).
-    slack = 1e-12
+    # (cot of a numerically represented half-diameter is ~1e-16, not 0), on
+    # the scale 1/L of H, L = min(D, 1/sqrt(kappa)) the needle's length scale.
+    slack, kap = 1e-12, cd.kappa
+    L = min(D, 1.0 / math.sqrt(kap)) if kap > 0.0 else D
     reports = []
     if H0 is not None:
-        if not H <= H0 + slack * max(1.0, abs(H0)):
+        if not H <= H0 + slack * max(1.0 / L, abs(H0)):
             raise ParameterError(
                 f"H0={H0} does not dominate the needle's mean curvature H={H}")
         reports.append(report("corollary-constant-H",
                               weight * jacobian_integral(JacobianParams(H0, cd), -D, D)))
-    if cd.K >= 0.0 and H <= slack:
+    if cd.K >= 0.0 and H <= slack / L:
         reports.append(report("corollary-diameter", weight * D))
     if cd.K > 0.0:
         reports.append(report("corollary-positive-K",
                               weight * model_rhs_constant_H(JacobianParams(H, cd))))
         if abs(cd.N - round(cd.N)) < 1e-12:
             n = int(round(cd.N))
-            kap = cd.K / (cd.N - 1.0)
             # Where kappa^{-n/2} would overflow, scale kappa_eff by kappa
             # instead, as model_rhs_constant_H does.
             if -0.5 * cd.N * math.log(kap) < 700.0:

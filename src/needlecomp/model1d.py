@@ -34,7 +34,8 @@ class Checked:
 
 
 class CurvatureDimension(Checked, namedtuple("CurvatureDimension", "K N")):
-    """Curvature bound K (units 1/length^2) and dimension bound N (J needs N above 1)."""
+    """Curvature bound K (units 1/length^2) and dimension bound N (J needs N above 1),
+    with kappa = K/(N-1) finite."""
 
     __slots__ = ()
 
@@ -44,7 +45,15 @@ class CurvatureDimension(Checked, namedtuple("CurvatureDimension", "K N")):
         if not (math.isfinite(N) and N > 1.0):
             raise ParameterError(f"dimension bound N must be finite and > 1, got {N}",
                                  key="N")
-        return super().__new__(cls, K, N)
+        self = super().__new__(cls, K, N)
+        if math.isinf(self.kappa):
+            raise ParameterError(f"K/(N-1) overflows a float at K={K}, N={N}", key="K")
+        return self
+
+    @property
+    def kappa(self) -> float:
+        """K/(N-1), the curvature level of sin_kappa, cos_kappa and J."""
+        return self.K / (self.N - 1.0)
 
 
 class JacobianParams(Checked, namedtuple("JacobianParams", "H cd")):
@@ -58,11 +67,11 @@ class JacobianParams(Checked, namedtuple("JacobianParams", "H cd")):
         return super().__new__(cls, H, cd)
 
     @cached_property
-    def _consts(self) -> tuple[float, float, float, float]:
-        """(kappa, sqrt|kappa|, H/(N-1), N-1) with kappa = K/(N-1), for jacobian."""
-        m = self.cd.N - 1.0
-        kappa = self.cd.K / m
-        return kappa, math.sqrt(abs(kappa)), self.H / m, m
+    def _consts(self) -> tuple:
+        """(kappa, rt, sn, cs, H/(N-1), N-1), (rt, sn, cs) from kappa_trig, for jacobian."""
+        m, kappa = self.cd.N - 1.0, self.cd.kappa
+        rt, sn, cs = kappa_trig(kappa) or (0.0, None, None)
+        return kappa, rt, sn, cs, self.H / m, m
 
     @property
     def K(self) -> float:
@@ -73,24 +82,33 @@ class JacobianParams(Checked, namedtuple("JacobianParams", "H cd")):
         return self.cd.N
 
 
+def kappa_trig(kappa: float) -> tuple | None:
+    """(rt, sn, cs) with sin_kappa(r) = sn(rt r) / rt and cos_kappa(r) = cs(rt r):
+    (sqrt(kappa), sin, cos) for kappa > 0, (sqrt(-kappa), sinh, cosh) for kappa < 0
+    and None for kappa = 0 (or NaN), where sin_kappa(r) = r and cos_kappa(r) = 1."""
+    if kappa > 0.0:
+        return math.sqrt(kappa), math.sin, math.cos
+    if kappa < 0.0:
+        return math.sqrt(-kappa), math.sinh, math.cosh
+    return None
+
+
 def sin_kappa(kappa: float, r: float) -> float:
     """The solution of v'' + kappa v = 0 with v(0) = 0, v'(0) = 1; cos_kappa is the
     one with v(0) = 1, v'(0) = 0, and cos_kappa^2 + kappa sin_kappa^2 = 1."""
-    if kappa > 0.0:
-        rt = math.sqrt(kappa)
-        return math.sin(rt * r) / rt
-    if kappa < 0.0:
-        rt = math.sqrt(-kappa)
-        return math.sinh(rt * r) / rt
-    return r
+    trig = kappa_trig(kappa)
+    if trig is None:
+        return r
+    rt, sn, _ = trig
+    return sn(rt * r) / rt
 
 
 def cos_kappa(kappa: float, r: float) -> float:
-    if kappa > 0.0:
-        return math.cos(math.sqrt(kappa) * r)
-    if kappa < 0.0:
-        return math.cosh(math.sqrt(-kappa) * r)
-    return 1.0
+    trig = kappa_trig(kappa)
+    if trig is None:
+        return 1.0
+    rt, _, cs = trig
+    return cs(rt * r)
 
 
 def pi_kappa(kappa: float) -> float:
@@ -123,14 +141,8 @@ def jacobian(p: JacobianParams, r: float) -> float:
     J(0) = 1; J is non-negative everywhere.  Computed in one frame from
     constants cached on p, as the profile match calls it thousands of times.
     """
-    kappa, rt, lam, m = p._consts
-    if kappa > 0.0:
-        sn, cs = math.sin(rt * r) / rt, math.cos(rt * r)
-    elif kappa < 0.0:
-        sn, cs = math.sinh(rt * r) / rt, math.cosh(rt * r)
-    else:
-        sn, cs = r, 1.0
-    base = cs + lam * sn
+    _, rt, sn, cs, lam, m = p._consts
+    base = 1.0 + lam * r if sn is None else cs(rt * r) + lam * (sn(rt * r) / rt)
     if base <= 0.0:
         return 0.0
     return base ** m
@@ -138,7 +150,7 @@ def jacobian(p: JacobianParams, r: float) -> float:
 
 def jacobian_support(p: JacobianParams) -> tuple[float, float]:
     """Maximal interval around 0 on which the base of J_{H,K,N} is positive."""
-    kap, rt, lam, _ = p._consts
+    kap, rt, _, _, lam, _ = p._consts
     if kap > 0.0:
         phase = math.atan2(lam / rt, 1.0)
         return (phase - 0.5 * math.pi) / rt, (phase + 0.5 * math.pi) / rt
@@ -156,14 +168,22 @@ def jacobian_support(p: JacobianParams) -> tuple[float, float]:
 
 def kappa_eff(p: JacobianParams) -> float:
     """K/(N-1) + (H/(N-1))^2, the conserved energy of the base of J."""
-    kappa, _, lam, _ = p._consts
+    kappa, _, _, _, lam, _ = p._consts
     return kappa + lam * lam
+
+
+def check_sine_curvature(cd: CurvatureDimension) -> None:
+    """A K > 0 so small that K/(N-1) underflows to 0 has no sine-power density."""
+    if cd.kappa == 0.0:
+        raise ParameterError(f"K={cd.K} is too small for N={cd.N}: K/(N-1) underflows to 0",
+                             key="K")
 
 
 def _require_positive_curvature(cd: CurvatureDimension) -> float:
     if cd.K <= 0.0:
         raise ParameterError(f"positive curvature bound required, got K={cd.K}")
-    return cd.K / (cd.N - 1.0)
+    check_sine_curvature(cd)
+    return cd.kappa
 
 
 def _half_beta(N: float) -> float:
@@ -305,16 +325,13 @@ def model_profile(cd: CurvatureDimension, v: float) -> float:
     Closed form (DLMF 8.17): sqrt(kappa) x^{(N-1)/2} / B(N/2, 1/2) with
     x = I^{-1}(2 min(v, 1 - v); N/2, 1/2), I the regularized incomplete beta
     (inverse_regularized_beta).
-    Concave in v, symmetric about v = 1/2 and zero at v in {0, 1}.  A kappa
-    that overflows a float is a ParameterError; with kappa finite, the
-    profile is below sqrt(kappa) / B(N/2, 1/2) < 1e155.
+    Concave in v, symmetric about v = 1/2 and zero at v in {0, 1}.  kappa is
+    finite (CurvatureDimension), so the profile is below
+    sqrt(kappa) / B(N/2, 1/2) < 1e155.
     """
     kap = _require_positive_curvature(cd)
     if not 0.0 <= v <= 1.0:
         raise ParameterError(f"volume fraction v must lie in [0, 1], got {v}")
-    if math.isinf(kap):
-        raise ParameterError("the model isoperimetric profile overflows a float "
-                             "at these parameters")
     if v == 0.0 or v == 1.0:
         return 0.0
     x = inverse_regularized_beta(0.5 * cd.N, 0.5, 2.0 * min(v, 1.0 - v))
@@ -348,7 +365,7 @@ def jacobian_integral(p: JacobianParams, lo: float, hi: float) -> float:
     a, b = max(lo, sup_lo), min(hi, sup_hi)
     if not b > a:
         return 0.0
-    kappa, _, lam, _ = p._consts
+    kappa, _, _, _, lam, _ = p._consts
     total, scale = 0.0, math.inf
     try:
         if kappa > 0.0:
@@ -374,10 +391,10 @@ def _jacobian_mass_to(p: JacobianParams, r: float) -> tuple[int, float, float]:
     nearer support end or, past the switch of its continued fraction, to the
     peak; err = J(r) (|r| + 1/rt) bounds the error rounding r passes to part.
     J(r) = (A sin v)^{N-1}, A^2 = 1 + c^2, v = rt r + atan2(1, c), rt = sqrt(kappa)."""
-    _, rt, lam, m = p._consts
+    _, rt, sn, cs, lam, m = p._consts
     c = lam / rt
-    sn, cs = math.sin(rt * r), math.cos(rt * r)
-    base, slope = cs + c * sn, c * cs - sn
+    s, co = sn(rt * r), cs(rt * r)
+    base, slope = co + c * s, c * co - s
     if base <= 0.0:  # r rounds onto or past the end of the support
         return (0 if slope >= 0.0 else 2), 0.0, 0.0
     amp, a, jac = math.sqrt(1.0 + c * c), 0.5 * (m + 1.0), base ** m

@@ -15,7 +15,8 @@ from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CurvatureError, DomainError, ParameterError
-from .model1d import Checked, CurvatureDimension, JacobianParams, jacobian, sigma_kappa
+from .model1d import (Checked, CurvatureDimension, JacobianParams, jacobian, kappa_trig,
+                      sigma_kappa)
 from .numerics import INEQ_SLACK, one_sided_derivative
 
 # Finite-difference base step, as a fraction of the interval length.
@@ -193,7 +194,6 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     if grid_size < 3:
         raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
     import numpy as np
-    kap = cd.K / (cd.N - 1.0)
     expo = 1.0 / (cd.N - 1.0)
     a, b = profile.a, profile.b
     g1 = grid_size + 1
@@ -226,7 +226,7 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
         scale = np.maximum(np.abs(u, out=xs), _TINY, out=xs)  # xs is spent: reuse it
         while 2 * s < n:
             try:  # sinh of a strongly negative K
-                sigma = sigma_kappa(kap, 0.5, (b - a) * (2 * s / (g1 * g1)))
+                sigma = sigma_kappa(cd.kappa, 0.5, (b - a) * (2 * s / (g1 * g1)))
             except OverflowError:
                 raise ParameterError("the distortion coefficients of the density check "
                                      "overflow a float at these parameters") from None
@@ -275,17 +275,15 @@ def sturm_bound_check(u: DensityProfile, kappa: float, r0: float,
     du0 = u0 * one_sided_log_derivative(u, r0, "plus")
     # cos_kappa(kappa, t) and sin_kappa(kappa, t) as cs(rt t) and sn(rt t) / rt,
     # the same floats; for kappa = 0, u0 * 1.0 + du0 * (t / 1.0) is u0 + du0 * t
-    flat = kappa == 0.0
-    if kappa > 0.0:
-        rt, sn, cs = math.sqrt(kappa), math.sin, math.cos
-    elif kappa < 0.0:
-        rt, sn, cs = math.sqrt(-kappa), math.sinh, math.cosh
+    trig = kappa_trig(kappa)
+    if trig is not None:
+        rt, sn, cs = trig
     fn, span, g1 = u.fn, u.b - r0, grid_size + 1.0
     max_excess = -math.inf
     passed = True
     for i in range(grid_size):
         r = r0 + span * (i + 1.0) / g1
-        if flat:
+        if trig is None:
             bound = u0 + du0 * (r - r0)
         else:
             t = rt * (r - r0)

@@ -795,11 +795,11 @@ def test_curvature_ratio_that_underflows_is_a_config_error(capsys, config):
 
 
 def test_model_profile_that_overflows_is_a_typed_error(capsys):
-    # K/(N-1) = 1e308/1e-7 overflows; the profile command printed inf
+    # K/(N-1) = 1e308/1e-7 overflows; the profile command printed inf, and
+    # now CurvatureDimension refuses it
     assert main(["profile", "--K", "1e308", "--N", "1.0000001", "--v", "0.3"]) == 2
-    assert capsys.readouterr().out == ("FAIL check=cli reason=ParameterError: the model "
-                                       "isoperimetric profile overflows a float at these "
-                                       "parameters\n")
+    assert capsys.readouterr().out == ("FAIL check=cli reason=ParameterError: K/(N-1) "
+                                       "overflows a float at K=1e+308, N=1.0000001\n")
 
 
 def test_overflowing_distortion_profile_is_a_typed_failure(capsys):

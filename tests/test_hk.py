@@ -324,14 +324,15 @@ def test_levy_gromov_large_sphere_terminates(run_isolated):
 def test_levy_gromov_infinite_model_profile_is_a_parameter_error(at_surface):
     # K/(N-1) overflows, so the model profile is inf: against a finite content
     # the gap was -inf and passed the slack test, and against an infinite one
-    # (the density is inf at the surface) it was NaN
+    # (the density is inf at the surface) it was NaN.  CurvatureDimension now
+    # refuses such a K, so no decomposition reaches the profile.
     profile = DensityProfile(0.0, 1.0, lambda r: at_surface if r == 0.3 else 1.0,
                              deriv=lambda r: 0.0)
-    cd = CurvatureDimension(1e308, 1.0000001)
-    dec = decompose(WeightedInterval(1.0, profile, cd), LevelPoint(0.3))
-    assert dec.surface_total == at_surface
-    with pytest.raises(ParameterError, match="^the model isoperimetric profile overflows"):
-        levy_gromov_check(dec)
+    with pytest.raises(ParameterError, match=r"^K/\(N-1\) overflows a float") as err:
+        levy_gromov_check(decompose(
+            WeightedInterval(1.0, profile, CurvatureDimension(1e308, 1.0000001)),
+            LevelPoint(0.3)))
+    assert err.value.key == "K"
 
 
 def test_levy_gromov_requires_positive_curvature():

@@ -251,8 +251,9 @@ def test_model_profile_closed_form_n2():
 @pytest.mark.parametrize("K, N, v", [(1e308, 1.0000001, 0.3), (1e308, 1.0000001, 0.0),
                                      (1e300, 1.0 + 1e-10, 0.5)])
 def test_model_profile_overflow_is_a_parameter_error(K, N, v):
-    # K/(N-1) overflows a float: the profile was inf (or 0.0 at v = 0)
-    with pytest.raises(ParameterError, match="^the model isoperimetric profile overflows"):
+    # K/(N-1) overflows a float: the profile was inf (or 0.0 at v = 0), and now
+    # CurvatureDimension refuses K
+    with pytest.raises(ParameterError, match=r"^K/\(N-1\) overflows a float"):
         model_profile(CurvatureDimension(K, N), v)
 
 

@@ -15,12 +15,14 @@ from needlecomp import (CdDensityReport, CurvatureDimension, CurvatureError,
                         JacobianParams, LevelPoint, Needle, NeedlecompError,
                         ParameterError, RatioReport, RoundSphere, SphericalSuspension,
                         SturmReport, WeightedInterval, check_cd_density, constant_interval,
-                        cos_kappa, decompose, density_ratio_check, geometry,
+                        decompose, density_ratio_check, geometry,
                         jacobian, model_interval, one_sided_log_derivative,
                         sigma_kappa, sin_kappa, sturm_bound_check)
 from needlecomp import needle as needle_module
 from needlecomp.needle import GRID_SIZE, _grid_point
 from needlecomp.numerics import INEQ_SLACK, integrate
+
+import kappa_reference
 
 
 def sin_profile():
@@ -955,7 +957,8 @@ def test_sturm_bound_domain_error():
 
 
 def _reference_sturm_bound_check(u, kappa, r0, grid_size=40):
-    """sturm_bound_check as one cos_kappa and one sin_kappa call per point."""
+    """sturm_bound_check as one cos_kappa and one sin_kappa call per point, in
+    their three-way forms from kappa_reference, which share no code with it."""
     if not u.a < r0 < u.b:
         raise DomainError(f"base point r0={r0} outside ({u.a}, {u.b})")
     u0 = u.fn(r0)
@@ -966,7 +969,8 @@ def _reference_sturm_bound_check(u, kappa, r0, grid_size=40):
     passed = True
     for i in range(grid_size):
         r = r0 + (u.b - r0) * (i + 1.0) / (grid_size + 1.0)
-        bound = u0 * cos_kappa(kappa, r - r0) + du0 * sin_kappa(kappa, r - r0)
+        bound = (u0 * kappa_reference.cos_kappa(kappa, r - r0)
+                 + du0 * kappa_reference.sin_kappa(kappa, r - r0))
         if bound <= 0.0:
             passed = False
         value = u.fn(r)
