@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from typing import NamedTuple, Optional
 
 from .errors import InequalityViolation, ParameterError
@@ -156,7 +157,12 @@ def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
             ratio /= unit_sphere_volume(n - 1)
             # model_rhs_constant_H raised above if this power overflows
             power = (kappa_eff(JacobianParams(H, cd)) / scale) ** (0.5 * (cd.N - 1.0))
-            reports.append(report("corollary-positive-K-spheres", weight * ratio * power))
+            rhs = weight * ratio * power
+            if rhs < sys.float_info.min:
+                # weight * ratio underflows for a tiny sphere; regroup only
+                # then, since regrouping moves the last digit of other bounds
+                rhs = weight * (ratio * power)
+            reports.append(report("corollary-positive-K-spheres", rhs))
     if not reports:
         raise ParameterError(
             "no corollary bound applies: provide a dominating H0, or satisfy "
@@ -199,12 +205,18 @@ def _profile_deviation(dec: NeedleDecomposition) -> float:
     interior points of the needle.  A J that overflows a float there is a
     ParameterError."""
     params, p = JacobianParams(dec.H, dec.cd), dec.needle.profile
-    h0, worst = p.fn(0.0), 0.0
+    # jacobian is read from the module once per call, so a rebinding of
+    # hk.jacobian (a counting wrapper) still sees every evaluation
+    fn, a, width, jac = p.fn, p.a, p.b - p.a, jacobian
+    h0, worst, n1 = fn(0.0), 0.0, PROFILE_MATCH_POINTS + 1.0
     try:
-        for i in range(PROFILE_MATCH_POINTS):
-            r = p.a + (p.b - p.a) * (i + 1.0) / (PROFILE_MATCH_POINTS + 1.0)
-            bound = jacobian(params, r)
-            worst = max(worst, abs(p.fn(r) / h0 - bound) / max(bound, 1e-12))
+        for k in range(1, PROFILE_MATCH_POINTS + 1):
+            r = a + width * k / n1
+            bound = jac(params, r)
+            # max(bound, 1e-12) and max(worst, deviation), NaN included
+            deviation = abs(fn(r) / h0 - bound) / (1e-12 if 1e-12 > bound else bound)
+            if deviation > worst:
+                worst = deviation
     except OverflowError:
         raise ParameterError(J_OVERFLOWS) from None
     return worst

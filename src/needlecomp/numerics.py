@@ -4,8 +4,10 @@ The quadrature is QUADPACK's globally adaptive Gauss-Kronrod routine with
 epsilon-algorithm extrapolation (dqagse with dqk21, dqpsrt and dqelg;
 Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner, 1983), transcribed
 statement for statement so that every sum is formed in the Fortran order.
-It returns the same floats as scipy.integrate.quad, which calls the same
-routines, without importing scipy.
+The 21-point rule is unrolled into straight-line code with its values in
+locals; it evaluates the integrand at the same points in the same order and
+sums in the same order as the Fortran loops.  It returns the same floats as
+scipy.integrate.quad, which calls the same routines, without importing scipy.
 """
 
 from __future__ import annotations
@@ -48,10 +50,8 @@ _WGK_CENTER = 0.149445554002916905664936468389821
 _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
        0.295524224714752870173892994651338)
-# (node index, abscissa, Kronrod weight, Gauss weight): Gauss pairs first.
-_GAUSS_NODES = tuple((j, _XGK[j], _WGK[j], _WG[j // 2]) for j in range(1, 10, 2))
-_KRONROD_NODES = tuple((j, _XGK[j], _WGK[j]) for j in range(0, 10, 2))
-_ROUNDOFF_FLOOR = _UFLOW / (50.0 * _EPMACH)
+_EPS50 = 50.0 * _EPMACH
+_ROUNDOFF_FLOOR = _UFLOW / _EPS50
 
 
 def integrate(fn: Callable[[float], float], a: float, b: float) -> float:
@@ -62,39 +62,74 @@ def integrate(fn: Callable[[float], float], a: float, b: float) -> float:
 
 
 def _dqk21(f, a, b):
-    """21-point Gauss-Kronrod rule on [a, b]: (result, abserr, resabs, resasc)."""
+    """21-point Gauss-Kronrod rule on [a, b]: (result, abserr, resabs, resasc).
+
+    Straight-line code: f is evaluated at the centre, then at the five Gauss
+    pairs (j = 1, 3, ..., 9) and then at the five Kronrod pairs (j = 0, 2,
+    ..., 8), left point first, as dqk21 does; the sums run in dqk21's order.
+    """
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9 = _XGK
+    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9 = _WGK
+    g1, g3, g5, g7, g9 = _WG
+    wc = _WGK_CENTER
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    dhlgth = abs(hlgth)
-    resg = 0.0
     fc = f(centr)
-    resk = _WGK_CENTER * fc
-    resabs = abs(resk)
-    fv1 = [0.0] * 10
-    fv2 = [0.0] * 10
-    for j, x, wk, wg in _GAUSS_NODES:
-        absc = hlgth * x
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[j] = fval1
-        fv2[j] = fval2
-        fsum = fval1 + fval2
-        resg = resg + wg * fsum
-        resk = resk + wk * fsum
-        resabs = resabs + wk * (abs(fval1) + abs(fval2))
-    for j, x, wk in _KRONROD_NODES:
-        absc = hlgth * x
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[j] = fval1
-        fv2[j] = fval2
-        fsum = fval1 + fval2
-        resk = resk + wk * fsum
-        resabs = resabs + wk * (abs(fval1) + abs(fval2))
+    absc = hlgth * x1
+    l1 = f(centr - absc)
+    r1 = f(centr + absc)
+    absc = hlgth * x3
+    l3 = f(centr - absc)
+    r3 = f(centr + absc)
+    absc = hlgth * x5
+    l5 = f(centr - absc)
+    r5 = f(centr + absc)
+    absc = hlgth * x7
+    l7 = f(centr - absc)
+    r7 = f(centr + absc)
+    absc = hlgth * x9
+    l9 = f(centr - absc)
+    r9 = f(centr + absc)
+    absc = hlgth * x0
+    l0 = f(centr - absc)
+    r0 = f(centr + absc)
+    absc = hlgth * x2
+    l2 = f(centr - absc)
+    r2 = f(centr + absc)
+    absc = hlgth * x4
+    l4 = f(centr - absc)
+    r4 = f(centr + absc)
+    absc = hlgth * x6
+    l6 = f(centr - absc)
+    r6 = f(centr + absc)
+    absc = hlgth * x8
+    l8 = f(centr - absc)
+    r8 = f(centr + absc)
+    s0, s1, s2, s3, s4 = l0 + r0, l1 + r1, l2 + r2, l3 + r3, l4 + r4
+    s5, s6, s7, s8, s9 = l5 + r5, l6 + r6, l7 + r7, l8 + r8, l9 + r9
+    # dqk21 starts resg at 0: that first addition can only flip the sign of a
+    # zero resg, which abs((resk - resg) * hlgth) below does not see.
+    resg = g1 * s1 + g3 * s3 + g5 * s5 + g7 * s7 + g9 * s9
+    resk = wc * fc
+    resabs = (abs(resk) + w1 * (abs(l1) + abs(r1)) + w3 * (abs(l3) + abs(r3))
+              + w5 * (abs(l5) + abs(r5)) + w7 * (abs(l7) + abs(r7))
+              + w9 * (abs(l9) + abs(r9)) + w0 * (abs(l0) + abs(r0))
+              + w2 * (abs(l2) + abs(r2)) + w4 * (abs(l4) + abs(r4))
+              + w6 * (abs(l6) + abs(r6)) + w8 * (abs(l8) + abs(r8)))
+    resk = (resk + w1 * s1 + w3 * s3 + w5 * s5 + w7 * s7 + w9 * s9
+            + w0 * s0 + w2 * s2 + w4 * s4 + w6 * s6 + w8 * s8)
     reskh = resk * 0.5
-    resasc = _WGK_CENTER * abs(fc - reskh)
-    for wk, fval1, fval2 in zip(_WGK, fv1, fv2):
-        resasc = resasc + wk * (abs(fval1 - reskh) + abs(fval2 - reskh))
+    resasc = (wc * abs(fc - reskh) + w0 * (abs(l0 - reskh) + abs(r0 - reskh))
+              + w1 * (abs(l1 - reskh) + abs(r1 - reskh))
+              + w2 * (abs(l2 - reskh) + abs(r2 - reskh))
+              + w3 * (abs(l3 - reskh) + abs(r3 - reskh))
+              + w4 * (abs(l4 - reskh) + abs(r4 - reskh))
+              + w5 * (abs(l5 - reskh) + abs(r5 - reskh))
+              + w6 * (abs(l6 - reskh) + abs(r6 - reskh))
+              + w7 * (abs(l7 - reskh) + abs(r7 - reskh))
+              + w8 * (abs(l8 - reskh) + abs(r8 - reskh))
+              + w9 * (abs(l9 - reskh) + abs(r9 - reskh)))
+    dhlgth = abs(hlgth)
     result = resk * hlgth
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
@@ -104,7 +139,9 @@ def _dqk21(f, a, b):
         ratio = 200.0 * abserr / resasc
         abserr = resasc * (ratio ** 1.5 if ratio < 1.0 else 1.0)
     if resabs > _ROUNDOFF_FLOOR:
-        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+        # max(floor, abserr), NaN included: a NaN abserr gives the floor
+        floor = _EPS50 * resabs
+        abserr = abserr if abserr > floor else floor
     return result, abserr, resabs, resasc
 
 

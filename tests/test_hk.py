@@ -162,6 +162,22 @@ def test_corollary_spheres_past_the_power_overflow_matches_positive_K():
     assert sharp.equality and spheres.equality
 
 
+def test_corollary_spheres_of_a_tiny_sphere_do_not_underflow():
+    # weight * ratio underflows to 0 at radius 1e-150, so the left-to-right
+    # product gave rhs 0.0 and a false InequalityViolation
+    dec = decompose(RoundSphere(2, 1e-150), GeodesicSphere(1e-150))
+    reports = {r.statement: r for r in closed_form_bounds(dec)}
+    spheres = reports["corollary-positive-K-spheres"]
+    assert spheres.rhs == 1.2566370614359172e-299
+    assert spheres.rhs == reports["corollary-positive-K"].rhs
+    assert spheres.equality
+    # a bound that does not underflow keeps the left-to-right product, whose
+    # last digit the other grouping moves (to 19.73920880217872 here)
+    dec = decompose(RoundSphere(3, 1.0), GeodesicSphere(0.25 * math.pi))
+    reports = {r.statement: r for r in closed_form_bounds(dec)}
+    assert reports["corollary-positive-K-spheres"].rhs == 19.739208802178716
+
+
 @pytest.mark.parametrize("N", (103.0, 103.2))
 def test_corollary_overflow_is_a_parameter_error(N):
     # the mass fits a float; the surface weight times the bound does not
