@@ -57,7 +57,8 @@ class RoundSphere(Checked, namedtuple("RoundSphere", "n radius")):
             K = (n - 1) / radius ** 2
         except (OverflowError, ZeroDivisionError):
             K = 0.0
-        if not 0.0 < K < math.inf:
+        # kappa = K/(N-1) as CurvatureDimension forms it: a normal float
+        if not sys.float_info.min <= K / (n - 1) < math.inf:
             raise ParameterError(f"sphere radius must give a positive finite curvature "
                                  f"(n-1)/radius^2, got radius={radius}", key="radius")
         return super().__new__(cls, n, radius)

@@ -35,7 +35,8 @@ class Checked:
 
 class CurvatureDimension(Checked, namedtuple("CurvatureDimension", "K N")):
     """Curvature bound K (units 1/length^2) and dimension bound N (J needs N above 1),
-    with kappa = K/(N-1) finite."""
+    with kappa = K/(N-1) finite and, unless it rounds to 0, a normal float: a
+    subnormal kappa has too few digits for sqrt(kappa) and the sines built on it."""
 
     __slots__ = ()
 
@@ -46,8 +47,11 @@ class CurvatureDimension(Checked, namedtuple("CurvatureDimension", "K N")):
             raise ParameterError(f"dimension bound N must be finite and > 1, got {N}",
                                  key="N")
         self = super().__new__(cls, K, N)
-        if math.isinf(self.kappa):
+        kappa = self.kappa
+        if math.isinf(kappa):
             raise ParameterError(f"K/(N-1) overflows a float at K={K}, N={N}", key="K")
+        if 0.0 < abs(kappa) < sys.float_info.min:
+            raise ParameterError(f"K/(N-1) is a subnormal float at K={K}, N={N}", key="K")
         return self
 
     @property

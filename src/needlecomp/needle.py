@@ -9,6 +9,7 @@ bound and the density-ratio bound against the distortion profile.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import repeat
@@ -29,6 +30,13 @@ _TINY = 1e-300
 # Lattice points, or midpoint comparisons, per array pass of check_cd_density:
 # bounds the Python float lists and numpy temporaries behind its G^2 values.
 _CD_BLOCK = 16384
+# Lattice points up to which check_cd_density works in Python floats while
+# numpy is not yet imported: at G = 32 that takes about 1 ms longer than the
+# array pass, and importing numpy about 140 ms.
+_CD_FLOAT_POINTS = 1024
+_U_OVERFLOWS = "the density check's u = h**(1/(N-1)) overflows a float at these parameters"
+_SIGMA_OVERFLOWS = ("the distortion coefficients of the density check overflow a float "
+                    "at these parameters")
 
 
 def _grid_point(a: float, b: float, n: int) -> Callable[[int], float]:
@@ -184,6 +192,12 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     and u) and one buffer of _CD_BLOCK points, in which each scale's
     violations are computed in place, block by block.
 
+    A lattice of at most _CD_FLOAT_POINTS points (G <= 32) is checked in Python
+    floats, by density calls, while numpy is not yet imported: the same report
+    bit for bit, or the same error, without paying numpy's import for a check
+    that takes a millisecond.  Once numpy is loaded, every lattice takes the
+    array path.
+
     Violations are measured relative to |u_q|; the check passes when the worst
     one does not exceed the inequality slack.  The witness (x_{q-s}, x_{q+s},
     0.5) is the first, by s and then q, reaching the worst violation; NaN
@@ -193,6 +207,8 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
     """
     if grid_size < 3:
         raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
+    if grid_size * grid_size <= _CD_FLOAT_POINTS and "numpy" not in sys.modules:
+        return _cd_density_floats(profile, cd, grid_size)
     import numpy as np
     expo = 1.0 / (cd.N - 1.0)
     a, b = profile.a, profile.b
@@ -214,8 +230,7 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
             h = u[lo:lo + _CD_BLOCK]
             h[:] = np.fromiter(map(pow, h.tolist(), repeat(expo)), float)
     except OverflowError:
-        raise ParameterError("the density check's u = h**(1/(N-1)) overflows a float "
-                             "at these parameters") from None
+        raise ParameterError(_U_OVERFLOWS) from None
 
     x_at = lambda q: float(a + (b - a) * ((q + g1) / float(g1 * g1)))  # xs[q], bit for bit
     block = np.empty(min(_CD_BLOCK, n))
@@ -228,8 +243,7 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
             try:  # sinh of a strongly negative K
                 sigma = sigma_kappa(cd.kappa, 0.5, (b - a) * (2 * s / (g1 * g1)))
             except OverflowError:
-                raise ParameterError("the distortion coefficients of the density check "
-                                     "overflow a float at these parameters") from None
+                raise ParameterError(_SIGMA_OVERFLOWS) from None
             for lo in range(s, n - s, _CD_BLOCK):
                 hi = min(lo + _CD_BLOCK, n - s)
                 # (rhs - lhs) / max(|lhs|, _TINY), rhs = sigma (u_{q-s} + u_{q+s})
@@ -251,6 +265,52 @@ def check_cd_density(profile: DensityProfile, cd: CurvatureDimension,
                     worst = float(violation[k])
                     witness = (x_at(lo + k - s), x_at(lo + k + s), 0.5)
             s *= 2
+    return CdDensityReport(passed=worst <= INEQ_SLACK, worst_violation=worst,
+                           witness=witness)
+
+
+def _cd_density_floats(profile: DensityProfile, cd: CurvatureDimension,
+                       grid_size: int) -> CdDensityReport:
+    """check_cd_density's array pass in Python floats: the same lattice, u,
+    scale and violations, floats and report bit for bit, or the same error."""
+    expo = 1.0 / (cd.N - 1.0)
+    a, b = profile.a, profile.b
+    g1 = grid_size + 1
+    n = grid_size * grid_size
+    xs = [a + (b - a) * (q / float(g1 * g1)) for q in range(g1, grid_size * g1 + 1)]
+    u = list(map(profile.fn, xs))
+    for x, h in zip(xs, u):
+        if h < 0.0:
+            raise _negative_density(x)
+    try:
+        u = list(map(pow, u, repeat(expo)))
+    except OverflowError:
+        raise ParameterError(_U_OVERFLOWS) from None
+    scale = [_TINY if _TINY > h else h for h in map(abs, u)]  # max(|u|, _TINY), NaN kept
+    worst = -math.inf
+    witness = None
+    s = 1
+    while 2 * s < n:
+        try:  # sinh of a strongly negative K
+            sigma = sigma_kappa(cd.kappa, 0.5, (b - a) * (2 * s / (g1 * g1)))
+        except OverflowError:
+            raise ParameterError(_SIGMA_OVERFLOWS) from None
+        mid, scale_mid = u[s:n - s], scale[s:n - s]
+        if math.isinf(sigma):
+            violation = [(math.inf - h) / w for h, w in zip(mid, scale_mid)]
+        else:
+            violation = [(sigma * (lo + hi) - h) / w
+                         for lo, hi, h, w in zip(u, u[2 * s:], mid, scale_mid)]
+        # max keeps the first of equal values and skips NaN unless it comes
+        # first, as the array pass's argmax does once NaN is filtered out
+        top = max(violation)
+        if math.isnan(top):
+            top = max((v for v in violation if not math.isnan(v)), default=-math.inf)
+        if top > worst:
+            worst = top
+            k = violation.index(top)
+            witness = (xs[k], xs[k + 2 * s], 0.5)
+        s *= 2
     return CdDensityReport(passed=worst <= INEQ_SLACK, worst_violation=worst,
                            witness=witness)
 

@@ -472,33 +472,41 @@ print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scip
 
 
 def test_numpy_is_loaded_only_by_cd_density(run_isolated):
-    # numpy serves the cd-density check only: euclidean_ball.cfg runs it, and
-    # the sturm and ratio checks stay in Python floats
+    # numpy serves the cd-density check only, and only on a lattice of more
+    # than 1,024 points: euclidean_ball.cfg runs it at grid 24 in Python
+    # floats, and the sturm and ratio checks stay in Python floats.  Once
+    # numpy is loaded, grid 24 takes the array path too.
     out = run_isolated(f"""
 import contextlib, io
 from pathlib import Path
 import needlecomp
+from needlecomp import needle
 from needlecomp.cli import main
+float_grids = []
+floats = needle._cd_density_floats
+needle._cd_density_floats = lambda p, cd, grid: float_grids.append(grid) or floats(p, cd, grid)
 loaded = ["numpy" in sys.modules]
 configs = Path({str(CONFIGS)!r})
+ball = ["run", str(configs / "euclidean_ball.cfg"), "--path", "-"]
 calls = [["version"],
          ["profile", "--K", "1", "--N", "3", "--v", "0.3"],
          ["jacobian", "--H", "1", "--K", "1", "--N", "3", "--r", "0.5"]]
 calls += [["run", str(configs / "sphere_equator.cfg"), "--set", "run.checks=" + check,
            "--path", "-"] for check in ("sturm", "ratio")]
 calls += [["run", str(configs / name), "--path", "-"]
-          for name in ("sphere_equator.cfg", "suspension.cfg", "truncated_interval.cfg",
-                       "euclidean_ball.cfg")]
+          for name in ("sphere_equator.cfg", "suspension.cfg", "truncated_interval.cfg")]
+calls += [ball, ball + ["--set", "run.checks=cd-density", "--set", "run.grid_size=32"],
+          ball + ["--set", "run.checks=cd-density", "--set", "run.grid_size=48"], ball]
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for args in calls:
         codes.append(main(args))
         loaded.append("numpy" in sys.modules)
-print(codes, loaded)
+print(codes, loaded, float_grids)
 """)
-    assert out.strip() == ("[0, 0, 0, 0, 0, 0, 0, 0, 0] "
+    assert out.strip() == ("[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] "
                            "[False, False, False, False, False, False, False, False, False, "
-                           "True]")
+                           "False, False, True, True] [24, 32]")
 
 
 def test_no_command_loads_dataclasses(run_isolated):
@@ -519,7 +527,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     for args in calls:
         codes.append(main(args))
     loaded = [m in sys.modules for m in ("dataclasses", "inspect")]
-    codes.append(main(["run", str(configs / "euclidean_ball.cfg"), "--path", "-"]))
+    codes.append(main(["run", str(configs / "euclidean_ball.cfg"), "--set", "run.grid_size=48",
+                       "--path", "-"]))
 loaded.append("dataclasses" in sys.modules)  # numpy imports inspect, not dataclasses
 print(codes, loaded)
 """)

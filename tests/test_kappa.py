@@ -4,6 +4,7 @@ kappa that are refused with a typed error."""
 
 import csv
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,27 @@ def test_suspension_with_an_overflowing_curvature_level_names_K(capsys):
         "float at K=1e+308, N=1.0000001\n")
 
 
+# ------------------------------------------- a K/(N-1) that is a subnormal float
+
+@pytest.mark.parametrize("K, N", [(1e-320, 3.0), (-1e-320, 3.0), (1e-308, 2.0),
+                                  (1.5 * sys.float_info.min, 3.0)])
+def test_subnormal_curvature_level_is_refused(K, N):
+    with pytest.raises(ParameterError, match=r"^K/\(N-1\) is a subnormal float at K=") as err:
+        CurvatureDimension(K, N)
+    assert err.value.key == "K"
+    CurvatureDimension(2.0 * sys.float_info.min * (N - 1.0), N)  # a normal kappa is kept
+
+
+@pytest.mark.parametrize("command", [
+    ["profile", "--K", "1e-320", "--N", "3", "--v", "0.3"],  # printed 4.041485465827857e-161
+    ["jacobian", "--H", "1", "--K", "1e-320", "--N", "3", "--r", "0.5"],  # printed 1.5625
+], ids=("profile", "jacobian"))
+def test_commands_refuse_a_subnormal_curvature_level(capsys, command):
+    assert main(command) == 2
+    assert capsys.readouterr().out == ("FAIL check=cli reason=ParameterError: K/(N-1) is a "
+                                       "subnormal float at K=1e-320, N=3.0\n")
+
+
 # ------------------------------------------- a K > 0 whose K/(N-1) underflows to 0
 
 TINY_K = CurvatureDimension(5e-324, 3.0)
@@ -152,7 +174,7 @@ def test_jacobian_of_a_curvature_level_that_underflows_is_flat(capsys):
 
 # ------------------------------------------- a sphere radius without a float curvature
 
-@pytest.mark.parametrize("radius", (1e-200, 1e-160, 1e200))
+@pytest.mark.parametrize("radius", (1e-200, 1e-160, 1e154, 1e200))
 def test_sphere_radius_without_a_float_curvature_is_refused(radius):
     for make in (lambda: RoundSphere(2, radius), lambda: RoundSphere(2, 1.0)._replace(
             radius=radius)):
@@ -162,7 +184,7 @@ def test_sphere_radius_without_a_float_curvature_is_refused(radius):
         assert err.value.key == "radius"
 
 
-@pytest.mark.parametrize("radius", ("1e-200", "1e-160", "1e+200"))
+@pytest.mark.parametrize("radius", ("1e-200", "1e-160", "1e+154", "1e+200"))
 def test_sphere_radius_without_a_float_curvature_is_a_config_error(capsys, radius):
     # 1e-200 was a ZeroDivisionError traceback, 1e-160 was blamed on K and 1e200
     # was reported as a radial density that overflows

@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate as sciint
 from scipy.special import betaincinv
 
@@ -179,6 +179,7 @@ def test_jacobian_monotonicity(H, K, N, r, bump):
     # mean curvature or dimension bound loosens the profile while a larger
     # curvature bound tightens it.  For r < 0 the H direction reverses, since
     # J_H(-r) = J_{-H}(r).
+    assume(K == 0.0 or abs(K) >= 1e-300)  # a subnormal K/(N-1) is refused
     base = jacobian(jp(H, K, N), r)
     scale = 1e-11 * max(1.0, base)
     assert jacobian(jp(H + bump, K, N), r) >= base - scale

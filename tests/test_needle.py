@@ -612,6 +612,15 @@ def test_cd_density_skips_nan_midpoints():
         assert math.isfinite(got.worst_violation)
 
 
+def test_cd_density_skips_leading_nan():
+    # every scale's first midpoints are NaN; built unchecked, as below
+    p = DensityProfile.__new__(DensityProfile, 0.0, 1.0,
+                               lambda r: math.nan if r < 0.4 else math.exp(-r * r))
+    for K in (0.0, 4.0):
+        got = _assert_matches_references(p, CurvatureDimension(K, 3.0), 16)
+        assert math.isfinite(got.worst_violation)
+
+
 def test_cd_density_all_nan_grid():
     # built unchecked: validation would reject the NaN
     p = DensityProfile.__new__(DensityProfile, 0.0, 1.0,
@@ -642,6 +651,68 @@ def test_cd_density_blocks_keep_the_first_infinite_witness(small_blocks):
 
 def test_cd_density_blocks_of_nan_have_no_witness(small_blocks):
     test_cd_density_all_nan_grid()
+
+
+# check_cd_density takes its Python-float path only while numpy is not loaded,
+# and this suite loads numpy: the tests below call that path directly.
+_check_cd_density_array = check_cd_density
+
+
+def _check_both_paths(profile, cd, grid_size=24):
+    """check_cd_density's array report or error, after requiring the float
+    path's to be the same: the report's floats bit for bit, or the error's
+    type and message."""
+    try:
+        want = _check_cd_density_array(profile, cd, grid_size)
+    except (NeedlecompError, ArithmeticError) as exc:
+        with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
+            needle_module._cd_density_floats(profile, cd, grid_size)
+        raise
+    got = needle_module._cd_density_floats(profile, cd, grid_size)
+    _assert_same_report(got, want)
+    assert repr(got) == repr(want)  # tells 0.0 from -0.0
+    return want
+
+
+@pytest.fixture
+def float_path(monkeypatch):
+    """Every check_cd_density call in this module's tests checks both paths."""
+    monkeypatch.setattr(sys.modules[__name__], "check_cd_density", _check_both_paths)
+
+
+@pytest.mark.parametrize("grid", (3, 10, 24, 32))
+@pytest.mark.parametrize("bound", ("true", "violated"))
+@pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES))
+def test_cd_density_float_path_matches_triple_loop(float_path, kind, bound, grid):
+    test_cd_density_matches_triple_loop(kind, bound, grid)
+
+
+@pytest.mark.parametrize("grid", (3, 24, 32))
+@pytest.mark.parametrize("kind", sorted(_KIND_NEEDLES))
+def test_cd_density_float_path_under_negative_curvature(float_path, kind, grid):
+    test_cd_density_negative_curvature_matches_triple_loop(kind, grid)
+
+
+@pytest.mark.parametrize("test", [
+    test_cd_density_equality_case, test_cd_density_constant_flat_passes,
+    test_cd_density_constant_positive_curvature_fails,
+    test_cd_density_overflow_raises_as_the_triple_loop,
+    test_cd_density_beyond_model_diameter_is_infinite, test_cd_density_skips_nan_midpoints,
+    test_cd_density_skips_leading_nan, test_cd_density_all_nan_grid],
+    ids=lambda test: test.__name__[len("test_cd_density_"):])
+def test_cd_density_float_path_cases(float_path, test):
+    test()
+
+
+def test_cd_density_float_path_calls_the_density_once_per_lattice_point():
+    profile, cd = _kind_needle("round-sphere")
+    seen = []
+    fn = profile.fn
+    counted = DensityProfile(profile.a, profile.b, lambda r: seen.append(r) or fn(r))
+    seen.clear()
+    needle_module._cd_density_floats(counted, cd, 32)
+    assert len(seen) == 32 * 32
+    assert all(x < y for x, y in zip(seen, seen[1:]))
 
 
 def _outcome(call, *args):
@@ -888,6 +959,21 @@ def test_cd_density_verdict_matches_triple_loop_on_random_densities(profile, cd,
     assert _assert_matches_references(profile, cd, grid).passed == is_cd
 
 
+@pytest.mark.parametrize("profile, cd, grid, is_cd", _random_cd_corpus())
+def test_cd_density_float_path_on_random_densities(float_path, profile, cd, grid, is_cd):
+    test_cd_density_verdict_matches_triple_loop_on_random_densities(profile, cd, grid, is_cd)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dec=built_in_needles(), grid=st.integers(3, 32))
+def test_cd_density_float_path_on_built_in_needles(dec, grid):
+    # fn at each lattice point where the array path fills from the array form
+    p = dec.needle.profile
+    assert p.values is not None
+    assert _outcome(needle_module._cd_density_floats, p, dec.cd, grid) == \
+        _outcome(check_cd_density, p, dec.cd, grid)
+
+
 def _negative_at(x):
     return "^" + re.escape(f"the density is negative at {x!r}") + "$"
 
@@ -910,6 +996,16 @@ def test_negative_density_between_validation_points_is_a_parameter_error():
                 check(q.power(exponent), 0.0, r0, grid_size=40)
         with pytest.raises(ParameterError, match=_negative_at(r)):
             check(q.power(0.5), 0.0, r, grid_size=40)  # at the base point
+
+
+@pytest.mark.parametrize("grid", (3, 17, 32))
+def test_cd_density_float_path_names_the_first_negative_point(float_path, grid):
+    g1 = grid + 1
+    xs = [q / g1 ** 2 for q in range(g1, grid * g1 + 1)]
+    bad = {xs[grid // 2], xs[-2]}  # isolated from construction's validation grid
+    p = DensityProfile(0.0, 1.0, lambda r: -1.0 if r in bad else 1.0 + r)
+    with pytest.raises(ParameterError, match=_negative_at(xs[grid // 2])):
+        check_cd_density(p, CurvatureDimension(0.0, 2.5), grid)
 
 
 def test_cd_density_memory_stays_bounded():
