@@ -14,9 +14,8 @@ from .geometry import (EuclideanBall, GeodesicSphere, GeometrySpec, LevelPoint,
                        SurfaceSpec, WeightedInterval, constant_interval, decompose,
                        inner_mass, minkowski_content_from_dec, model_interval,
                        tube_volume)
-from .hk import (DEFAULT_EQUALITY_TOL, HKReport, LevyGromovReport, RigidityReport,
-                 TOLERANCE_ENV_VAR, closed_form_bounds, equality_detect,
-                 equality_tolerance, hk_full, hk_outer, levy_gromov_check)
+from .hk import (DEFAULT_EQUALITY_TOL, HKReport, TOLERANCE_ENV_VAR, closed_form_bounds,
+                 equality_detect, equality_tolerance, hk_full, hk_outer, levy_gromov_check)
 from .model1d import (CurvatureDimension, JacobianParams, cos_kappa, jacobian,
                       jacobian_integral, jacobian_support, kappa_eff,
                       model_density_normalizer,

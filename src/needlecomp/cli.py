@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -21,8 +22,8 @@ from . import __version__
 from .errors import ConfigError, NeedlecompError, ParameterError
 from .geometry import (GEOMETRY_KINDS, GeometryKind, GeometrySpec, NeedleDecomposition,
                        decompose, minkowski_content_from_dec, radial_model)
-from .hk import (closed_form_bounds, equality_detect, equality_tolerance, hk_full,
-                 hk_outer, levy_gromov_check)
+from .hk import (HKReport, closed_form_bounds, equality_detect, equality_tolerance,
+                 hk_full, hk_outer, levy_gromov_check)
 from .model1d import Checked, CurvatureDimension, JacobianParams, jacobian, model_profile
 from .needle import check_cd_density, density_ratio_check, sturm_bound_check
 from .numerics import INEQ_SLACK
@@ -32,6 +33,8 @@ MINKOWSKI_REL_TOL = 1e-6
 # The largest run.grid_size: cd-density makes grid_size**2 density calls, and at
 # 1,500 a run takes about 1 s and 66 MB on a 2-CPU host.
 MAX_GRID_SIZE = 1500
+# A negative number as a command-line value, exponent included.
+_NEGATIVE_NUMBER = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?$")
 
 
 class ExperimentConfig(Checked, namedtuple("ExperimentConfig", (
@@ -49,6 +52,8 @@ class ExperimentConfig(Checked, namedtuple("ExperimentConfig", (
             if name not in CHECKS:
                 raise ConfigError(f"unknown check {name!r}; expected one of "
                                   f"{', '.join(CHECKS)}", key="checks")
+        if "hk-outer" in self.checks and not self.t_values:
+            raise ConfigError("hk-outer needs at least one tube width", key="t_values")
         for t in self.t_values:
             if not t > 0.0:
                 raise ConfigError(f"t_values must be positive, got {t}", key="t_values")
@@ -260,14 +265,6 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
 
 # ------------------------------------------------------------------ checks
 
-def _hk_rows(report, dec: NeedleDecomposition) -> list[Row]:
-    return [Row(statement=report.statement, kind="needle", t=report.t, rhs=report.rhs,
-                H_plus=dec.H_plus, H_minus=dec.H_minus, H=dec.H),
-            Row(statement=report.statement, kind="summary", t=report.t,
-                lhs=report.lhs, rhs=report.rhs, gap=report.gap,
-                relative_gap=report.relative_gap, equality=report.equality)]
-
-
 def _needle_check(name: str, dec: NeedleDecomposition, worst: float, passed: bool,
                   failure: str) -> tuple[list[Row], list[str]]:
     """The needle's row of a needle check, against the slack INEQ_SLACK, and
@@ -302,38 +299,32 @@ def _ratio(config: ExperimentConfig, dec: NeedleDecomposition):
                          f"by {report.max_excess:.3e}")
 
 
-def _hk_outer(config: ExperimentConfig, dec: NeedleDecomposition):
-    rows = [row for t in config.t_values
-            for row in _hk_rows(hk_outer(dec, t, tolerance=config.tolerance), dec)]
-    return rows or [Row(statement="hk-outer", kind="summary")], []
+# The statements whose rhs is no integral of J over the needle: they get no needle row.
+_SUMMARY_ONLY = ("levy-gromov", "rigidity")
 
 
-def _hk_full(config: ExperimentConfig, dec: NeedleDecomposition):
-    return _hk_rows(hk_full(dec, tolerance=config.tolerance), dec), []
-
-
-def _corollaries(config: ExperimentConfig, dec: NeedleDecomposition):
-    reports = closed_form_bounds(dec, H0=config.H0, tolerance=config.tolerance)
-    return [row for report in reports for row in _hk_rows(report, dec)], []
-
-
-def _levy_gromov(config: ExperimentConfig, dec: NeedleDecomposition):
-    report = levy_gromov_check(dec, tolerance=config.tolerance)
-    row = Row(statement="levy-gromov", kind="summary", lhs=report.profile_value,
-              rhs=report.content, gap=report.gap,
-              relative_gap=report.gap / max(report.content, 1e-300), equality=report.equality)
-    return [row], []
+def _hk_check(reports: Sequence[HKReport], dec: NeedleDecomposition):
+    """The rows of an hk check and no failure message: for each report its
+    needle row (its rhs and the needle's curvatures), unless its statement is
+    summary-only, then its summary row."""
+    rows = []
+    for report in reports:
+        if report.statement not in _SUMMARY_ONLY:
+            rows.append(Row(report.statement, "needle", report.t, rhs=report.rhs,
+                            H_plus=dec.H_plus, H_minus=dec.H_minus, H=dec.H))
+        rows.append(Row(report.statement, "summary", report.t, report.lhs, report.rhs,
+                        report.gap, report.relative_gap, report.equality))
+    return rows, []
 
 
 def _rigidity(config: ExperimentConfig, dec: NeedleDecomposition):
     report = equality_detect(dec, tolerance=config.tolerance)
-    row = Row(statement="rigidity", kind="summary", gap=report.gap,
-              relative_gap=report.relative_gap, equality=report.rigid)
-    if config.expect == "rigid" and not report.rigid:
-        return [row], [f"expected rigid but conditions failed: {report.failed_conditions}"]
-    if config.expect == "not-rigid" and report.rigid:
-        return [row], ["expected not-rigid but rigidity was detected"]
-    return [row], []
+    rows, messages = _hk_check([report], dec)
+    if config.expect == "rigid" and not report.equality:
+        messages.append(f"expected rigid but conditions failed: {report.failed}")
+    elif config.expect == "not-rigid" and report.equality:
+        messages.append("expected not-rigid but rigidity was detected")
+    return rows, messages
 
 
 def _minkowski(config: ExperimentConfig, dec: NeedleDecomposition):
@@ -349,9 +340,16 @@ def _minkowski(config: ExperimentConfig, dec: NeedleDecomposition):
 
 # The checks a configuration can name, in the order the README lists them.  Each
 # value calls the library through this module's globals, where a tracer can rebind it.
-CHECKS = {"cd-density": _cd_density, "sturm": _sturm, "ratio": _ratio,
-          "hk-outer": _hk_outer, "hk-full": _hk_full, "corollaries": _corollaries,
-          "levy-gromov": _levy_gromov, "rigidity": _rigidity, "minkowski": _minkowski}
+CHECKS = {
+    "cd-density": _cd_density, "sturm": _sturm, "ratio": _ratio,
+    "hk-outer": lambda config, dec: _hk_check(
+        [hk_outer(dec, t, config.tolerance) for t in config.t_values], dec),
+    "hk-full": lambda config, dec: _hk_check([hk_full(dec, config.tolerance)], dec),
+    "corollaries": lambda config, dec: _hk_check(
+        closed_form_bounds(dec, config.H0, config.tolerance), dec),
+    "levy-gromov": lambda config, dec: _hk_check(
+        [levy_gromov_check(dec, config.tolerance)], dec),
+    "rigidity": _rigidity, "minkowski": _minkowski}
 
 
 def _outcome(name: str, check: Callable, config: ExperimentConfig,
@@ -536,15 +534,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--path", help="override the output path")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_jac = sub.add_parser("jacobian", help="evaluate the distortion profile")
-    for flag in ("--H", "--K", "--N", "--r"):
-        p_jac.add_argument(flag, type=float, required=True)
-    p_jac.set_defaults(fn=_cmd_jacobian)
-
-    p_prof = sub.add_parser("profile", help="evaluate the model isoperimetric profile")
-    for flag in ("--K", "--N", "--v"):
-        p_prof.add_argument(flag, type=float, required=True)
-    p_prof.set_defaults(fn=_cmd_profile)
+    for name, text, flags, fn in (
+            ("jacobian", "evaluate the distortion profile", "HKNr", _cmd_jacobian),
+            ("profile", "evaluate the model isoperimetric profile", "KNv", _cmd_profile)):
+        p_eval = sub.add_parser(name, help=text)
+        # argparse's own pattern takes a value such as -1e-5 for an option
+        p_eval._negative_number_matcher = _NEGATIVE_NUMBER
+        for flag in flags:
+            p_eval.add_argument(f"--{flag}", type=float, required=True)
+        p_eval.set_defaults(fn=fn)
 
     p_ver = sub.add_parser("version", help="print the version")
     p_ver.set_defaults(fn=lambda args: print(f"needlecomp {__version__}") or 0)

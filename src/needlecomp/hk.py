@@ -50,28 +50,18 @@ def equality_tolerance(override: Optional[float] = None) -> float:
 
 
 class HKReport(NamedTuple):
+    """One statement's comparison: lhs against rhs, their gap and whether they
+    are equal.  The rigidity statement compares no sides of its own; it
+    carries hk-full's gap and names the conditions that failed."""
+
     statement: str
-    lhs: float
-    rhs: float
+    lhs: Optional[float]
+    rhs: Optional[float]
     gap: float
     relative_gap: float
     equality: bool
     t: Optional[float] = None
-
-
-class LevyGromovReport(NamedTuple):
-    content: float
-    profile_value: float
-    equality: bool
-    gap: float
-
-
-class RigidityReport(NamedTuple):
-    rigid: bool
-    profile_match: bool
-    gap: float
-    relative_gap: float
-    failed_conditions: tuple[str, ...]
+    failed: tuple[str, ...] = ()
 
 
 def _guard_inequality(statement: str, lhs: float, rhs: float) -> None:
@@ -171,9 +161,9 @@ def closed_form_bounds(dec: NeedleDecomposition, H0: Optional[float] = None,
 
 
 def levy_gromov_check(dec: NeedleDecomposition,
-                      tolerance: Optional[float] = None) -> LevyGromovReport:
-    """Isoperimetric comparison for the inner region: normalized boundary
-    content against the model profile at the inner volume fraction.
+                      tolerance: Optional[float] = None) -> HKReport:
+    """Isoperimetric comparison for the inner region: the model profile at the
+    inner volume fraction (lhs) against the normalized boundary content (rhs).
 
     On these model surfaces the Minkowski content equals the surface measure
     total, which is used exactly here; the tube-width extrapolation estimate
@@ -196,8 +186,8 @@ def levy_gromov_check(dec: NeedleDecomposition,
         raise InequalityViolation(
             f"levy-gromov: content {content!r} fell below the model profile "
             f"{profile_value!r} beyond slack")
-    return LevyGromovReport(content=content, profile_value=profile_value,
-                            equality=abs(gap) < tol * scale, gap=gap)
+    return HKReport("levy-gromov", profile_value, content, gap, gap / max(content, _TINY),
+                    abs(gap) < tol * scale)
 
 
 def _profile_deviation(dec: NeedleDecomposition) -> float:
@@ -223,22 +213,23 @@ def _profile_deviation(dec: NeedleDecomposition) -> float:
 
 
 def equality_detect(dec: NeedleDecomposition,
-                    tolerance: Optional[float] = None) -> RigidityReport:
+                    tolerance: Optional[float] = None) -> HKReport:
     """Detect the sharp equality configuration (K > 0): the two-sided bound is
-    an equality, the needle density equals h(0) J_{H} on its interval, and
-    the needle spans the full support of its distortion profile."""
+    an equality ("gap"), the needle density equals h(0) J_{H} on its interval
+    ("profile"), and the needle spans the full support of its distortion
+    profile ("span").  The report carries hk-full's gap, equality when all
+    three hold, and the names of those that fail."""
     if dec.cd.K <= 0.0:
         raise ParameterError(f"rigidity detection requires K > 0, got K={dec.cd.K}")
     tol = equality_tolerance(tolerance)
     full = hk_full(dec, tolerance=tol)
-    profile_match = _profile_deviation(dec) <= tol
+    profile = _profile_deviation(dec) <= tol
     span_tol = tol * max(1.0, dec.diameter)
     lo, hi = jacobian_support(JacobianParams(dec.H, dec.cd))
     p = dec.needle.profile
     span = abs(p.a - lo) <= span_tol and abs(p.b - hi) <= span_tol
 
-    failed = [name for name, holds in (("gap", full.equality), ("profile", profile_match),
-                                       ("span", span)) if not holds]
-    return RigidityReport(rigid=not failed, profile_match=profile_match,
-                          gap=full.gap, relative_gap=full.relative_gap,
-                          failed_conditions=tuple(failed))
+    failed = tuple(name for name, holds in (("gap", full.equality), ("profile", profile),
+                                            ("span", span)) if not holds)
+    return HKReport("rigidity", None, None, full.gap, full.relative_gap, not failed,
+                    failed=failed)

@@ -77,11 +77,11 @@ def test_criterion_1_sphere_rigidity():
     ok = (abs(report.lhs - 4 * math.pi) < 1e-8 * 4 * math.pi
           and abs(report.rhs - 4 * math.pi) < 1e-8 * 4 * math.pi
           and abs(report.relative_gap) < 1e-8
-          and verdict.rigid
+          and verdict.equality
           and elapsed < 1.0)
     assert _verdict(1, "sphere rigidity at the equator", ok,
                     f"lhs={report.lhs:.12g} rhs={report.rhs:.12g} "
-                    f"rigid={verdict.rigid} elapsed={elapsed:.3f}s")
+                    f"rigid={verdict.equality} elapsed={elapsed:.3f}s")
 
 
 def test_criterion_2_cap_family():
@@ -92,7 +92,7 @@ def test_criterion_2_cap_family():
         dec = decompose(SPHERE, GeodesicSphere(r0))
         worst_gap = max(worst_gap, abs(hk_full(dec).relative_gap))
         iso = levy_gromov_check(dec)
-        scale = max(iso.content, iso.profile_value)
+        scale = max(iso.rhs, iso.lhs)
         worst_iso = max(worst_iso, abs(iso.gap) / scale)
     elapsed = time.perf_counter() - start
     ok = worst_gap < 1e-8 and worst_iso < 1e-8 and elapsed < 2.0
@@ -172,10 +172,10 @@ def test_criterion_5_truncated_interval_strictness():
     ok = (report.gap > 0.004
           and abs(report.lhs - lhs_expected) < 1e-9
           and abs(report.rhs - 2.0) < 1e-9
-          and not verdict.rigid)
+          and not verdict.equality)
     assert _verdict(5, "truncated interval is strict and non-rigid", ok,
-                    f"gap={report.gap:.6g} rigid={verdict.rigid} "
-                    f"failed={verdict.failed_conditions}")
+                    f"gap={report.gap:.6g} rigid={verdict.equality} "
+                    f"failed={verdict.failed}")
 
 
 def _random_configuration(rng):

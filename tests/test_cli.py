@@ -254,15 +254,20 @@ def test_csv_output_is_deterministic(tmp_path):
     assert target.read_bytes() == first
 
 
-def test_csv_summary_only_when_no_widths(tmp_path):
+def test_hk_outer_without_widths_is_a_config_error(tmp_path, capsys):
+    # an hk-outer check over no tube widths compares nothing: it used to pass
+    # with an empty summary row
     target = tmp_path / "empty.csv"
-    config = parse_config(SPHERE_CFG, overrides=[
-        "output.format=csv", f"output.path={target}", "run.checks=hk-outer"])
-    assert run(config) == 0
-    lines = target.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 2  # summary row only
-    assert lines[1].startswith("hk-outer,")
+    with pytest.raises(ConfigError) as err:
+        parse_config(SPHERE_CFG, overrides=[
+            "output.format=csv", f"output.path={target}", "run.checks=hk-outer"])
+    assert (err.value.key, err.value.reason) == ("t_values",
+                                                 "hk-outer needs at least one tube width")
+    assert main(["run", str(CONFIGS / "sphere_equator.cfg"), "--set", "run.checks=hk-outer",
+                 "--path", "-"]) == 2
+    assert capsys.readouterr().out == ("FAIL check=config reason=ConfigError: key 't_values': "
+                                       "hk-outer needs at least one tube width\n")
+    assert not target.exists()
 
 
 def test_csv_floats_round_trip(tmp_path):
@@ -382,6 +387,22 @@ def test_main_jacobian_subcommand(capsys):
 def test_main_profile_subcommand(capsys):
     assert main(["profile", "--K", "1.0", "--N", "2.0", "--v", "0.5"]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(0.5, abs=1e-10)
+
+
+def test_main_jacobian_takes_negative_values_with_an_exponent(capsys):
+    # argparse's own negative-number pattern has no exponent, so it took -1e-5
+    # for an option and refused --K
+    for K in ("-1e-5", "-1E-5", "-1.0e-05", "-0.00001"):
+        assert main(["jacobian", "--H", "1", "--K", K, "--N", "3", "--r", "0.5"]) == 0
+        assert capsys.readouterr().out == "1.5625016927089623\n"
+    assert main(["jacobian", "--H", "-1e0", "--K", "0", "--N", "2", "--r", "-2.5e-1"]) == 0
+    assert float(capsys.readouterr().out) == 1.25
+
+
+def test_main_profile_takes_negative_values_with_an_exponent(capsys):
+    assert main(["profile", "--K", "-1e-5", "--N", "3", "--v", "0.3"]) == 2
+    assert capsys.readouterr().out == ("FAIL check=cli reason=ParameterError: positive "
+                                       "curvature bound required, got K=-1e-05\n")
 
 
 def test_main_version(capsys):
@@ -924,7 +945,7 @@ def test_rigidity_scan_recipe_matches_equality_detect(capsys, r0):
     assert rows[-2].startswith(f"hk-full,,{full.lhs!r},{full.rhs!r},{full.gap!r},"
                                f"{full.relative_gap!r},false,,,")
     assert rows[-1] == (f"rigidity,,,,{verdict.gap!r},{verdict.relative_gap!r},"
-                        f"{str(verdict.rigid).lower()},,,")
+                        f"{str(verdict.equality).lower()},,,")
     assert main(recipe + ["--set", "run.expect=rigid"]) == 1
     assert (f"FAIL check=rigidity reason=expected rigid but conditions failed: "
-            f"{verdict.failed_conditions}") in capsys.readouterr().out
+            f"{verdict.failed}") in capsys.readouterr().out

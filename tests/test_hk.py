@@ -67,7 +67,7 @@ def test_hk_full_sphere_equator_equality():
     assert report.lhs == pytest.approx(4 * math.pi, rel=1e-12)
     assert report.rhs == pytest.approx(4 * math.pi, rel=1e-10)
     assert report.equality
-    assert equality_detect(dec).profile_match
+    assert "profile" not in equality_detect(dec).failed
 
 
 def test_hk_full_cap_family_equality():
@@ -276,7 +276,7 @@ def test_profile_match_flags_equal_reference():
             assert expected == (tol > deviation)
             if dec.cd.K > 0.0:
                 verdict = equality_detect(dec, tolerance=tol)
-                assert verdict.profile_match == expected, tol
+                assert ("profile" not in verdict.failed) == expected, tol
 
 
 def test_hk_bounds_leave_the_profile_match_uncomputed():
@@ -291,7 +291,7 @@ def test_hk_bounds_leave_the_profile_match_uncomputed():
 
 def test_profile_deviation_of_a_wrong_H():
     dec = decompose(SPHERE, GeodesicSphere(1.0))
-    assert equality_detect(dec).profile_match
+    assert "profile" not in equality_detect(dec).failed
     # a wrong H makes J vanish before the needle ends: near r = -1 for a
     # larger H, near its far end for a smaller one
     for bump in (0.5, -0.5):
@@ -308,23 +308,23 @@ def test_profile_deviation_of_a_wrong_H():
 
 def test_levy_gromov_equator():
     report = levy_gromov_check(decompose(SPHERE, EQUATOR))
-    assert report.content == pytest.approx(0.5, rel=1e-10)
-    assert report.profile_value == pytest.approx(0.5, rel=1e-8)
+    assert report.rhs == pytest.approx(0.5, rel=1e-10)
+    assert report.lhs == pytest.approx(0.5, rel=1e-8)
     assert report.equality
 
 
 def test_levy_gromov_cap():
     report = levy_gromov_check(decompose(SPHERE, GeodesicSphere(math.pi / 4)))
     expected = math.sin(math.pi / 4) / 2.0
-    assert report.content == pytest.approx(expected, rel=1e-10)
-    assert report.profile_value == pytest.approx(expected, abs=1e-8)
+    assert report.rhs == pytest.approx(expected, rel=1e-10)
+    assert report.lhs == pytest.approx(expected, abs=1e-8)
     assert report.equality
 
 
 def test_levy_gromov_interval_half():
     report = levy_gromov_check(interval_dec())
-    assert report.content == pytest.approx(0.5, rel=1e-10)
-    assert report.profile_value == pytest.approx(0.5, abs=1e-9)
+    assert report.rhs == pytest.approx(0.5, rel=1e-10)
+    assert report.lhs == pytest.approx(0.5, abs=1e-9)
     assert report.equality
 
 
@@ -361,21 +361,21 @@ def test_levy_gromov_requires_positive_curvature():
 def test_rigidity_on_spheres_any_radius():
     for r0 in (math.pi / 6, math.pi / 2, 2 * math.pi / 3, 2.9):
         verdict = equality_detect(decompose(SPHERE, GeodesicSphere(r0)))
-        assert verdict.rigid, (r0, verdict.failed_conditions)
+        assert verdict.equality, (r0, verdict.failed)
 
 
 def test_rigidity_on_suspension():
     susp = SphericalSuspension(CurvatureDimension(1.0, 3.0), 2.5)
     verdict = equality_detect(decompose(susp, GeodesicSphere(0.7)))
-    assert verdict.rigid
+    assert verdict.equality
 
 
 def test_rigidity_fails_on_truncated_interval():
     dec = interval_dec(length=math.pi - 0.1)
     verdict = equality_detect(dec)
-    assert not verdict.rigid
-    assert "gap" in verdict.failed_conditions
-    assert "span" in verdict.failed_conditions
+    assert not verdict.equality
+    assert "gap" in verdict.failed
+    assert "span" in verdict.failed
     assert verdict.gap > 0.004
 
 
@@ -392,7 +392,7 @@ def test_rigidity_iff_full_equality_on_positive_curvature_family():
     cases.append(decompose(SphericalSuspension(CurvatureDimension(1.0, 3.0), 1.0),
                            GeodesicSphere(1.0)))
     for dec in cases:
-        assert equality_detect(dec).rigid == hk_full(dec).equality
+        assert equality_detect(dec).equality == hk_full(dec).equality
 
 
 def test_equality_implies_profile_match():

@@ -200,7 +200,7 @@ def test_equality_detect_calls_hk_jacobian_at_every_match_point(monkeypatch):
         calls.append(r)
         return original(p, r)
     monkeypatch.setattr(hk, "jacobian", counting)
-    assert equality_detect(dec).rigid
+    assert equality_detect(dec).equality
     assert len(calls) == hk.PROFILE_MATCH_POINTS
 
 

@@ -9,8 +9,7 @@ import pytest
 
 from needlecomp import (CdDensityReport, CurvatureDimension, DensityProfile, EuclideanBall,
                         GeodesicSphere, HKReport, JacobianParams, LevelPoint,
-                        LevyGromovReport, Needle, NeedleDecomposition, ParameterError,
-                        RatioReport, RigidityReport, RoundSphere,
+                        Needle, NeedleDecomposition, ParameterError, RatioReport, RoundSphere,
                         SphericalSuspension, SturmReport, WeightedInterval, decompose)
 from needlecomp.cli import ExperimentConfig, Row
 from needlecomp.hk import _profile_deviation
@@ -56,12 +55,7 @@ REPRS = [
      "RatioReport(passed=False, H_used=1.0, max_excess=0.125)"),
     (lambda: HKReport("hk-full", 1.0, 1.0, 0.0, 0.0, True),
      "HKReport(statement='hk-full', lhs=1.0, rhs=1.0, gap=0.0, relative_gap=0.0, "
-     "equality=True, t=None)"),
-    (lambda: LevyGromovReport(0.5, 0.5, True, 0.0),
-     "LevyGromovReport(content=0.5, profile_value=0.5, equality=True, gap=0.0)"),
-    (lambda: RigidityReport(False, False, 0.5, 0.25, ("profile",)),
-     "RigidityReport(rigid=False, profile_match=False, gap=0.5, relative_gap=0.25, "
-     "failed_conditions=('profile',))"),
+     "equality=True, t=None, failed=())"),
     (lambda: ExperimentConfig(RoundSphere(2, 1.0), GeodesicSphere(1.0), ("hk-full",)),
      "ExperimentConfig(geometry=RoundSphere(n=2, radius=1.0), surface=GeodesicSphere(r0=1.0), "
      "checks=('hk-full',), t_values=(), tolerance=None, expect=None, grid_size=24, H0=None, "
@@ -74,6 +68,27 @@ REPRS = [
 
 @pytest.mark.parametrize("make, text", REPRS, ids=[text.split("(")[0] for _, text in REPRS])
 def test_repr_equality_and_hash(make, text):
+    value, again = make(), make()
+    assert repr(value) == text
+    assert value == again and hash(value) == hash(again)
+
+
+# The hk report of each statement without sides of the needle's own: the
+# Levy-Gromov comparison (model profile, boundary content) and rigidity.
+HK_REPRS = {
+    "levy-gromov": (
+        lambda: HKReport("levy-gromov", 0.5, 0.5, 0.0, 0.0, True),
+        "HKReport(statement='levy-gromov', lhs=0.5, rhs=0.5, gap=0.0, relative_gap=0.0, "
+        "equality=True, t=None, failed=())"),
+    "rigidity": (
+        lambda: HKReport("rigidity", None, None, 0.5, 0.25, False, failed=("profile",)),
+        "HKReport(statement='rigidity', lhs=None, rhs=None, gap=0.5, relative_gap=0.25, "
+        "equality=False, t=None, failed=('profile',))"),
+}
+
+
+@pytest.mark.parametrize("make, text", HK_REPRS.values(), ids=HK_REPRS)
+def test_hk_report_repr_of_each_statement(make, text):
     value, again = make(), make()
     assert repr(value) == text
     assert value == again and hash(value) == hash(again)
@@ -150,7 +165,7 @@ def test_replace_builds_the_checked_type():
         decompose(RoundSphere(2, 1.0)._replace(radius=-1.0), GeodesicSphere(0.5))
 
 
-@pytest.mark.parametrize("make", [make for make, text in REPRS
+@pytest.mark.parametrize("make", [make for make, text in (*REPRS, *HK_REPRS.values())
                                   if not text.startswith("DensityProfile")])
 def test_fields_of_named_tuples_cannot_be_assigned(make):
     value = make()
