@@ -8,13 +8,10 @@ theorem-mandated inequality passed and every requested expectation matched.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
-import re
 import sys
-import tempfile
-from pathlib import Path
+from _thread import get_ident
 from collections import namedtuple
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -33,8 +30,6 @@ MINKOWSKI_REL_TOL = 1e-6
 # The largest run.grid_size: cd-density makes grid_size**2 density calls, and at
 # 1,500 a run takes about 1 s and 66 MB on a 2-CPU host.
 MAX_GRID_SIZE = 1500
-# A negative number as a command-line value, exponent included.
-_NEGATIVE_NUMBER = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?$")
 
 
 class ExperimentConfig(Checked, namedtuple("ExperimentConfig", (
@@ -412,8 +407,6 @@ def _render_csv(rows: Sequence[Row]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
         lines.append(",".join(_cell(getattr(row, column)) for column in COLUMNS))
-    if len(lines) == 1:
-        lines.append("," * (len(COLUMNS) - 1))
     return "\n".join(lines) + "\n"
 
 
@@ -439,7 +432,7 @@ def _render_plotdata(rows: Sequence[Row]) -> str:
             chunks.append(f"# series: {statement} {label}")
             chunks.extend(f"{_cell(x)} {_cell(y)}" for x, y in points)
             chunks.append("")
-    return "\n".join(chunks).rstrip("\n") + "\n"
+    return "\n".join(chunks)
 
 
 def _render_report(rows: Sequence[Row], outcomes: Sequence[CheckOutcome]) -> str:
@@ -471,16 +464,18 @@ def emit(rows: Sequence[Row], format: str, path: Optional[str],
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    target = Path(path)
-    tmp = tempfile.NamedTemporaryFile("w", dir=target.parent or Path("."),
-                                      prefix=f".{target.name}.", delete=False)
+    # A name of this process and thread beside the target, so that the rename
+    # stays on one filesystem; "x" refuses a file or link already there.
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{get_ident()}")
+    out = open(tmp, "x", encoding="utf-8")
     try:
-        with tmp:
-            tmp.write(text)
-        os.replace(tmp.name, target)
+        with out:
+            out.write(text)
+        os.replace(tmp, path)
     except BaseException:
         try:
-            os.unlink(tmp.name)
+            os.unlink(tmp)
         except OSError:
             pass
         raise
@@ -488,17 +483,18 @@ def emit(rows: Sequence[Row], format: str, path: Optional[str],
 
 # --------------------------------------------------------------------- cli
 
-def _cmd_run(args) -> int:
+def _cmd_run(args: dict) -> int:
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        with open(args["config"], encoding="utf-8") as file:
+            text = file.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"FAIL check=config reason={exc}")
         return 2
-    overrides = list(args.set or [])
-    if args.format:
-        overrides.append(f"output.format={args.format}")
-    if args.path:
-        overrides.append(f"output.path={args.path}")
+    overrides = list(args["set"] or [])
+    if args["format"]:
+        overrides.append(f"output.format={args['format']}")
+    if args["path"]:
+        overrides.append(f"output.path={args['path']}")
     try:
         config = parse_config(text, overrides=overrides)
         config = config._replace(tolerance=equality_tolerance(config.tolerance))
@@ -508,52 +504,216 @@ def _cmd_run(args) -> int:
         return 2
 
 
-def _cmd_jacobian(args) -> int:
-    params = JacobianParams(args.H, CurvatureDimension(args.K, args.N))
-    print(repr(jacobian(params, args.r)))
+def _cmd_jacobian(args: dict) -> int:
+    params = JacobianParams(args["H"], CurvatureDimension(args["K"], args["N"]))
+    print(repr(jacobian(params, args["r"])))
     return 0
 
 
-def _cmd_profile(args) -> int:
-    print(repr(model_profile(CurvatureDimension(args.K, args.N), args.v)))
+def _cmd_profile(args: dict) -> int:
+    print(repr(model_profile(CurvatureDimension(args["K"], args["N"]), args["v"])))
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="needlecomp",
-        description="tube-volume bounds and rigidity detection on model spaces")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _cmd_version(args: dict) -> int:
+    print(f"needlecomp {__version__}")
+    return 0
 
-    p_run = sub.add_parser("run", help="run an experiment configuration")
-    p_run.add_argument("config", help="path to the configuration file")
-    p_run.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
-                       help="override a configuration key (repeatable)")
-    p_run.add_argument("--format", choices=FORMATS,
-                       help="override the output format")
-    p_run.add_argument("--path", help="override the output path")
-    p_run.set_defaults(fn=_cmd_run)
 
-    for name, text, flags, fn in (
-            ("jacobian", "evaluate the distortion profile", "HKNr", _cmd_jacobian),
-            ("profile", "evaluate the model isoperimetric profile", "KNv", _cmd_profile)):
-        p_eval = sub.add_parser(name, help=text)
-        # argparse's own pattern takes a value such as -1e-5 for an option
-        p_eval._negative_number_matcher = _NEGATIVE_NUMBER
-        for flag in flags:
-            p_eval.add_argument(f"--{flag}", type=float, required=True)
-        p_eval.set_defaults(fn=fn)
+class _Flag(NamedTuple):
+    """A command's --flag: the placeholder and help text of its value, the
+    converter of its value, and whether it must be given or may repeat."""
 
-    p_ver = sub.add_parser("version", help="print the version")
-    p_ver.set_defaults(fn=lambda args: print(f"needlecomp {__version__}") or 0)
+    metavar: str
+    help: str
+    convert: Callable[[str], object] = str
+    required: bool = False
+    repeat: bool = False
 
-    return parser
+
+class _Command(NamedTuple):
+    """A command: its help line, the function that runs it on the parsed
+    values, the name and help text of its operand if it takes one, and its
+    flags by name."""
+
+    help: str
+    fn: Callable[[dict], int]
+    operand: Optional[tuple[str, str]]
+    flags: dict[str, _Flag]
+
+
+def _as_format(value: str) -> str:
+    if value not in FORMATS:
+        raise ValueError(value)
+    return value
+
+
+def _real(text: str) -> _Flag:
+    return _Flag("FLOAT", text, float, required=True)
+
+
+_CURVATURE_DIMENSION = {"K": _real("curvature bound"), "N": _real("dimension bound (> 1)")}
+
+# The commands, in the order the help lists them.
+COMMANDS = {
+    "run": _Command("run an experiment configuration", _cmd_run,
+                    ("config", "path to the configuration file"), {
+                        "set": _Flag("SECTION.KEY=VALUE",
+                                     "override a configuration key (repeatable)", repeat=True),
+                        "format": _Flag("{" + ",".join(FORMATS) + "}",
+                                        "override the output format", _as_format),
+                        "path": _Flag("PATH", "override the output path ('-': stdout)")}),
+    "jacobian": _Command("evaluate the distortion profile J_{H,K,N}(r)", _cmd_jacobian, None,
+                         {"H": _real("mean curvature"), **_CURVATURE_DIMENSION,
+                          "r": _real("signed distance")}),
+    "profile": _Command("evaluate the model isoperimetric profile", _cmd_profile, None,
+                        {**_CURVATURE_DIMENSION, "v": _real("volume fraction in [0, 1]")}),
+    "version": _Command("print the version", _cmd_version, None, {}),
+}
+
+
+class _UsageError(Exception):
+    """A malformed command line; command is the command it was parsed for,
+    None at the top level."""
+
+    def __init__(self, message: str, command: Optional[str] = None):
+        super().__init__(message)
+        self.command = command
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return f"usage: needlecomp [-h] {{{','.join(COMMANDS)}}} ..."
+    spec = COMMANDS[command]
+    words = [f"usage: needlecomp {command} [-h]"]
+    if spec.operand:
+        words.append(spec.operand[0].upper())
+    for name, flag in spec.flags.items():
+        option = f"--{name} {flag.metavar}"
+        words.append(option if flag.required else f"[{option}]..." if flag.repeat
+                     else f"[{option}]")
+    return " ".join(words)
+
+
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        lines = [_usage(None), "", "tube-volume bounds and rigidity detection on model spaces",
+                 "", "commands:"]
+        lines += [f"  {name:<10}{spec.help}" for name, spec in COMMANDS.items()]
+        lines += ["", "'needlecomp COMMAND --help' lists the flags of a command."]
+    else:
+        spec = COMMANDS[command]
+        entries = [(spec.operand[0].upper(), spec.operand[1])] if spec.operand else []
+        entries += [(f"--{name} {flag.metavar}", flag.help) for name, flag in spec.flags.items()]
+        entries.append(("-h, --help", "show this help and exit"))
+        lines = [_usage(command), "", spec.help, ""]
+        lines += [f"  {option:<34}{text}".rstrip() for option, text in entries]
+    return "\n".join(lines) + "\n"
+
+
+def _is_option(token: str) -> bool:
+    """Whether a command-line token is an option: it starts with '-' and is
+    neither '-' nor a negative number such as -1e-5, which are values."""
+    if not token.startswith("-") or token == "-":
+        return False
+    if token[1] in "0123456789.":
+        try:
+            float(token)
+            return False
+        except ValueError:
+            pass
+    return True
+
+
+def _option(token: str, flags: dict[str, _Flag], command: Optional[str]):
+    """The flag that an option token names, by its name or a unique prefix of
+    it, and the value given after '=' (None without one); None for -h or a
+    prefix of --help."""
+    name, equals, value = token[2:].partition("=")
+    if token == "-h":
+        matches = ["help"]
+    elif token.startswith("--") and name:
+        matches = [name] if name in flags else [
+            flag for flag in (*flags, "help") if flag.startswith(name)]
+    else:
+        matches = []
+    if len(matches) > 1:
+        raise _UsageError(f"ambiguous option: {token} could match "
+                          f"{', '.join('--' + match for match in matches)}", command)
+    if not matches:
+        raise _UsageError(f"unrecognized arguments: {token}", command)
+    if matches[0] != "help":
+        return matches[0], value if equals else None
+    if equals:
+        raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}", command)
+    return None
+
+
+def parse_args(argv: Sequence[str]) -> tuple[Optional[str], Optional[dict]]:
+    """The command that argv names and its values by name.  An absent flag has
+    the value None and a repeated one the list of its values.  On -h or --help
+    the values are None, and the command is None at the top level.  A
+    malformed argv raises _UsageError."""
+    for index, token in enumerate(argv):
+        if not _is_option(token):
+            break
+        _option(token, {}, None)  # the top level has no flag but help
+        return None, None
+    else:
+        raise _UsageError("the following arguments are required: command")
+    command = argv[index]
+    spec = COMMANDS.get(command)
+    if spec is None:
+        raise _UsageError(f"argument command: invalid choice: {command!r} "
+                          f"(choose from {', '.join(COMMANDS)})")
+    values = dict.fromkeys(spec.flags)
+    operands = []
+    tokens = iter(argv[index + 1:])
+    for token in tokens:
+        if not _is_option(token):
+            operands.append(token)
+            continue
+        option = _option(token, spec.flags, command)
+        if option is None:
+            return command, None
+        name, value = option
+        if value is None:
+            value = next(tokens, None)
+            if value is None or _is_option(value):
+                raise _UsageError(f"argument --{name}: expected one argument", command)
+        flag = spec.flags[name]
+        try:
+            value = flag.convert(value)
+        except ValueError:
+            raise _UsageError(f"argument --{name}: expected {flag.metavar}, got {value!r}",
+                              command) from None
+        values[name] = (values[name] or []) + [value] if flag.repeat else value
+    wanted = [spec.operand[0]] if spec.operand else []
+    if len(operands) > len(wanted):
+        raise _UsageError(f"unrecognized arguments: {' '.join(operands[len(wanted):])}",
+                          command)
+    values.update(zip(wanted, operands))
+    missing = [name.upper() for name in wanted[len(operands):]]
+    missing += [f"--{name}" for name, flag in spec.flags.items()
+                if flag.required and values[name] is None]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}",
+                          command)
+    return command, values
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        command, args = parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        where = f"needlecomp {exc.command}" if exc.command else "needlecomp"
+        sys.stderr.write(f"{_usage(exc.command)}\n{where}: error: {exc}\n")
+        return 2
+    if args is None:
+        sys.stdout.write(_help(command))
+        return 0
+    try:
+        return COMMANDS[command].fn(args)
     except NeedlecompError as exc:
         print(f"FAIL check=cli reason={type(exc).__name__}: {exc}")
         return 2

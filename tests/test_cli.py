@@ -1,9 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from argparse_reference import argparse_outcome
+from conftest import ISOLATED_TIMEOUT_S
+from needlecomp import cli
 from needlecomp import (ConfigError, CurvatureDimension, DensityProfile, EuclideanBall,
                         GeodesicSphere, LevelPoint, RoundSphere, SphericalSuspension,
                         WeightedInterval, decompose, equality_detect, hk_full, hk_outer,
@@ -42,6 +48,24 @@ r0 = 1.5707963267948966
 [run]
 checks = rigidity
 """
+
+
+@pytest.fixture(autouse=True)
+def parse_args_matches_argparse(monkeypatch):
+    """Every command line that a test here passes to main parses to the command
+    and values, or the usage error, that the argparse parser it replaced gave."""
+    parse = cli.parse_args
+
+    def checked(argv):
+        try:
+            command, values = parse(argv)
+        except cli._UsageError:
+            assert argparse_outcome(argv) == 2
+            raise
+        assert argparse_outcome(argv) == (0 if values is None else (command, values))
+        return command, values
+
+    monkeypatch.setattr(cli, "parse_args", checked)
 
 
 # ----------------------------------------------------------------- parsing
@@ -432,6 +456,94 @@ def test_main_output_in_missing_directory(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_main_output_onto_a_directory_leaves_no_temporary_file(tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    target.mkdir()
+    assert main(["run", str(CONFIGS / "euclidean_ball.cfg"), "--format", "csv",
+                 "--path", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert f"FAIL check=output reason=cannot write {target}: Is a directory" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_output_file_mode_follows_the_umask(tmp_path, capsys, umask):
+    target = tmp_path / "out.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["run", str(CONFIGS / "sphere_equator.cfg"), "--format", "csv",
+                     "--path", str(target)]) == 0
+    finally:
+        os.umask(old)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("format, text", [
+    ("csv", CSV_HEADER + "\n"), ("plotdata", ""), ("report", (
+        "needlecomp report\ncheck levy-gromov: FAIL\n  note: ParameterError: isoperimetric "
+        "comparison requires K > 0, got K=0.0\n"))])
+def test_a_run_without_rows_writes_no_empty_row(capsys, tmp_path, format, text):
+    # the ball has K = 0, so levy-gromov fails without a row
+    target = tmp_path / f"out.{format}"
+    assert main(["run", str(CONFIGS / "euclidean_ball.cfg"), "--set", "run.checks=levy-gromov",
+                 "--format", format, "--path", str(target)]) == 1
+    assert target.read_text() == text
+    assert capsys.readouterr().out == ("FAIL check=levy-gromov reason=ParameterError: "
+                                       "isoperimetric comparison requires K > 0, got K=0.0\n")
+
+
+def test_undecodable_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe[geometry]\n")
+    assert main(["run", str(cfg), "--path", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ("FAIL check=config reason='utf-8' codec can't decode byte 0xff "
+                            "in position 0: invalid start byte\n")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["-h"], None), (["--he", "run"], None), (["run", "-h"], "run"),
+    (["run", "x.cfg", "--format", "csv", "--help"], "run"), (["jacobian", "--h"], "jacobian"),
+    (["profile", "--help"], "profile"), (["version", "-h"], "version")])
+def test_help_is_built_from_the_command_table(capsys, argv, command):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    if command is None:
+        assert lines[0] == "usage: needlecomp [-h] {run,jacobian,profile,version} ..."
+        for name, spec in cli.COMMANDS.items():
+            assert f"  {name:<10}{spec.help}" in lines
+    else:
+        assert lines[0].startswith(f"usage: needlecomp {command} [-h]")
+        assert cli.COMMANDS[command].help in lines
+        for name, flag in cli.COMMANDS[command].flags.items():
+            assert any(line.startswith(f"  --{name} {flag.metavar} ") or
+                       line == f"  --{name} {flag.metavar}" for line in lines)
+    if command == "run":
+        assert "--format {report,csv,plotdata}" in lines[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "needlecomp: error: the following arguments are required: command"),
+    (["run"], "needlecomp run: error: the following arguments are required: CONFIG"),
+    (["run", "x.cfg", "--format", "xml"],
+     "needlecomp run: error: argument --format: expected {report,csv,plotdata}, got 'xml'"),
+    (["jacobian", "--H", "1", "--K", "0"],
+     "needlecomp jacobian: error: the following arguments are required: --N, --r")])
+def test_usage_error_prints_the_usage_to_stderr_and_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: needlecomp")
+    assert error == message
+
+
 def test_expect_without_rigidity_check_is_enforced(capsys):
     # expect = not-rigid in the file; the run lists hk-full only
     cfg = str(CONFIGS / "truncated_interval.cfg")
@@ -554,6 +666,26 @@ loaded.append("dataclasses" in sys.modules)  # numpy imports inspect, not datacl
 print(codes, loaded)
 """)
     assert out.strip() == "[0, 0, 0, 0, 0, 0, 0] [False, False, False]"
+
+
+def test_no_command_loads_argparse_tempfile_or_pathlib(tmp_path):
+    # argparse (with gettext and locale), tempfile and pathlib took about a
+    # third of a cold command's own start-up; -S keeps site's imports out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    banned = {"argparse", "gettext", "locale", "tempfile", "pathlib"}
+    for args in (["version"], ["jacobian", "--H", "1", "--K", "1", "--N", "3", "--r", "0.5"],
+                 ["profile", "--K", "1", "--N", "3", "--v", "0.3"],
+                 ["run", str(CONFIGS / "euclidean_ball.cfg"), "--path", str(tmp_path / "ball")]):
+        done = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "needlecomp.cli", *args],
+            capture_output=True, text=True, timeout=ISOLATED_TIMEOUT_S,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "needlecomp.geometry" in loaded
+        assert loaded.isdisjoint(banned), (args, loaded & banned)
+    assert (tmp_path / "ball").read_text().startswith(CSV_HEADER + "\n")
 
 
 SUSPENSION_OVERFLOW_CFG = """\
