@@ -21,7 +21,8 @@ from .geometry import (GEOMETRY_KINDS, GeometryKind, GeometrySpec, NeedleDecompo
                        decompose, minkowski_content_from_dec, radial_model)
 from .hk import (HKReport, closed_form_bounds, equality_detect, equality_tolerance,
                  hk_full, hk_outer, levy_gromov_check)
-from .model1d import Checked, CurvatureDimension, JacobianParams, jacobian, model_profile
+from .model1d import (J_OVERFLOWS, Checked, CurvatureDimension, JacobianParams, jacobian,
+                      model_profile)
 from .needle import check_cd_density, density_ratio_check, sturm_bound_check
 from .numerics import INEQ_SLACK
 
@@ -506,7 +507,11 @@ def _cmd_run(args: dict) -> int:
 
 def _cmd_jacobian(args: dict) -> int:
     params = JacobianParams(args["H"], CurvatureDimension(args["K"], args["N"]))
-    print(repr(jacobian(params, args["r"])))
+    try:
+        value = jacobian(params, args["r"])
+    except OverflowError:
+        raise ParameterError(J_OVERFLOWS) from None
+    print(repr(value))
     return 0
 
 

@@ -16,8 +16,8 @@ from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CurvatureError, DomainError, ParameterError
-from .model1d import (Checked, CurvatureDimension, JacobianParams, jacobian, kappa_trig,
-                      sigma_kappa)
+from .model1d import (J_OVERFLOWS, Checked, CurvatureDimension, JacobianParams, jacobian,
+                      kappa_trig, sigma_kappa)
 from .numerics import INEQ_SLACK, one_sided_derivative
 
 # Finite-difference base step, as a fraction of the interval length.
@@ -35,6 +35,10 @@ _CD_BLOCK = 16384
 # array pass, and importing numpy about 140 ms.
 _CD_FLOAT_POINTS = 1024
 _U_OVERFLOWS = "the density check's u = h**(1/(N-1)) overflows a float at these parameters"
+_NOT_A_DENSITY = ("density must be positive on the open interval "
+                  "and finite, non-negative at the endpoints")
+_BOUND_OVERFLOWS = ("the sturm check's comparison bound u(r0) cos_kappa + u'(r0) sin_kappa "
+                    "overflows a float at these parameters")
 _SIGMA_OVERFLOWS = ("the distortion coefficients of the density check overflow a float "
                     "at these parameters")
 
@@ -63,11 +67,11 @@ class DensityProfile(Checked, namedtuple("DensityProfile", "a b fn deriv mode va
     warnings off; check_cd_density fills its lattice from it.
     """
 
-    # No __slots__: the checked values live in the instance dict.  The checks
-    # run in __init__, so that a wrapper of __init__ (perfbench/tracer.py
-    # installs one) sees every checked construction.
+    __slots__ = ()
 
     def __init__(self, *args, **kwargs):
+        # The checks run in __init__, so that a wrapper of __init__ (perfbench/tracer.py
+        # installs one) sees every checked construction.
         a, b, fn, unused_deriv, mode, unused_values = self
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ParameterError(f"invalid interval [{a}, {b}]")
@@ -82,35 +86,22 @@ class DensityProfile(Checked, namedtuple("DensityProfile", "a b fn deriv mode va
             k = bisect_right(indices, mode, key=point)  # grid points <= mode
             indices = sorted({i for i in (0, 1, k - 2, k - 1, k, k + 1, n - 2, n - 1)
                               if 0 <= i < n})
-        self._check(tuple(map(fn, map(point, indices))))
-
-    def _check(self, values: tuple) -> None:
+        values = tuple(map(fn, map(point, indices)))
         if not (all(map(math.isfinite, values)) and min(values[1:-1]) > 0.0
                 and values[0] >= 0.0 and values[-1] >= 0.0):
-            raise ParameterError("density must be positive on the open interval "
-                                 "and finite, non-negative at the endpoints")
-        self._checked = values
+            raise ParameterError(_NOT_A_DENSITY)
 
     def power(self, exponent: float) -> "DensityProfile":
-        """The profile raised pointwise to a power, derivative chained.
-
-        The checked values are the parent's raised to the power (the same
-        floats as evaluating the new fn there), validated as in construction;
-        an overflow is a ParameterError.  A positive power keeps the mode.
-        """
-        fn = self.fn
-        deriv = self.deriv
-        new_deriv = None
-        if deriv is not None:
-            new_deriv = lambda r: exponent * fn(r) ** (exponent - 1.0) * deriv(r)
-        # __new__ alone: DensityProfile(...) would call fn on the grid again.
-        out = DensityProfile.__new__(DensityProfile, self.a, self.b, lambda r: fn(r) ** exponent,
-                                     new_deriv, self.mode if exponent > 0.0 else None)
-        try:  # x ** exponent is monotone: the extremes stay where they were
-            out._check(tuple(s ** exponent for s in self._checked))
+        """The profile raised pointwise to a power, derivative chained, checked as
+        any profile (an overflow is a ParameterError).  A positive power keeps the mode."""
+        fn, deriv = self.fn, self.deriv
+        new_deriv = None if deriv is None else (
+            lambda r: exponent * fn(r) ** (exponent - 1.0) * deriv(r))
+        try:
+            return DensityProfile(self.a, self.b, lambda r: fn(r) ** exponent, new_deriv,
+                                  self.mode if exponent > 0.0 else None)
         except OverflowError:  # float ** raises where an array holds inf: reject that
-            out._check((math.inf,))
-        return out
+            raise ParameterError(_NOT_A_DENSITY) from None
 
 
 class Needle(Checked, namedtuple("Needle", "profile weight")):
@@ -325,7 +316,8 @@ def sturm_bound_check(u: DensityProfile, kappa: float, r0: float,
     u(r) <= u(r0) cos_kappa(r - r0) + d^+u(r0) sin_kappa(r - r0) on (r0, b),
     together with positivity of the right-hand side there.  A negative value of
     u, or a complex one (a negative density to a fractional power), is a
-    ParameterError naming its point.
+    ParameterError naming its point.  A bound that overflows a float is a
+    ParameterError too.
     """
     if not u.a < r0 < u.b:
         raise DomainError(f"base point r0={r0} outside ({u.a}, {u.b})")
@@ -347,7 +339,10 @@ def sturm_bound_check(u: DensityProfile, kappa: float, r0: float,
             bound = u0 + du0 * (r - r0)
         else:
             t = rt * (r - r0)
-            bound = u0 * cs(t) + du0 * (sn(t) / rt)
+            try:  # cosh and sinh of a strongly negative kappa
+                bound = u0 * cs(t) + du0 * (sn(t) / rt)
+            except OverflowError:
+                raise ParameterError(_BOUND_OVERFLOWS) from None
         if bound <= 0.0:
             passed = False
         value = fn(r)
@@ -363,7 +358,8 @@ def sturm_bound_check(u: DensityProfile, kappa: float, r0: float,
 def density_ratio_check(needle: Needle, cd: CurvatureDimension,
                         grid_size: int = 60) -> RatioReport:
     """Verify h(r)/h(0) <= J_{H,K,N}(r) with H = d^+ log h(0) on (0, b), and the
-    orientation-reversed bound with H = -d^- log h(0) on (a, 0)."""
+    orientation-reversed bound with H = -d^- log h(0) on (a, 0).  A J that
+    overflows a float is a ParameterError."""
     profile = needle.profile
     if not profile.a < 0.0 < profile.b:
         raise DomainError("needle base must lie in the open interval")
@@ -381,7 +377,10 @@ def density_ratio_check(needle: Needle, cd: CurvatureDimension,
         for i in range(grid_size):
             r = extent * (i + 1.0) / g1
             ratio = fn(sign * r) / h0
-            bound = jacobian(params, r)
+            try:  # cosh, sinh or the power in J
+                bound = jacobian(params, r)
+            except OverflowError:
+                raise ParameterError(J_OVERFLOWS) from None
             if bound <= 0.0:
                 excess = math.inf if ratio > INEQ_SLACK else 0.0
             else:

@@ -16,11 +16,17 @@ import math
 import sys
 from typing import Callable, Sequence
 
+from .errors import ParameterError
+
 # Quadrature targets; equality tests downstream run at 1e-8, leaving headroom.
 # Only the relative target governs: a fixed absolute one stops at once on a tiny mass.
 QUAD_ABS_TOL = 0.0
 QUAD_REL_TOL = 1e-10
 QUAD_LIMIT = 200
+# dqagse's failure codes (ier), as integrate names them.
+_QUADPACK_FAILURES = {1: "the subdivision limit was reached", 2: "roundoff error",
+                      3: "a bad integrand", 4: "the extrapolation does not converge",
+                      5: "the integral diverges or converges too slowly"}
 
 # Relative slack granted to inequality checks against the dominating side.
 INEQ_SLACK = 1e-9
@@ -55,10 +61,16 @@ _ROUNDOFF_FLOOR = _UFLOW / _EPS50
 
 
 def integrate(fn: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive quadrature of fn over [a, b] (0 unless b > a)."""
+    """Adaptive quadrature of fn over [a, b] (0 unless b > a).  A quadrature
+    that fails (dqagse's ier != 0) is a ParameterError naming the code and [a, b],
+    unless its result is infinite: the caller names what overflows."""
     if not (b > a):
         return 0.0
-    return dqagse(fn, a, b)[0]
+    result, _, _, ier = dqagse(fn, a, b)
+    if ier != 0 and not math.isinf(result):
+        raise ParameterError(f"the quadrature over [{a!r}, {b!r}] failed: QUADPACK ier={ier} "
+                             f"({_QUADPACK_FAILURES[ier]})")
+    return result
 
 
 def _dqk21(f, a, b):

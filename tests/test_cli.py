@@ -1,11 +1,16 @@
+import contextlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argparse_reference import argparse_outcome
 from conftest import ISOLATED_TIMEOUT_S
@@ -899,6 +904,82 @@ def test_sturm_power_overflow_is_a_typed_error(capsys):
     out = capsys.readouterr().out
     assert "FAIL check=sturm reason=ParameterError: density must be positive" in out
     assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("check, reason", [
+    ("sturm", "the sturm check's comparison bound u(r0) cos_kappa + u'(r0) sin_kappa "
+              "overflows a float"),
+    ("ratio", "the distortion profile J overflows a float")])
+def test_cosh_overflow_of_a_needle_check_is_a_typed_failure(capsys, check, reason):
+    # cosh and sinh of sqrt(1e6) r overflow: both ended in an OverflowError traceback
+    assert main(["run", str(CONFIGS / "truncated_interval.cfg"),
+                 "--set", "geometry.density=constant", "--set", "geometry.K=-1e6",
+                 "--set", f"run.checks={check}", "--path", "-"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL check={check} reason=ParameterError: {reason}" in out
+
+
+def test_jacobian_command_overflow_is_a_cli_error(capsys):
+    assert main(["jacobian", "--H", "0", "--K", "-1e6", "--N", "2", "--r", "10"]) == 2
+    assert capsys.readouterr().out == ("FAIL check=cli reason=ParameterError: the distortion "
+                                       "profile J overflows a float at these parameters\n")
+
+
+@pytest.mark.parametrize("K, N, v", [("1", "1e16", "0.3"), ("1", "1e17", "0.01"),
+                                     ("1e300", "1e300", "1e-300")])
+def test_profile_command_refuses_an_unresolved_dimension_at_once(capsys, K, N, v):
+    # it printed phi(0), 26457.4 and, after 28 s, 0.0
+    start = time.perf_counter()
+    assert main(["profile", "--K", K, "--N", N, "--v", v]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.startswith(
+        "FAIL check=cli reason=ParameterError: the model profile is resolved only for N <= ")
+
+
+@st.composite
+def _valid_configs(draw):
+    """Configuration text: the four kinds (the interval as a model density with
+    K > 0 or a constant one with K <= 0) at scales 1e-6 to 1e6 with N in
+    (1, 300], r0 at 0.1-99.9% of the radial range, every check, a grid of
+    3-16 and two tube widths."""
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    N = draw(st.floats(1.0, 300.0, exclude_min=True))
+    n = draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(("round-sphere", "euclidean-ball", "spherical-suspension",
+                                 "model", "constant")))
+    if kind == "round-sphere":
+        geometry, extent = f"n = {n}\nradius = {scale!r}", math.pi * scale
+    elif kind == "euclidean-ball":
+        geometry, extent = f"n = {n}\nR = {scale!r}", scale
+    elif kind == "spherical-suspension":
+        base_volume = 10.0 ** draw(st.floats(-6.0, 6.0))
+        geometry = f"K = {scale!r}\nN = {N!r}\nbase_volume = {base_volume!r}"
+        extent = math.pi / math.sqrt(scale / (N - 1.0))
+    elif kind == "model":
+        extent = math.pi / math.sqrt(scale / (N - 1.0)) * draw(st.floats(0.01, 1.0))
+        geometry = f"K = {scale!r}\nN = {N!r}\ndensity = model\nlength = {extent!r}"
+        kind = "weighted-interval"
+    else:
+        K = -draw(st.sampled_from((0.0, 1.0))) * 10.0 ** draw(st.floats(-6.0, 6.0))
+        geometry = f"K = {K!r}\nN = {N!r}\ndensity = constant\nlength = {scale!r}"
+        extent, kind = scale, "weighted-interval"
+    r0 = extent * draw(st.floats(0.001, 0.999))
+    widths = ", ".join(repr(extent * draw(st.floats(1e-3, 1.0))) for _ in range(2))
+    return (f"[geometry]\nkind = {kind}\n{geometry}\n[surface]\nr0 = {r0!r}\n"
+            f"[run]\nchecks = {', '.join(CHECKS)}\nt_values = {widths}\n"
+            f"grid_size = {draw(st.integers(3, 16))}\n[output]\npath = -\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_valid_configs())
+def test_no_valid_configuration_escapes_as_an_untyped_exception(text):
+    # a valid configuration ends with exit 0, 1 or 2; a ConfigError is a valid refusal
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(config) in (0, 1, 2)
 
 
 def test_constant_density_with_positive_K_is_a_config_error(capsys):

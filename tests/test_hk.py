@@ -351,6 +351,15 @@ def test_levy_gromov_infinite_model_profile_is_a_parameter_error(at_surface):
     assert err.value.key == "K"
 
 
+def test_levy_gromov_refuses_a_dimension_the_model_profile_cannot_resolve():
+    profile = DensityProfile(0.0, 1.0, lambda r: 1.0, deriv=lambda r: 0.0)
+    dec = decompose(WeightedInterval(1.0, profile, CurvatureDimension(1.0, 1e16)),
+                    LevelPoint(0.5))
+    with pytest.raises(ParameterError, match="^the model profile is resolved only") as err:
+        levy_gromov_check(dec)
+    assert err.value.key == "N"
+
+
 def test_levy_gromov_requires_positive_curvature():
     with pytest.raises(ParameterError):
         levy_gromov_check(decompose(BALL, GeodesicSphere(0.5)))

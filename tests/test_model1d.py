@@ -13,6 +13,7 @@ from needlecomp import (CurvatureDimension, JacobianParams, ParameterError,
                         model_density_normalizer, model_profile,
                         model_rhs_constant_H, pi_kappa, sigma_kappa,
                         sin_kappa, unit_sphere_volume)
+from needlecomp.model1d import MAX_PROFILE_N
 
 
 def jp(H, K, N):
@@ -256,6 +257,52 @@ def test_model_profile_overflow_is_a_parameter_error(K, N, v):
     # CurvatureDimension refuses K
     with pytest.raises(ParameterError, match=r"^K/\(N-1\) overflows a float"):
         model_profile(CurvatureDimension(K, N), v)
+
+
+def _mp_profile(K, N, v):
+    """The model profile at 40 digits: Newton's method on I_z(1/2, N/2) = 1 - y
+    for z = 1 - x, from the Gaussian limit of z, which keeps the hypergeometric
+    series of mpmath's betainc short where N is large."""
+    with mp.workdps(40):
+        K, N, y = mp.mpf(K), mp.mpf(N), 2 * mp.mpf(min(v, 1.0 - v))
+        a, z = N / 2, (mp.sqrt(2) * mp.erfinv(1 - y)) ** 2 / (N - 1)
+        beta = mp.beta(0.5, a)
+        for _ in range(30):
+            step = ((mp.betainc(0.5, a, 0, z, regularized=True) - (1 - y))
+                    / (z ** -0.5 * (1 - z) ** (a - 1) / beta))
+            z = max(z - step, z / 2)
+        return mp.sqrt(K / (N - 1)) * (1 - z) ** ((N - 1) / 2) / beta
+
+
+@pytest.mark.parametrize("K", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("v", [1e-12, 0.01, 0.3, 0.5 - 1e-6])
+def test_model_profile_at_its_dimension_cap_agrees_with_mpmath(K, v):
+    # the power (N-1)/2 multiplies x's rounding error: at the cap it is still
+    # below 1e-9 relative
+    got = model_profile(CurvatureDimension(K, MAX_PROFILE_N), v)
+    assert abs(got / _mp_profile(K, MAX_PROFILE_N, v) - 1) <= 1e-9
+
+
+@pytest.mark.parametrize("K, N, v", [(1.0, 1e16, 0.3), (1.0, 1e17, 0.01),
+                                     (1e300, 1e300, 1e-300),
+                                     (1.0, math.nextafter(MAX_PROFILE_N, math.inf), 0.3)])
+def test_model_profile_refuses_a_dimension_above_its_cap(K, N, v):
+    # it printed phi(0) for v = 0.3 at N = 1e16, 26457.4 for v = 0.01 at
+    # N = 1e17, and ran for half a minute at N = 1e300
+    with pytest.raises(ParameterError, match="^the model profile is resolved only for N <= ") \
+            as err:
+        model_profile(CurvatureDimension(K, N), v)
+    assert err.value.key == "N"
+
+
+@pytest.mark.parametrize("K, N, v, value", [
+    (1.0, 1.5, 0.3, 0.55450013358288), (2.5, 2.0, 0.01, 0.15732132722552275),
+    (1.0, 3.0, 1e-300, 1.2652971980247824e-200), (0.7, 10.0, 0.5, 0.34316133900811696),
+    (1.0, 57.5, 0.97, 0.06942248280515424), (3.0, 400.0, 0.3, 0.6027025021003473),
+    (1.0, 400.0, 1e-12, 7.40408978213783e-12)])
+def test_model_profile_below_its_cap_keeps_its_floats(K, N, v, value):
+    # the values before the cap was introduced, bit for bit
+    assert model_profile(CurvatureDimension(K, N), v) == value
 
 
 def test_model_profile_symmetry():

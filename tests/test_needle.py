@@ -50,12 +50,14 @@ def test_profile_power_chains_derivative():
 
 
 def test_profile_power_samples_equal_reevaluation():
-    # the values power() checks are those its fn gives on the grid
-    p = DensityProfile(0.0, math.pi, lambda r: 2.0 * math.sin(r) ** 3)
+    # without a mode, power() checks its fn on the whole grid, as any profile
+    seen = []
+    p = DensityProfile(0.0, math.pi, lambda r: seen.append(r) or 2.0 * math.sin(r) ** 3)
     grid = np.linspace(0.0, math.pi, GRID_SIZE).tolist()
     for exponent in (0.5, 1.0 / 3.0, 2.0):
+        seen.clear()
         q = p.power(exponent)
-        assert q._checked == tuple(q.fn(r) for r in grid)
+        assert seen == grid
         assert (q.a, q.b) == (p.a, p.b)
 
 
@@ -293,8 +295,9 @@ def test_mode_construction_evaluates_only_near_the_extremes():
     k = max(i for i, r in enumerate(grid) if r <= 1.0)
     points = [grid[i] for i in (0, 1, k - 1, k, k + 1, k + 2, 1022, 1023)]
     assert seen == points
-    assert p._checked == tuple(p.fn(r) for r in points)
-    assert p.power(0.5)._checked == tuple(p.fn(r) ** 0.5 for r in points)
+    seen.clear()
+    p.power(0.5)  # a positive power keeps the mode, and is checked at the same points
+    assert seen == points
 
 
 def test_mode_must_not_be_nan():
@@ -303,11 +306,17 @@ def test_mode_must_not_be_nan():
 
 
 def test_power_keeps_a_positive_mode_and_drops_another():
-    p = DensityProfile(0.0, 1.0, lambda r: 1.0 + r, mode=1.0)
+    seen = []
+    p = DensityProfile(0.0, 1.0, lambda r: seen.append(r) or 1.0 + r, mode=1.0)
+    points = list(seen)
+    assert len(points) <= 8
+    seen.clear()
     assert p.power(0.5).mode == 1.0
-    q = p.power(-1.0)  # a decreasing profile
+    assert seen == points
+    seen.clear()
+    q = p.power(-1.0)  # a decreasing profile, checked on the whole grid
     assert q.mode is None
-    assert q._checked == tuple(v ** -1.0 for v in p._checked)
+    assert seen == np.linspace(0.0, 1.0, GRID_SIZE).tolist()
 
 
 @pytest.mark.parametrize("mode", [None, 0.5])
@@ -518,6 +527,21 @@ _CONSTANT_NEEDLE = (constant_interval(2.0, CurvatureDimension(-1.5, 3.0)), Level
 def _kind_needle(kind):
     dec = decompose(*_KIND_NEEDLES[kind])
     return dec.needle.profile, dec.cd
+
+
+@pytest.mark.parametrize("dec_args", [*_KIND_NEEDLES.values(), _CONSTANT_NEEDLE],
+                         ids=[*_KIND_NEEDLES, "constant-interval"])
+def test_power_of_a_built_in_needle_evaluates_its_modes_points(dec_args):
+    # the sturm check's u = h^(1/(N-1)) is checked where the needle was: at most
+    # 8 points, its ends, their neighbours and the points around its mode
+    dec = decompose(*dec_args)
+    profile, seen = dec.needle.profile, []
+    watched = profile._replace(fn=lambda r: seen.append(r) or profile.fn(r))
+    points = list(seen)
+    assert profile.mode is not None and 4 <= len(points) <= 8
+    seen.clear()
+    watched.power(1.0 / (dec.cd.N - 1.0))
+    assert seen == points
 
 
 def _assert_same_report(got, want):

@@ -186,13 +186,17 @@ def test_density_profile_is_a_checked_named_tuple():
     assert type(replaced) is DensityProfile and replaced == DensityProfile(0.0, 2.0, math.exp)
 
 
-def test_power_checks_without_calling_fn_again():
+def test_power_is_checked_at_its_own_modes_points():
+    # power() builds through the constructor: it evaluates fn where the
+    # parent's checks did, and its values are the parent's to the power
     calls = []
-    profile = DensityProfile(0.0, 1.0, lambda r: calls.append(r) or 1.0 + r)
+    profile = DensityProfile(0.0, 1.0, lambda r: calls.append(r) or 1.0 + r, mode=1.0)
+    points = list(calls)
     calls.clear()
     root = profile.power(0.5)
-    assert calls == [] and type(root) is DensityProfile
-    assert root._checked == tuple(v ** 0.5 for v in profile._checked)
+    assert calls == points and type(root) is DensityProfile
+    assert [root.fn(r) for r in points] == [(1.0 + r) ** 0.5 for r in points]
+    assert not hasattr(root, "__dict__")
     with pytest.raises(ParameterError, match="^density must be positive"):
         DensityProfile(0.0, 1.0, lambda r: 1e300).power(2.0)
 
